@@ -7,15 +7,13 @@ observations(), which never exposes them. privileged_labels() is the
 deliberate, greppable escape hatch for evaluation code only.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import Codebook
+from .codebook import Codebook, read_container, write_container
 
 _MAGIC = b"SPHBAT01"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -111,30 +109,14 @@ def sample_noiseless(
 
 def dump_batch(batch: GmmBatch, path: str, label_path: str | None = None) -> None:
     """Binary dump in the codebook container layout, labels in a side file."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<QQQ", _VERSION, batch.d, batch.n))
-        f.write(batch.observations().astype("<f8").tobytes(order="C"))
+    write_container(path, _MAGIC, batch.observations().astype("<f8"))
     if label_path is not None:
-        with open(label_path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<QQQ", _VERSION, 1, batch.n))
-            f.write(batch.privileged_labels().astype("<i8").tobytes(order="C"))
+        write_container(label_path, _MAGIC, batch.privileged_labels().astype("<i8")[:, None])
 
 
 def load_batch(path: str, label_path: str, sigma2: float) -> GmmBatch:
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ValueError(f"bad magic in {path!r}")
-        version, d, n = struct.unpack("<QQQ", f.read(24))
-        if version != _VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        samples = np.frombuffer(f.read(8 * d * n), dtype="<f8").reshape(n, d)
-    with open(label_path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ValueError(f"bad magic in {label_path!r}")
-        version, one, n2 = struct.unpack("<QQQ", f.read(24))
-        if version != _VERSION or one != 1 or n2 != n:
-            raise ValueError("label side-file does not match batch")
-        labels = np.frombuffer(f.read(8 * n), dtype="<i8").astype(np.int64)
-    return GmmBatch(samples.astype(np.float64), labels, float(sigma2))
+    samples = read_container(path, _MAGIC, "<f8")
+    labels = read_container(label_path, _MAGIC, "<i8")
+    if labels.shape != (samples.shape[0], 1):
+        raise ValueError("label side-file does not match batch")
+    return GmmBatch(samples.astype(np.float64), labels[:, 0].astype(np.int64), float(sigma2))

@@ -135,25 +135,46 @@ def _min_distance_prefilter(c: np.ndarray) -> float:
     return best
 
 
+def write_container(path: str, magic: bytes, body: np.ndarray) -> None:
+    """Write a (rows, cols) array in the layout read_container reads."""
+    rows, cols = body.shape
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<QQQ", _VERSION, cols, rows))
+        f.write(body.tobytes(order="C"))
+
+
 def save_codebook(cb: Codebook, path: str) -> None:
     """Flat binary container: magic, version, d, k as little-endian u64,
     then k*d little-endian f64 in row-major order."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<QQQ", _VERSION, cb.d, cb.k))
-        f.write(cb.centers.astype("<f8").tobytes(order="C"))
+    write_container(path, _MAGIC, cb.centers.astype("<f8"))
+
+
+def read_container(path: str, magic: bytes, dtype: str) -> np.ndarray:
+    """Read a flat binary container: 8-byte magic, then version, cols, rows
+    as little-endian u64, then rows*cols values of dtype in row-major order.
+
+    Returns the (rows, cols) body. A wrong magic or version, or a header or
+    body shorter than it declares, raises a ValueError naming the file.
+    """
+    with open(path, "rb") as f:
+        got = f.read(8)
+        if got != magic:
+            raise ValueError(f"bad magic in {path!r}: {got!r}")
+        header = f.read(24)
+        if len(header) != 24:
+            raise ValueError(f"truncated header in {path!r}")
+        version, cols, rows = struct.unpack("<QQQ", header)
+        if version != _VERSION:
+            raise ValueError(f"unsupported container version {version} in {path!r}")
+        size = np.dtype(dtype).itemsize * cols * rows
+        body = f.read(size)
+        if len(body) != size:
+            raise ValueError(f"truncated body in {path!r}")
+    return np.frombuffer(body, dtype=dtype).reshape(rows, cols)
 
 
 def load_codebook(path: str) -> Codebook:
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic in {path!r}: {magic!r}")
-        version, d, k = struct.unpack("<QQQ", f.read(24))
-        if version != _VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        body = f.read(8 * d * k)
-        if len(body) != 8 * d * k:
-            raise ValueError(f"truncated codebook body in {path!r}")
-        centers = np.frombuffer(body, dtype="<f8").reshape(k, d).astype(np.float64)
-    return Codebook(centers=centers, d=int(d), k=int(k))
+    centers = read_container(path, _MAGIC, "<f8")
+    k, d = centers.shape
+    return Codebook(centers=centers.astype(np.float64), d=int(d), k=int(k))

@@ -331,10 +331,7 @@ def run_decode_sweep(spec: SweepSpec, *, debug_scan: bool = False) -> list[dict]
             "seed": spec.master_seed,
             "status": "ok",
         }
-        try:
-            dec = _resolve_decoder(entry, sigma2)
-        except ConfigError:
-            raise
+        dec = _resolve_decoder(entry, sigma2)
         if dec.kind in ("corr", "mismatched_corr"):
             p = dec.corr_params()
             if not corr_params_feasible(d, k, sigma2, p):

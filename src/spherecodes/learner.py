@@ -36,6 +36,10 @@ from .seeds import rng_for
 # is the natural regime; above it the scaled-residual machinery is
 R_SWITCH_DEFAULT = 0.2
 
+# Step-I statistic buffer: one block of net points against all observations
+# (65 rows at N = 2000), small enough to stay in cache between its passes
+_SCREEN_BUF_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -184,31 +188,44 @@ def local_test_positive_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float, sig
 
 
 def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:
-    """Per-net-point counts of local-test passes over all observations."""
+    """Per-net-point counts of local-test passes over all observations.
+
+    The M x N statistic matrix is formed a block of net points at a time in
+    one preallocated buffer of about _SCREEN_BUF_BYTES.
+    """
     M, d = net_points.shape
-    counts = np.zeros(M, dtype=np.int64)
     if test_kind == "zero_rate":
         thr = 1.0 - 0.25 * eps_I
-        # chunk the M x N correlation matrix to bound memory
-        chunk = max(1, int(4_000_000 // max(obs.shape[0], 1)))
-        for lo in range(0, M, chunk):
-            corr = (net_points[lo : lo + chunk] @ obs.T) / d
-            counts[lo : lo + chunk] = np.sum(corr >= thr, axis=1)
-        return counts
-    if test_kind == "positive_rate":
+        rhs = obs.T
+    elif test_kind == "positive_rate":
         alpha = 1.0 / (1.0 + sigma2)
         tau = sigma2 * alpha
         slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
         thr_sq = (math.sqrt(tau + 0.5 * alpha * eps_I) + slack) ** 2 * d
         v = alpha * obs
         v_sq = np.sum(v * v, axis=1)
-        chunk = max(1, int(4_000_000 // max(obs.shape[0], 1)))
-        for lo in range(0, M, chunk):
-            pts = net_points[lo : lo + chunk]
-            sq = v_sq[None, :] - 2.0 * pts @ v.T + d
-            counts[lo : lo + chunk] = np.sum(sq <= thr_sq, axis=1)
-        return counts
-    raise ValueError(f"unknown test_kind {test_kind!r}")
+        rhs = v.T
+    else:
+        raise ValueError(f"unknown test_kind {test_kind!r}")
+    n = obs.shape[0]
+    rows = max(1, _SCREEN_BUF_BYTES // (8 * n))
+    buf = np.empty((rows, n))
+    counts = np.zeros(M, dtype=np.int64)
+    for lo in range(0, M, rows):
+        pts = net_points[lo : lo + rows]
+        out = buf[: pts.shape[0]]
+        if test_kind == "zero_rate":
+            # normalized correlation <x, y> / d >= thr
+            np.matmul(pts, rhs, out=out)
+            np.divide(out, d, out=out)
+            counts[lo : lo + rows] = np.count_nonzero(out >= thr, axis=1)
+        else:
+            # squared residual ||v||^2 - 2 <x, v> + d <= thr_sq, v = alpha y
+            np.matmul(2.0 * pts, rhs, out=out)
+            np.subtract(v_sq, out, out=out)
+            np.add(out, d, out=out)
+            counts[lo : lo + rows] = np.count_nonzero(out <= thr_sq, axis=1)
+    return counts
 
 
 def step1_screen(
@@ -231,6 +248,40 @@ def step1_screen(
     return net.points[keep], counts[keep]
 
 
+def _greedy_spaced(cands: np.ndarray, min_dist: float, limit: int) -> np.ndarray:
+    """Indices of the greedy spaced subset in input order, at most limit.
+
+    Keeps the first unmasked candidate, masks every later candidate closer
+    than min_dist to it in one vectorized pass, and repeats. A candidate
+    whose squared distance lies within rounding of min_dist^2 is decided by
+    the scalar np.dot of the difference, so ties at exactly min_dist are
+    kept and the result does not depend on the summation order.
+    """
+    if min_dist <= 0:
+        raise ValueError(f"min_dist must be > 0, got {min_dist}")
+    md_sq = min_dist * min_dist
+    slack = 1e-9 * md_sq
+    n = cands.shape[0]
+    alive = np.ones(n, dtype=bool)
+    kept: list[int] = []
+    i = 0
+    while len(kept) < limit:
+        nxt = np.flatnonzero(alive[i:])
+        if nxt.size == 0:
+            break
+        i += int(nxt[0])
+        kept.append(i)
+        rest = i + 1 + np.flatnonzero(alive[i + 1 :])
+        diff = cands[rest] - cands[i]
+        sq = np.einsum("ij,ij->i", diff, diff)
+        close = sq < md_sq - slack
+        for r in np.flatnonzero(np.abs(sq - md_sq) <= slack):
+            close[r] = float(np.dot(diff[r], diff[r])) < md_sq
+        alive[rest[close]] = False
+        i += 1
+    return np.asarray(kept, dtype=np.int64)
+
+
 def separated_subset(candidates: np.ndarray, min_dist: float) -> np.ndarray:
     """Greedy maximal spaced subset, scanning candidates in input order.
 
@@ -239,22 +290,8 @@ def separated_subset(candidates: np.ndarray, min_dist: float) -> np.ndarray:
     candidate is within min_dist of some kept one. Returns indices into
     the candidate list.
     """
-    if min_dist <= 0:
-        raise ValueError(f"min_dist must be > 0, got {min_dist}")
     cands = np.asarray(candidates, dtype=np.float64)
-    kept: list[int] = []
-    md_sq = min_dist * min_dist
-    for i in range(cands.shape[0]):
-        x = cands[i]
-        ok = True
-        for j in kept:
-            diff = x - cands[j]
-            if float(np.dot(diff, diff)) < md_sq:
-                ok = False
-                break
-        if ok:
-            kept.append(i)
-    return np.asarray(kept, dtype=np.int64)
+    return _greedy_spaced(cands, min_dist, cands.shape[0])
 
 
 def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: int) -> np.ndarray:
@@ -263,14 +300,16 @@ def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: i
 
     The count ordering means the most confident candidates claim their
     neighborhoods first; ties fall back to input order for determinism.
+    The greedy scan stops once k points are kept, so the result is the
+    first k of separated_subset on the ordered points.
     """
     if points.shape[0] == 0:
         return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)
     order = np.lexsort((np.arange(len(counts)), -np.asarray(counts)))
-    ordered = points[order]
+    ordered = np.asarray(points[order], dtype=np.float64)
     d = points.shape[1]
-    kept = separated_subset(ordered, 2.0 * math.sqrt(eps_I * d))
-    return ordered[kept[:k]]
+    kept = _greedy_spaced(ordered, 2.0 * math.sqrt(eps_I * d), k)
+    return ordered[kept]
 
 
 # ---------------------------------------------------------------------------

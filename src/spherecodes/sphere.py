@@ -13,6 +13,9 @@ import numpy as np
 # Net sizes grow like exp(c * d * ln(1/eps)); past d ~ 12 they stop fitting
 # in desk-scale memory.
 D_MAX_NET_DEFAULT = 12
+# byte budget for the (M, d) point array, checked before it is allocated;
+# building a net briefly holds a few arrays of this size
+NET_BYTES_MAX = 1 << 29
 C_NET_DEFAULT = 4.0
 c_NET_DEFAULT = 1.0
 
@@ -20,7 +23,7 @@ _NORM_TOL = 1e-9
 
 
 class NetInfeasibleError(ValueError):
-    """Requested net dimension exceeds the configured maximum."""
+    """Requested net exceeds the dimension cap or the memory budget."""
 
 
 def sample_uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,6 +142,9 @@ def build_net(
         eps_I: target precision in (0, 1/2).
         strategy: "randomized" or "grid".
         rng: required for the randomized strategy.
+
+    Raises NetInfeasibleError, before allocating, when d exceeds d_max_net
+    or the (M, d) point array would exceed NET_BYTES_MAX bytes.
     """
     if not 0.0 < eps_I < 0.5:
         raise ValueError(f"eps_I must be in (0, 1/2), got {eps_I}")
@@ -153,6 +159,12 @@ def build_net(
         pts = np.array([[1.0], [-1.0]])
         return Net(points=pts, eps_I=eps_I)
     M = net_size(d, eps_I, C_net, c_net)
+    nbytes = M * d * 8
+    if nbytes > NET_BYTES_MAX:
+        raise NetInfeasibleError(
+            f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB, "
+            f"over the {NET_BYTES_MAX / 2**30:.2f} GiB budget"
+        )
     if strategy == "randomized":
         if rng is None:
             raise ValueError("randomized net needs an rng")
@@ -213,21 +225,40 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     squared distance eps_I * d / 2 of some net point. 1.0 means every probe
     was covered; the screening guarantees downstream assume this fraction
     is near 1.
+
+    The nearest net point comes from a k-d tree query bounded at the target
+    radius. A probe is decided by the tree only when its distance clears
+    the target by a margin far above rounding; probes inside that margin
+    are decided by the dense formula (d + ||t||^2) - 2 <q, t> <= target
+    over the whole net, so the fraction equals the dense computation's
+    exactly.
     """
+    from scipy.spatial import cKDTree
+
     if probes < 1:
         raise ValueError("probes must be >= 1")
     pts = net.points
     d = net.d
     target = net.covering_radius_sq_target
+    slack = 1e-9 * d
+    tree = cKDTree(pts)
     covered = 0
-    # chunk the probe-net distance matrix to bound memory at large M
-    chunk = max(1, int(2_000_000 // max(pts.shape[0], 1)) or 1)
-    pts_sq = np.sum(pts * pts, axis=1)
+    # probes are drawn, and the dense formula evaluated, in chunks that
+    # bound the probe-net distance matrix to 2e6 entries; recheck rows come
+    # from the whole chunk's product because BLAS rounds a lone row's
+    # product differently
+    chunk = max(1, 2_000_000 // pts.shape[0])
     for lo in range(0, probes, chunk):
         m = min(chunk, probes - lo)
         q = sample_uniform_sphere_batch(d, m, rng)
-        # ||q - t||^2 = 2d - 2 <q, t>, both on-sphere
-        dots = q @ pts.T
-        min_sq = (d + pts_sq[None, :]) - 2.0 * dots
-        covered += int(np.sum(np.min(min_sq, axis=1) <= target))
+        dist, _ = tree.query(q, distance_upper_bound=np.sqrt(target + slack))
+        dist_sq = dist * dist
+        covered += int(np.count_nonzero(dist_sq < target - slack))
+        band = (dist_sq >= target - slack) & np.isfinite(dist_sq)
+        if band.any():
+            pts_sq = np.sum(pts * pts, axis=1)
+            # ||q - t||^2 = 2d - 2 <q, t>, both on-sphere
+            dots = q @ pts.T
+            min_sq = (d + pts_sq[None, :]) - 2.0 * dots
+            covered += int(np.sum(np.min(min_sq[band], axis=1) <= target))
     return covered / probes

@@ -1,11 +1,17 @@
-"""Independent reference evaluations for the closed-form checks.
+"""Independent reference evaluations.
 
-Everything here is written as literal term-by-term arithmetic, std-lib
-math only, kept deliberately separate from the package's own formula code
-so the two paths cannot share a bug.
+The closed-form references are written as literal term-by-term arithmetic,
+std-lib math only, kept deliberately separate from the package's own
+formula code so the two paths cannot share a bug. The covering and spacing
+references are the package's former dense implementations, kept as the
+exact definitions its fast paths must reproduce.
 """
 
 import math
+
+import numpy as np
+
+from spherecodes import sample_uniform_sphere_batch
 
 
 def capacity_ref(sigma2):
@@ -61,3 +67,43 @@ def wilson_ref(successes, trials, z=1.959963984540054):
     center = (p + z * z / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
     return center - half, center + half
+
+
+def covering_min_sq_ref(net, probes, rng):
+    """Per-probe minimum of (d + ||t||^2) - 2 <q, t> over the whole net,
+    with probes drawn in the chunks verify_covering draws them in."""
+    pts = net.points
+    d = net.d
+    chunk = max(1, int(2_000_000 // max(pts.shape[0], 1)) or 1)
+    pts_sq = np.sum(pts * pts, axis=1)
+    out = []
+    for lo in range(0, probes, chunk):
+        m = min(chunk, probes - lo)
+        q = sample_uniform_sphere_batch(d, m, rng)
+        dots = q @ pts.T
+        min_sq = (d + pts_sq[None, :]) - 2.0 * dots
+        out.append(np.min(min_sq, axis=1))
+    return np.concatenate(out)
+
+
+def covering_ref(net, probes, rng):
+    min_sq = covering_min_sq_ref(net, probes, rng)
+    return int(np.sum(min_sq <= net.covering_radius_sq_target)) / probes
+
+
+def separated_subset_ref(candidates, min_dist):
+    """Greedy spaced subset by a scan of every kept point per candidate."""
+    cands = np.asarray(candidates, dtype=np.float64)
+    kept = []
+    md_sq = min_dist * min_dist
+    for i in range(cands.shape[0]):
+        x = cands[i]
+        ok = True
+        for j in kept:
+            diff = x - cands[j]
+            if float(np.dot(diff, diff)) < md_sq:
+                ok = False
+                break
+        if ok:
+            kept.append(i)
+    return np.asarray(kept, dtype=np.int64)

@@ -110,3 +110,16 @@ def test_load_rejects_mismatched_side_file(cb, tmp_path):
     dump_batch(b2, p2, lp2)
     with pytest.raises(ValueError, match="side-file"):
         load_batch(p1, lp2, 0.9)
+
+
+@pytest.mark.parametrize("which", ["samples", "labels"])
+def test_load_rejects_truncated_dump(cb, tmp_path, which):
+    batch = sample_gmm(cb, 0.9, 25, rng_for(43))
+    p, lp = str(tmp_path / "c.bin"), str(tmp_path / "c.labels.bin")
+    dump_batch(batch, p, lp)
+    target = p if which == "samples" else lp
+    blob = open(target, "rb").read()
+    open(target, "wb").write(blob[:-16])
+    with pytest.raises(ValueError, match="truncated") as exc:
+        load_batch(p, lp, 0.9)
+    assert target in str(exc.value)

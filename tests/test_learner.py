@@ -34,6 +34,8 @@ from spherecodes.learner import (
     step2_budget,
 )
 
+from .oracles import separated_subset_ref
+
 
 def nearby_on_sphere(x: np.ndarray, frac_sq: float) -> np.ndarray:
     """Rotate x toward an orthogonal direction so that
@@ -249,6 +251,30 @@ def test_select_candidates_suppresses_close_losers():
     out = select_candidates(np.vstack([loser, winner]), np.array([3, 9]), eps_I, k=4)
     assert out.shape == (1, d)
     assert np.array_equal(out[0], winner)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_select_candidates_equals_first_k_of_separated_subset(seed):
+    rng = rng_for(114, seed)
+    d, eps_I = 4, 0.25
+    md = 2.0 * math.sqrt(eps_I * d)  # = 2, so lattice neighbours sit exactly md apart
+    lattice = 2.0 * rng.integers(-2, 3, size=(60, d)).astype(np.float64)
+    noisy = 1.5 * rng.standard_normal((200, d))
+    points = np.vstack([lattice, noisy])[rng.permutation(260)]
+    counts = rng.integers(0, 4, size=260)  # heavy ties
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    ordered = points[order]
+    assert np.array_equal(separated_subset(ordered, md), separated_subset_ref(ordered, md))
+    for k in (1, 3, 8, 1000):
+        expected = ordered[separated_subset(ordered, md)[:k]]
+        assert np.array_equal(select_candidates(points, counts, eps_I, k), expected)
+
+
+def test_separated_subset_equals_scan_reference_on_sphere_points():
+    rng = rng_for(115)
+    pts = 2.0 * rng.standard_normal((500, 6))
+    for md in (0.5, 2.0, 4.0):
+        assert np.array_equal(separated_subset(pts, md), separated_subset_ref(pts, md))
 
 
 def test_select_candidates_empty_input():

@@ -13,7 +13,9 @@ from spherecodes import (
     sample_uniform_sphere_batch,
     verify_covering,
 )
-from spherecodes.sphere import net_size
+from spherecodes.sphere import NET_BYTES_MAX, net_size
+
+from .oracles import covering_min_sq_ref, covering_ref
 
 
 def test_sample_norm_invariant():
@@ -104,6 +106,16 @@ def test_build_net_dimension_guard():
         build_net(13, 0.3, strategy="randomized", rng=rng_for(10))
 
 
+def test_build_net_memory_guard_raises_before_allocating():
+    # 16 * 4^12 points in d=12 would need about 26 GB; the gate on d passes
+    M = net_size(12, 0.25, 16.0)
+    assert M * 12 * 8 > NET_BYTES_MAX
+    with pytest.raises(NetInfeasibleError, match=f"M={M}.*GiB"):
+        build_net(12, 0.25, strategy="randomized", rng=rng_for(10), C_net=16.0)
+    with pytest.raises(NetInfeasibleError, match="GiB"):
+        build_net(12, 0.25, strategy="grid")
+
+
 def test_build_net_eps_domain():
     with pytest.raises(ValueError):
         build_net(4, 0.6, strategy="randomized", rng=rng_for(11))
@@ -130,3 +142,27 @@ def test_self_covering_is_exact():
     net = Net(points=pts, eps_I=0.3)
     probe_subset = verify_covering(net, 400, rng_for(15))
     assert probe_subset == 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+@pytest.mark.parametrize("strategy", ["randomized", "grid"])
+@pytest.mark.parametrize("C_net", [0.05, 4.0])
+def test_verify_covering_equals_dense_reference(d, strategy, C_net):
+    # C_net=0.05 leaves the sphere partly uncovered, so the fraction is
+    # strictly between 0 and 1 for d >= 2
+    net = build_net(d, 0.3, strategy=strategy, rng=rng_for(16, d), C_net=C_net)
+    probes = 3_000
+    assert verify_covering(net, probes, rng_for(17, d)) == covering_ref(net, probes, rng_for(17, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_verify_covering_target_at_a_probe_distance(d):
+    # a target equal to one probe's dense distance, to the last bit, puts
+    # that probe on the boundary: it counts as covered (<=)
+    base = build_net(d, 0.3, strategy="randomized", rng=rng_for(18, d), C_net=0.05)
+    probes = 1_500
+    min_sq = covering_min_sq_ref(base, probes, rng_for(19, d))
+    for target in np.quantile(min_sq, [0.1, 0.5, 0.9], method="nearest"):
+        net = Net(points=base.points, eps_I=0.3, covering_radius_sq_target=float(target))
+        expected = int(np.sum(min_sq <= target)) / probes
+        assert verify_covering(net, probes, rng_for(19, d)) == expected
