@@ -40,8 +40,6 @@ from .decoders import (
     corr_params_feasible,
     decode_batch,
     decode_corr,
-    decode_mismatched_corr,
-    decode_mismatched_mmse,
     decode_mmse,
     decode_nn,
     estimate_error_prob,

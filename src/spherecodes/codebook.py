@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import is_on_sphere, sample_uniform_sphere_batch
+from .sphere import is_on_sphere, sample_uniform_sphere_batch, sq_dists
 
 # beyond this the (k, d) array and the k x k scans stop being desk-scale
 MAX_K = 2**24
+# min_distance scans the k x k distance matrix in row chunks of this size
+_SCAN_ENTRIES = 2_000_000
 
 _MAGIC = b"SPHCBK01"
 _VERSION = 1
@@ -84,55 +86,38 @@ def noise_for_beta(d: int, k: int, beta: float) -> ChannelParams:
     return ChannelParams(sigma2=float(sigma2), beta=float(beta), rate=r)
 
 
-def min_distance(cb: Codebook, method: str = "auto") -> float:
+def min_distance(cb: Codebook) -> float:
     """Smallest pairwise distance among the centers.
 
-    The brute path scans all pairs. The prefilter path sorts by one
-    coordinate and prunes pairs whose gap along it already exceeds the
-    best distance so far; both compute pair distances with the same
-    expression, so they agree exactly.
+    Scans the upper triangle of the squared-distance matrix in row chunks
+    of about _SCAN_ENTRIES entries. Every pair within rounding of the
+    smallest scanned value is then rechecked as sqrt(np.dot(diff, diff))
+    of its difference, so the result is that exact pairwise expression's
+    minimum and does not depend on the chunking.
     """
-    if method == "auto":
-        method = "prefilter" if cb.k >= 64 else "brute"
-    if method == "brute":
-        return _min_distance_brute(cb.centers)
-    if method == "prefilter":
-        return _min_distance_prefilter(cb.centers)
-    raise ValueError(f"unknown min_distance method: {method!r}")
-
-
-def _pair_dist(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return float(np.sqrt(np.dot(diff, diff)))
-
-
-def _min_distance_brute(c: np.ndarray) -> float:
+    c = cb.centers
     k = c.shape[0]
+    # the expansion's rounding error is a few ulps of the squared norms, d
+    slack = 1e-9 * cb.d
+    rows = max(1, _SCAN_ENTRIES // k)
     best = np.inf
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            dist = _pair_dist(c[i], c[j])
-            if dist < best:
-                best = dist
-    return best
-
-
-def _min_distance_prefilter(c: np.ndarray) -> float:
-    # sort on the coordinate with the largest spread; a pair whose gap
-    # along it reaches the current best cannot beat it
-    axis = int(np.argmax(np.ptp(c, axis=0)))
-    order = np.argsort(c[:, axis], kind="stable")
-    s = c[order]
-    k = s.shape[0]
-    best = np.inf
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            if s[j, axis] - s[i, axis] >= best:
-                break
-            dist = _pair_dist(s[i], s[j])
-            if dist < best:
-                best = dist
-    return best
+    near = []
+    for lo in range(0, k - 1, rows):
+        hi = min(lo + rows, k - 1)
+        sq = sq_dists(c[lo:hi], c)
+        # the diagonal and the lower triangle, j <= i
+        sq[np.tri(hi - lo, k, lo, dtype=bool)] = np.inf
+        low = float(sq.min())
+        if low <= best + slack:
+            i, j = np.nonzero(sq <= low + slack)
+            near += [(lo + a, b, v) for a, b, v in zip(i, j, sq[i, j])]
+            best = min(best, low)
+    exact = np.inf
+    for i, j, v in near:
+        if v <= best + slack:
+            diff = c[i] - c[j]
+            exact = min(exact, float(np.dot(diff, diff)))
+    return float(np.sqrt(exact))
 
 
 def write_container(path: str, magic: bytes, body: np.ndarray) -> None:

@@ -12,7 +12,8 @@ Four decoder families over a codebook of on-sphere centers:
                      tau = sigma2 * alpha. Suited to fixed positive rates.
   mismatched         the same accept/reject shapes run against a corrupted
                      or partial center list, with thresholds widened by the
-                     corruption radius.
+                     corruption radius; the DecoderSpec kinds
+                     mismatched_corr and mismatched_mmse.
 
 Outcomes are integer message indices, or ERASURE (-1) when no index
 qualifies. Erasure counts as an error for matched decoding; for partial
@@ -27,6 +28,7 @@ import numpy as np
 
 from .codebook import Codebook
 from .seeds import rng_for
+from .sphere import sq_dists
 
 ERASURE = -1
 
@@ -167,20 +169,6 @@ def decode_mmse(cb, y: np.ndarray, p: MmseParams) -> int:
     return int(out[0])
 
 
-def decode_mismatched_corr(partial_cb, y: np.ndarray, p: CorrParams) -> int:
-    """Correlation decoding against a corrupted/partial center list.
-
-    The params are expected to carry pre-shifted thresholds (see
-    shift_corr_thresholds); with zero shift this is exactly decode_corr.
-    """
-    return decode_corr(partial_cb, y, p)
-
-
-def decode_mismatched_mmse(partial_cb, y: np.ndarray, p: MmseParams) -> int:
-    """Scaled-residual decoding against a corrupted/partial center list."""
-    return decode_mmse(partial_cb, y, p)
-
-
 def shift_corr_thresholds(p: CorrParams, eps: float, big_c: float = 1.0) -> CorrParams:
     """Widen correlation thresholds for centers corrupted by sqrt(eps * d).
 
@@ -257,10 +245,7 @@ def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # ||y - X_i||^2 = ||y||^2 - 2 <y, X_i> + d; the ||y||^2 and d terms are
     # constant in i, so argmax of the dot suffices -- but computing the full
     # distance keeps tie-breaking identical to the documented definition
-    sq = np.sum(ys * ys, axis=1, keepdims=True) - 2.0 * ys @ centers.T + np.sum(
-        centers * centers, axis=1
-    )[None, :]
-    return np.argmin(sq, axis=1).astype(np.int64)
+    return np.argmin(sq_dists(ys, centers), axis=1).astype(np.int64)
 
 
 def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
@@ -278,12 +263,7 @@ def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
     d = centers.shape[1]
-    v = alpha * ys
-    sq = (
-        np.sum(v * v, axis=1, keepdims=True)
-        - 2.0 * v @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    ) / d
+    sq = sq_dists(alpha * ys, centers) / d
     best = np.argmin(sq, axis=1)
     smin = sq[np.arange(sq.shape[0]), best]
     n_low = np.sum(sq <= tau2, axis=1)
@@ -327,12 +307,7 @@ def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSp
         )
     elif kind in ("mmse", "mismatched_mmse"):
         p = spec.mmse_params()
-        v = p.alpha * ys
-        sq = (
-            np.sum(v * v, axis=1, keepdims=True)
-            - 2.0 * v @ centers.T
-            + np.sum(centers * centers, axis=1)[None, :]
-        ) / d
+        sq = sq_dists(p.alpha * ys, centers) / d
         accept = (sq <= p.tau1) & (
             np.sum(sq <= p.tau2, axis=1, keepdims=True) - (sq <= p.tau2).astype(int)
             == 0

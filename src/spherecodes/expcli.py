@@ -650,22 +650,31 @@ def _cli_guard(fn):
     return wrapper
 
 
-_COMMON = [
-    click.option("--config", type=click.Path(), default=None, help="JSON experiment config."),
-    click.option("--seed", type=int, default=None, help="Master seed override."),
-    click.option("--out", type=click.Path(), default=None, help="Output CSV path."),
-    click.option("--workers", type=int, default=None, help="Worker threads (results identical for any value)."),
-    click.option("--replay", "replay_id", default=None, help="Recompute one row id and verify it matches the CSV."),
-    click.option("--d", default=None, help="Comma-separated d grid override."),
-    click.option("--k", default=None, help="Comma-separated k grid override."),
-    click.option("--beta", default=None, help="Comma-separated beta grid override."),
-]
+_OPTIONS = {
+    "config": click.option("--config", type=click.Path(), default=None, help="JSON experiment config."),
+    "seed": click.option("--seed", type=int, default=None, help="Master seed override."),
+    "out": click.option("--out", type=click.Path(), default=None, help="Output CSV path."),
+    "workers": click.option(
+        "--workers", type=int, default=None, help="Worker threads (results identical for any value)."
+    ),
+    "replay": click.option(
+        "--replay", "replay_id", default=None, help="Recompute one row id and verify it matches the CSV."
+    ),
+    "d": click.option("--d", default=None, help="Comma-separated d grid override."),
+    "k": click.option("--k", default=None, help="Comma-separated k grid override."),
+    "beta": click.option("--beta", default=None, help="Comma-separated beta grid override."),
+}
 
 
-def _with_common(fn):
-    for opt in reversed(_COMMON):
-        fn = opt(fn)
-    return fn
+def _with_options(*names):
+    """Attach the named shared options; a subcommand takes only those it reads."""
+
+    def deco(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return deco
 
 
 @click.group()
@@ -675,7 +684,7 @@ def main():
 
 
 @main.command("decode-sweep")
-@_with_common
+@_with_options(*_OPTIONS)
 @_cli_guard
 def cmd_decode_sweep(config, seed, out, workers, replay_id, d, k, beta):
     """Monte Carlo decoding-error sweep over a parameter grid."""
@@ -688,7 +697,7 @@ def cmd_decode_sweep(config, seed, out, workers, replay_id, d, k, beta):
 
 
 @main.command("learn")
-@_with_common
+@_with_options(*_OPTIONS)
 @_cli_guard
 def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
     """Run the two-step center learner across seeds and grid points."""
@@ -702,11 +711,11 @@ def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
 
 
 @main.command("bounds")
-@_with_common
+@_with_options("config", "seed", "out", "d", "k")
 @_cli_guard
-def cmd_bounds(config, seed, out, workers, replay_id, d, k, beta):
+def cmd_bounds(config, seed, out, d, k):
     """Print (and optionally CSV) the closed-form bound table."""
-    spec = _load_spec(config, "bounds", seed, out, workers, d, k, beta)
+    spec = _load_spec(config, "bounds", seed, out, None, d, k, None)
     inputs = dict(spec.bounds)
     if d:
         inputs["d"] = int(d.split(",")[0])
@@ -724,11 +733,11 @@ def cmd_bounds(config, seed, out, workers, replay_id, d, k, beta):
 
 
 @main.command("net-stats")
-@_with_common
+@_with_options("config", "seed", "out", "replay", "d")
 @_cli_guard
-def cmd_net_stats(config, seed, out, workers, replay_id, d, k, beta):
+def cmd_net_stats(config, seed, out, replay_id, d):
     """Build nets and report size and empirical covering fraction."""
-    spec = _load_spec(config, "net_stats", seed, out, workers, d, k, beta)
+    spec = _load_spec(config, "net_stats", seed, out, None, d, None, None)
     fields = [
         "experiment_id",
         "d",
@@ -748,7 +757,7 @@ def cmd_net_stats(config, seed, out, workers, replay_id, d, k, beta):
 
 
 @main.command("phase-transition")
-@_with_common
+@_with_options(*_OPTIONS)
 @_cli_guard
 def cmd_phase_transition(config, seed, out, workers, replay_id, d, k, beta):
     """Decode sweep across a beta grid plus a monotonicity summary."""

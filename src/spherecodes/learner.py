@@ -29,7 +29,7 @@ from .decoders import (
     shift_corr_thresholds,
     shift_mmse_thresholds,
 )
-from .sphere import Net, build_net, project_ball, verify_covering
+from .sphere import Net, build_net, project_ball, sq_dists, verify_covering
 from .seeds import rng_for
 
 # below this rate the noise grows with d and correlation screening/decoding
@@ -208,23 +208,30 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     else:
         raise ValueError(f"unknown test_kind {test_kind!r}")
     n = obs.shape[0]
-    rows = max(1, _SCREEN_BUF_BYTES // (8 * n))
-    buf = np.empty((rows, n))
+    rows = max(2, _SCREEN_BUF_BYTES // (8 * n))
+    # numpy hands a one-row product to BLAS gemv, whose rounding differs
+    # from the GEMM rows of every other block, so a lone last row joins the
+    # block before it
+    bounds = list(range(0, M, rows))
+    if M - bounds[-1] == 1 and len(bounds) > 1:
+        bounds.pop()
+    bounds.append(M)
+    buf = np.empty((rows + 1, n))
     counts = np.zeros(M, dtype=np.int64)
-    for lo in range(0, M, rows):
-        pts = net_points[lo : lo + rows]
-        out = buf[: pts.shape[0]]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pts = net_points[lo:hi]
+        out = buf[: hi - lo]
         if test_kind == "zero_rate":
             # normalized correlation <x, y> / d >= thr
             np.matmul(pts, rhs, out=out)
             np.divide(out, d, out=out)
-            counts[lo : lo + rows] = np.count_nonzero(out >= thr, axis=1)
+            counts[lo:hi] = np.count_nonzero(out >= thr, axis=1)
         else:
             # squared residual ||v||^2 - 2 <x, v> + d <= thr_sq, v = alpha y
             np.matmul(2.0 * pts, rhs, out=out)
             np.subtract(v_sq, out, out=out)
             np.add(out, d, out=out)
-            counts[lo : lo + rows] = np.count_nonzero(out <= thr_sq, axis=1)
+            counts[lo:hi] = np.count_nonzero(out <= thr_sq, axis=1)
     return counts
 
 
@@ -350,18 +357,11 @@ def step2_cluster_average(
     and the slots beyond the candidate count are zero.
     """
     obs = batch2.observations()
-    d = obs.shape[1]
-    m = partial_cb.shape[0]
-    estimates = np.zeros((k, d))
-    if m == 0:
-        return estimates, 1.0
+    if partial_cb.shape[0] == 0:
+        return np.zeros((k, obs.shape[1])), 1.0
     dec = decode_batch(partial_cb, obs, decoder_spec)
-    for l in range(min(m, k)):
-        members = obs[dec == l]
-        if members.shape[0] > 0:
-            estimates[l] = project_ball(members.mean(axis=0), d)
     erasure_rate = float(np.mean(dec == ERASURE))
-    return estimates, erasure_rate
+    return _cluster_means(obs, dec, k), erasure_rate
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +386,7 @@ def _per_center_sq(true_cb: Codebook, estimates: np.ndarray) -> np.ndarray:
         raise ValueError(f"estimates must be (m, {true_cb.d}), got {est.shape}")
     if est.shape[0] == 0:
         raise ValueError("estimate list is empty")
-    c = true_cb.centers
-    sq = (
-        np.sum(c * c, axis=1, keepdims=True)
-        - 2.0 * c @ est.T
-        + np.sum(est * est, axis=1)[None, :]
-    )
+    sq = sq_dists(true_cb.centers, est)
     return np.maximum(np.min(sq, axis=1), 0.0) / true_cb.d
 
 
@@ -402,15 +397,23 @@ def genie_estimator(batch: GmmBatch, k: int) -> np.ndarray:
     k sigma2 / n on balanced batches) is the floor the learner is
     compared against. Labels never observed -> zero row.
     """
-    obs = batch.observations()
-    labels = batch.privileged_labels()
-    d = obs.shape[1]
-    out = np.zeros((k, d))
-    for i in range(k):
-        members = obs[labels == i]
-        if members.shape[0] > 0:
-            out[i] = project_ball(members.mean(axis=0), d)
-    return out
+    return _cluster_means(batch.observations(), batch.privileged_labels(), k)
+
+
+def _cluster_means(obs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-label means of the rows of obs, projected onto the ball.
+
+    Row l averages the observations labelled l; labels outside [0, k)
+    (ERASURE among them) are dropped, and a label with no observations
+    gives a zero row. Each sum accumulates its rows in input order, the
+    order the mean of the label's row block takes for d >= 2.
+    """
+    keep = (labels >= 0) & (labels < k)
+    labels = labels[keep]
+    sums = np.zeros((k, obs.shape[1]))
+    np.add.at(sums, labels, obs[keep])
+    counts = np.bincount(labels, minlength=k)
+    return project_ball(sums / np.maximum(counts, 1)[:, None], obs.shape[1])
 
 
 def match_centers(true_cb: Codebook, candidates: np.ndarray, radius_sq: float) -> MatchResult:
@@ -433,12 +436,7 @@ def match_centers(true_cb: Codebook, candidates: np.ndarray, radius_sq: float) -
         )
     from scipy.optimize import linear_sum_assignment
 
-    c = true_cb.centers
-    cost = (
-        np.sum(cands * cands, axis=1, keepdims=True)
-        - 2.0 * cands @ c.T
-        + np.sum(c * c, axis=1)[None, :]
-    )
+    cost = sq_dists(cands, true_cb.centers)
     rows, cols = linear_sum_assignment(cost)
     matching = np.full(m, -1, dtype=np.int64)
     dists = np.full(m, np.inf)

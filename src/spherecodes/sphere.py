@@ -69,6 +69,16 @@ def project_ball(x: np.ndarray, d: int | None = None) -> np.ndarray:
     return x * scale
 
 
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances between the rows of a (n, d) and b (m, d).
+
+    Evaluated as ||a||^2 - 2 <a, b> + ||b||^2 in that order, one GEMM for
+    the cross term; entries can differ from the direct ||a - b||^2 in the
+    last bits and can dip just below 0 for near-equal rows.
+    """
+    return np.sum(a * a, axis=1, keepdims=True) - 2.0 * a @ b.T + np.sum(b * b, axis=1)[None, :]
+
+
 def is_on_sphere(x: np.ndarray, d: int | None = None, tol: float = _NORM_TOL) -> bool:
     x = np.asarray(x, dtype=np.float64)
     if d is None:

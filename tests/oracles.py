@@ -2,16 +2,17 @@
 
 The closed-form references are written as literal term-by-term arithmetic,
 std-lib math only, kept deliberately separate from the package's own
-formula code so the two paths cannot share a bug. The covering and spacing
-references are the package's former dense implementations, kept as the
-exact definitions its fast paths must reproduce.
+formula code so the two paths cannot share a bug. The covering, spacing,
+minimum-distance and cluster-mean references are the package's former
+implementations, kept as the exact definitions its fast paths must
+reproduce.
 """
 
 import math
 
 import numpy as np
 
-from spherecodes import sample_uniform_sphere_batch
+from spherecodes import project_ball, sample_uniform_sphere_batch
 
 
 def capacity_ref(sigma2):
@@ -107,3 +108,32 @@ def separated_subset_ref(candidates, min_dist):
         if ok:
             kept.append(i)
     return np.asarray(kept, dtype=np.int64)
+
+
+def min_distance_ref(centers):
+    """Smallest pairwise distance by a scan of every pair."""
+    c = np.asarray(centers, dtype=np.float64)
+    k = c.shape[0]
+    best = np.inf
+    for i in range(k - 1):
+        for j in range(i + 1, k):
+            diff = c[i] - c[j]
+            dist = float(np.sqrt(np.dot(diff, diff)))
+            if dist < best:
+                best = dist
+    return best
+
+
+def cluster_means_ref(obs, labels, k):
+    """Per-label means projected onto the ball, one label at a time.
+
+    Labels outside [0, k) are never visited; an unseen label keeps its
+    zero row.
+    """
+    d = obs.shape[1]
+    out = np.zeros((k, d))
+    for l in range(k):
+        members = obs[labels == l]
+        if members.shape[0] > 0:
+            out[l] = project_ball(members.mean(axis=0), d)
+    return out

@@ -13,9 +13,10 @@ from spherecodes import (
     rng_for,
     sample_codebook,
 )
+from spherecodes import codebook
 from spherecodes.codebook import load_codebook, save_codebook
 
-from .oracles import sigma2_for_beta_ref
+from .oracles import min_distance_ref, sigma2_for_beta_ref
 
 
 def test_rate_examples():
@@ -84,22 +85,38 @@ def test_min_distance_hand_example():
     r = math.sqrt(2.0)
     pts = np.array([[r, 0.0], [0.0, r], [-r, 0.0]])
     cb = Codebook(centers=pts, d=2, k=3)
-    assert min_distance(cb, method="brute") == pytest.approx(2.0, rel=1e-12)
+    assert min_distance(cb) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_min_distance_methods_agree_exactly():
-    for seed in range(5):
-        cb = sample_codebook(6, 100, rng_for(23, seed))
-        assert min_distance(cb, method="brute") == min_distance(
-            cb, method="prefilter"
-        )
+@pytest.mark.parametrize(
+    "d, k", [(2, 2), (2, 300), (3, 57), (6, 100), (16, 250), (33, 8), (64, 300), (64, 2)]
+)
+def test_min_distance_equals_pair_scan_exactly(d, k):
+    for seed in range(3):
+        cb = sample_codebook(d, k, rng_for(23, d, k, seed))
+        assert min_distance(cb) == min_distance_ref(cb.centers)
 
 
-def test_min_distance_auto_dispatch():
-    small = sample_codebook(4, 10, rng_for(24))
-    large = sample_codebook(4, 80, rng_for(25))
-    assert min_distance(small) == min_distance(small, method="brute")
-    assert min_distance(large) == min_distance(large, method="prefilter")
+def test_min_distance_chunked_scan_equals_pair_scan(monkeypatch):
+    # 3-row chunks: the minimum and its near ties fall in different chunks
+    monkeypatch.setattr(codebook, "_SCAN_ENTRIES", 1000)
+    for seed in range(4):
+        cb = sample_codebook(5, 300, rng_for(24, seed))
+        assert min_distance(cb) == min_distance_ref(cb.centers)
+
+
+def test_min_distance_two_pairs_tied_at_the_minimum(monkeypatch):
+    # sign flips of a small last coordinate: pairs (0, 1) and (2, 3) are
+    # both exactly 2|c| apart, far closer than any other pair
+    a, b, c = 1.2, 0.7, 0.05
+    scale = math.sqrt(3.0 / (a * a + b * b + c * c))
+    pts = scale * np.array([[a, b, c], [a, b, -c], [-a, -b, c], [-a, -b, -c], [b, -a, c]])
+    cb = Codebook(centers=pts, d=3, k=5)
+    expect = min_distance_ref(pts)
+    assert expect == pytest.approx(2.0 * c * scale, rel=1e-12)
+    assert min_distance(cb) == expect
+    monkeypatch.setattr(codebook, "_SCAN_ENTRIES", 10)
+    assert min_distance(cb) == expect
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -17,8 +17,6 @@ from spherecodes import (
     corr_params_feasible,
     decode_batch,
     decode_corr,
-    decode_mismatched_corr,
-    decode_mismatched_mmse,
     decode_mmse,
     decode_nn,
     estimate_error_prob,
@@ -177,7 +175,7 @@ def test_mismatched_corr_erases_on_missing_center():
     cb = orthogonal_codebook(8, 8)
     partial = cb.centers[:4]
     y = cb.centers[7]  # orthogonal to every retained center
-    assert decode_mismatched_corr(partial, y, CorrParams(0.3, 0.3)) == ERASURE
+    assert decode_corr(partial, y, CorrParams(0.3, 0.3)) == ERASURE
 
 
 def test_mismatched_mmse_zero_corruption_is_identity():

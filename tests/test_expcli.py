@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import spherecodes
 from spherecodes.expcli import (
     DECODE_FIELDS,
     LEARN_FIELDS,
@@ -323,6 +327,32 @@ def cli(*args):
 def test_cli_version():
     res = cli("--version")
     assert res.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("bounds", "--workers"),
+        ("bounds", "--replay"),
+        ("bounds", "--beta"),
+        ("net-stats", "--workers"),
+        ("net-stats", "--k"),
+        ("net-stats", "--beta"),
+    ],
+)
+def test_cli_rejects_a_flag_the_subcommand_ignores(command, flag):
+    res = cli(command, flag, "2")
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
+def test_package_import_loads_neither_scipy_nor_click():
+    src = os.path.dirname(os.path.dirname(spherecodes.__file__))
+    code = "import sys, spherecodes; print(sorted({'scipy', 'click'} & {m.split('.')[0] for m in sys.modules}))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_bounds_table():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from spherecodes import (
+    ERASURE,
     Codebook,
     DecoderSpec,
     GmmBatch,
     LearnerConfig,
     LearnerResult,
     Net,
+    decode_batch,
     genie_estimator,
     local_test_positive_rate,
     local_test_zero_rate,
@@ -22,19 +24,22 @@ from spherecodes import (
     sample_codebook,
     sample_gmm,
     sample_noiseless,
+    sample_uniform_sphere_batch,
     select_candidates,
     separated_subset,
     step1_screen,
     step2_cluster_average,
 )
 from spherecodes.learner import (
+    _SCREEN_BUF_BYTES,
     ScreeningStats,
+    _pass_counts,
     build_step2_decoder,
     step1_budget,
     step2_budget,
 )
 
-from .oracles import separated_subset_ref
+from .oracles import cluster_means_ref, separated_subset_ref
 
 
 def nearby_on_sphere(x: np.ndarray, frac_sq: float) -> np.ndarray:
@@ -165,6 +170,26 @@ def test_step1_requires_matching_budget():
     net = Net(points=cb.centers, eps_I=0.25)
     with pytest.raises(ValueError, match="config N"):
         step1_screen(net, batch, cfg, k)
+
+
+def test_pass_counts_lone_last_row_equals_dense_product():
+    # M = rows + 1 puts the last net point alone in a block of the screen,
+    # and the threshold sits exactly on one of its GEMM statistics
+    d, n = 8, 2000
+    rows = _SCREEN_BUF_BYTES // (8 * n)
+    rng = rng_for(150)
+    pts = sample_uniform_sphere_batch(d, rows + 1, rng)
+    obs = pts[-1] + 0.3 * rng.standard_normal((n, d))
+    dense = (pts @ obs.T) / d
+    lone = (pts[-1:] @ obs.T)[0] / d
+    inside = (dense[-1] > 0.875) & (dense[-1] < 1.0)
+    # prefer a statistic a one-row product rounds below the GEMM value
+    below = np.flatnonzero(inside & (lone < dense[-1]))
+    s = dense[-1, below[0] if below.size else np.flatnonzero(inside)[0]]
+    eps_I = 4.0 * (1.0 - s)
+    assert 1.0 - 0.25 * eps_I == s
+    counts = _pass_counts(pts, obs, "zero_rate", eps_I, 1.0)
+    assert np.array_equal(counts, np.count_nonzero(dense >= s, axis=1))
 
 
 def test_step1_ignores_labels():
@@ -476,6 +501,36 @@ def test_genie_unseen_label_row_is_zero():
     batch = GmmBatch(cb.centers[:2].copy(), np.array([0, 1]), 0.0)
     est = genie_estimator(batch, 4)
     assert np.all(est[2:] == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 17, 40])
+def test_genie_equals_per_label_mean_loop_exactly(d):
+    k = 7
+    rng = rng_for(144, d)
+    n = 400
+    # labels 2 and 5 never occur; label 9 >= k is dropped
+    labels = rng.choice(np.array([0, 1, 3, 4, 6, 9]), size=n)
+    # radii from inside to far outside the ball, so some means get projected
+    obs = rng.standard_normal((n, d)) * rng.uniform(0.1, 4.0, size=(n, 1)) * math.sqrt(d)
+    obs[labels == 4] += 3.0 * math.sqrt(d)
+    est = genie_estimator(GmmBatch(obs, labels, 1.0), k)
+    assert est.tobytes() == cluster_means_ref(obs, labels, k).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 5, 16, 40])
+def test_step2_equals_per_label_mean_loop_exactly(d):
+    k = 3
+    cb = sample_codebook(d, 6, rng_for(145, d))
+    batch2 = sample_gmm(cb, 0.3, 600, rng_for(146, d))
+    # five candidates for three slots: decodes to 3 and 4 are dropped, the
+    # last true center is missing and its samples are erased
+    partial = cb.centers[:5]
+    spec = DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": 0.3})
+    dec = decode_batch(partial, batch2.observations(), spec)
+    assert np.any(dec == ERASURE) and np.any(dec >= k)
+    est, _ = step2_cluster_average(partial, batch2, spec, k)
+    ref = cluster_means_ref(batch2.observations(), dec, k)
+    assert est.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
