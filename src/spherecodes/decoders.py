@@ -36,6 +36,10 @@ ERASURE = -1
 # all counts) are independent of worker scheduling
 TRIAL_BLOCK = 1024
 
+# _scan post-processes its (n, k) distance matrix in row slabs of about this
+# many bytes, so each slab's in-place passes run on cached data
+SLAB_BYTES = 256 * 1024
+
 # Decode targets may be a Codebook or a bare (m, d) array: partial center
 # lists from the learner can be smaller than 2 and corrupted center lists
 # need not lie exactly on the sphere, so they skip Codebook's invariants.
@@ -241,35 +245,64 @@ def corr_params_feasible(d: int, k: int, sigma2: float, p: CorrParams) -> bool:
 # vectorized kernels (shared by the scalar wrappers and the estimators)
 
 
+def _scan(centers: np.ndarray, a: np.ndarray, d_div: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of sq_dists(a, centers), divided by d when d_div: the argmin
+    (lowest index on ties), the minimum and the runner-up minimum (the
+    smallest entry at any other index; inf when k = 1).
+
+    One GEMM for the whole block, then in-place passes over row slabs of
+    about SLAB_BYTES in sq_dists's own operation order, so every entry has
+    the same bits as sq_dists(a, centers) (/ d). The GEMM is never split
+    by rows: BLAS rounds a product computed in row pieces differently.
+    """
+    n, d = a.shape
+    ya = np.sum(a * a, axis=1, keepdims=True)
+    xb = np.sum(centers * centers, axis=1)
+    g = 2.0 * a @ centers.T
+    best = np.empty(n, dtype=np.int64)
+    smin = np.empty(n)
+    runner_up = np.empty(n)
+    rows = max(1, SLAB_BYTES // (8 * centers.shape[0]))
+    idx = np.arange(rows)
+    for lo in range(0, n, rows):
+        s = g[lo : lo + rows]
+        r = idx[: s.shape[0]]
+        np.subtract(ya[lo : lo + rows], s, out=s)
+        s += xb
+        if d_div:
+            s /= d
+        b = np.argmin(s, axis=1)
+        best[lo : lo + rows] = b
+        smin[lo : lo + rows] = s[r, b]
+        s[r, b] = np.inf
+        np.min(s, axis=1, out=runner_up[lo : lo + rows])
+    return best, smin, runner_up
+
+
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # ||y - X_i||^2 = ||y||^2 - 2 <y, X_i> + d; the ||y||^2 and d terms are
-    # constant in i, so argmax of the dot suffices -- but computing the full
-    # distance keeps tie-breaking identical to the documented definition
-    return np.argmin(sq_dists(ys, centers), axis=1).astype(np.int64)
+    return _scan(centers, ys, d_div=False)[0]
 
 
 def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
     d = centers.shape[1]
     corr = (ys @ centers.T) / d
     best = np.argmax(corr, axis=1)
-    cmax = corr[np.arange(corr.shape[0]), best]
-    # count of indices clearing the reject bar; the accept condition then
-    # requires the maximizer to be the only one at or above 1 - eta2
-    n_high = np.sum(corr >= 1.0 - eta2, axis=1)
-    ok = (cmax >= 1.0 - eta1) & (n_high <= 1)
-    out = np.where(ok, best, ERASURE)
-    return out.astype(np.int64)
+    r = np.arange(corr.shape[0])
+    cmax = corr[r, best]
+    # the accept condition needs the maximizer to be the only index at or
+    # above 1 - eta2; since 1 - eta1 >= 1 - eta2, an accepted maximizer is
+    # itself such an index, so it is the only one iff the runner-up is below
+    corr[r, best] = -np.inf
+    ok = (cmax >= 1.0 - eta1) & (np.max(corr, axis=1) < 1.0 - eta2)
+    return np.where(ok, best, ERASURE).astype(np.int64)
 
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
-    d = centers.shape[1]
-    sq = sq_dists(alpha * ys, centers) / d
-    best = np.argmin(sq, axis=1)
-    smin = sq[np.arange(sq.shape[0]), best]
-    n_low = np.sum(sq <= tau2, axis=1)
-    ok = (smin <= tau1) & (n_low <= 1)
-    out = np.where(ok, best, ERASURE)
-    return out.astype(np.int64)
+    # acceptance needs smin <= tau1 <= tau2, so the winner is itself at or
+    # below tau2 and is the only such index iff the runner-up exceeds tau2
+    best, smin, runner_up = _scan(centers, alpha * ys, d_div=True)
+    ok = (smin <= tau1) & (runner_up > tau2)
+    return np.where(ok, best, ERASURE).astype(np.int64)
 
 
 def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:

@@ -711,16 +711,19 @@ def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
 
 
 @main.command("bounds")
-@_with_options("config", "seed", "out", "d", "k")
+@_with_options("config", "seed", "out")
+@click.option("--d", type=int, default=None, help="Dimension d (one value).")
+@click.option("--k", type=int, default=None, help="Number of centers k (one value).")
 @_cli_guard
 def cmd_bounds(config, seed, out, d, k):
     """Print (and optionally CSV) the closed-form bound table."""
-    spec = _load_spec(config, "bounds", seed, out, None, d, k, None)
+    # --d and --k stay in the spec so the CSV's config hash records them
+    spec = _load_spec(config, "bounds", seed, out, None, d and str(d), k and str(k), None)
     inputs = dict(spec.bounds)
-    if d:
-        inputs["d"] = int(d.split(",")[0])
-    if k:
-        inputs["k"] = int(k.split(",")[0])
+    if d is not None:
+        inputs["d"] = d
+    if k is not None:
+        inputs["k"] = k
     rows = run_bounds_report(inputs)
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:

@@ -3,16 +3,17 @@
 The closed-form references are written as literal term-by-term arithmetic,
 std-lib math only, kept deliberately separate from the package's own
 formula code so the two paths cannot share a bug. The covering, spacing,
-minimum-distance and cluster-mean references are the package's former
-implementations, kept as the exact definitions its fast paths must
-reproduce.
+minimum-distance, cluster-mean and batch-decoder references are the
+package's former implementations, kept as the exact definitions its fast
+paths must reproduce.
 """
 
 import math
 
 import numpy as np
 
-from spherecodes import project_ball, sample_uniform_sphere_batch
+from spherecodes import ERASURE, project_ball, sample_uniform_sphere_batch
+from spherecodes.sphere import sq_dists
 
 
 def capacity_ref(sigma2):
@@ -137,3 +138,45 @@ def cluster_means_ref(obs, labels, k):
         if members.shape[0] > 0:
             out[l] = project_ball(members.mean(axis=0), d)
     return out
+
+
+def nn_batch_ref(centers, ys):
+    """Row argmin of the full sq_dists matrix."""
+    return np.argmin(sq_dists(ys, centers), axis=1).astype(np.int64)
+
+
+def corr_batch_ref(centers, ys, eta1, eta2):
+    """Accept the argmax when it clears 1 - eta1 and is the only index at
+    or above 1 - eta2, counted over the full correlation matrix."""
+    d = centers.shape[1]
+    corr = (ys @ centers.T) / d
+    best = np.argmax(corr, axis=1)
+    cmax = corr[np.arange(corr.shape[0]), best]
+    n_high = np.sum(corr >= 1.0 - eta2, axis=1)
+    ok = (cmax >= 1.0 - eta1) & (n_high <= 1)
+    out = np.where(ok, best, ERASURE)
+    return out.astype(np.int64)
+
+
+def mmse_batch_ref(centers, ys, alpha, tau1, tau2):
+    """Accept the argmin when it is at or below tau1 and is the only index
+    at or below tau2, counted over the full residual matrix."""
+    d = centers.shape[1]
+    sq = sq_dists(alpha * ys, centers) / d
+    best = np.argmin(sq, axis=1)
+    smin = sq[np.arange(sq.shape[0]), best]
+    n_low = np.sum(sq <= tau2, axis=1)
+    ok = (smin <= tau1) & (n_low <= 1)
+    out = np.where(ok, best, ERASURE)
+    return out.astype(np.int64)
+
+
+def scan_ref(centers, a, d_div):
+    """Row argmin, minimum and second-smallest entry of the full
+    sq_dists(a, centers) matrix (divided by d when d_div); inf when k = 1."""
+    sq = sq_dists(a, centers)
+    if d_div:
+        sq = sq / centers.shape[1]
+    best = np.argmin(sq, axis=1)
+    runner_up = np.sort(sq, axis=1)[:, 1] if sq.shape[1] > 1 else np.full(sq.shape[0], np.inf)
+    return best, sq[np.arange(sq.shape[0]), best], runner_up

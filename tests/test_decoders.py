@@ -24,12 +24,16 @@ from spherecodes import (
     p_approx_profile,
     rng_for,
     sample_codebook,
+    sample_uniform_sphere_batch,
     shift_corr_thresholds,
     shift_mmse_thresholds,
     wilson_interval,
 )
 
-from .oracles import wilson_ref
+from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch, _scan
+from spherecodes.sphere import sq_dists
+
+from .oracles import corr_batch_ref, mmse_batch_ref, nn_batch_ref, scan_ref, wilson_ref
 
 
 def orthogonal_codebook(d: int, k: int) -> Codebook:
@@ -465,3 +469,181 @@ def test_p_approx_matching_validation():
         p_approx_profile(cb, cb, np.zeros(5, dtype=np.int64), 1.0, spec, 10, 87)
     with pytest.raises(ValueError, match="shape"):
         p_approx_profile(cb, cb, np.arange(3), 1.0, spec, 10, 88)
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against the former full-matrix kernels (tests/oracles.py):
+# outcomes must be equal, bit for bit, including at exact ties and with
+# thresholds set exactly to a row's own statistic
+
+
+KERNEL_SHAPES = [(16, 2981), (128, 256), (6, 4), (5, 7), (3, 1)]
+
+
+def _noisy(centers, n, sigma, *seed):
+    rng = rng_for(*seed)
+    labels = rng.integers(0, centers.shape[0], size=n)
+    return centers[labels] + sigma * rng.standard_normal((n, centers.shape[1]))
+
+
+def _sigma2(d, k):
+    return noise_for_beta(d, k, 2.0).sigma2 if k > 1 else 0.5
+
+
+def _assert_kernels_match(centers, ys, mmse_params, corr_params):
+    assert np.array_equal(_nn_batch(centers, ys), nn_batch_ref(centers, ys))
+    for p in mmse_params:
+        assert np.array_equal(
+            _mmse_batch(centers, ys, p.alpha, p.tau1, p.tau2),
+            mmse_batch_ref(centers, ys, p.alpha, p.tau1, p.tau2),
+        )
+    for eta1, eta2 in corr_params:
+        assert np.array_equal(
+            _corr_batch(centers, ys, eta1, eta2), corr_batch_ref(centers, ys, eta1, eta2)
+        )
+
+
+@pytest.mark.parametrize("d,k", KERNEL_SHAPES)
+def test_kernels_match_full_matrix_refs(d, k):
+    centers = sample_uniform_sphere_batch(d, k, rng_for(81, d, k))
+    sigma2 = _sigma2(d, k)
+    ys = _noisy(centers, TRIAL_BLOCK, math.sqrt(sigma2), 82, d, k)
+    mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.0, 1.2, 1.45, 2.0)]
+    corr = [(0.2, 0.2), (0.3, 0.6), (0.5, 0.5), (0.7, 0.9)]
+    _assert_kernels_match(centers, ys, mmse, corr)
+    for d_div in (False, True):
+        for got, want in zip(_scan(centers, ys, d_div), scan_ref(centers, ys, d_div)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,k", KERNEL_SHAPES)
+def test_kernels_match_refs_on_slab_edges(d, k):
+    # a lone row, a block of whole slabs, whole slabs plus one row, and a
+    # partial last slab
+    rows = max(1, SLAB_BYTES // (8 * k))
+    centers = sample_uniform_sphere_batch(d, k, rng_for(83, d, k))
+    sigma2 = _sigma2(d, k)
+    mmse = [MmseParams.for_noise(sigma2, c=1.45)]
+    for n in sorted({1, rows, rows + 1, 2 * rows + rows // 2 + 1}):
+        ys = _noisy(centers, n, math.sqrt(sigma2), 84, d, k, n)
+        _assert_kernels_match(centers, ys, mmse, [(0.4, 0.6)])
+        for got, want in zip(_scan(centers, 0.8 * ys, True), scan_ref(centers, 0.8 * ys, True)):
+            assert np.array_equal(got, want)
+
+
+def test_kernels_match_refs_on_exact_ties():
+    # centers +-2 e_i and inputs on the integer grid: distances are exact
+    # integers, so many rows tie exactly between two or more centers
+    d = 4
+    centers = np.vstack([2.0 * np.eye(d), -2.0 * np.eye(d)])
+    ys = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d)).reshape(d, -1).T
+    sq = sq_dists(ys, centers)
+    assert np.sum(np.sum(sq == sq.min(axis=1, keepdims=True), axis=1) >= 2) > 40
+    mmse = [MmseParams(alpha=0.5, tau=0.5, tau1=t1, tau2=t2) for t1, t2 in ((0.5, 0.5), (1.0, 1.5))]
+    _assert_kernels_match(centers, ys, mmse, [(0.5, 0.5), (0.75, 1.0)])
+    nn = _nn_batch(centers, ys)
+    lookup = {tuple(y): int(i) for y, i in zip(ys, nn)}
+    assert lookup[(0.0, 0.0, 0.0, 0.0)] == 0
+    assert lookup[(1.0, 1.0, 0.0, 0.0)] == 0
+    assert lookup[(0.0, 1.0, 0.0, 1.0)] == 1
+    assert lookup[(-1.0, -1.0, 0.0, 0.0)] == 4
+
+
+def test_scan_divides_before_the_argmin():
+    # two off-sphere centers whose squared norms are adjacent doubles that
+    # round to the same value once divided by d = 5; the larger one comes
+    # first, so the lowest-index rule picks it only when the division
+    # happens before the argmin, as in sq_dists(...) / d
+    d = 5
+    t0 = 1.2
+    while (t0 * t0) / d != np.nextafter(t0 * t0, np.inf) / d:
+        t0 = np.nextafter(t0, np.inf)
+    low = t0 * t0
+    high = np.nextafter(low, np.inf)
+    centers = np.zeros((7, d))
+    centers[0, :2] = [t0, math.sqrt(high - low)]
+    centers[1, 0] = t0
+    centers[2:, 1] = 3.0 + np.arange(5)
+    assert np.array_equal(np.sum(centers[:2] ** 2, axis=1), [high, low])
+    ys = np.zeros((3, d))
+    ys[:, 4] = [0.0, 0.5, 1.0]
+    best, smin, runner_up = _scan(centers, ys, d_div=True)
+    assert best[0] == 0 and smin[0] == runner_up[0] == low / d
+    for got, want in zip((best, smin, runner_up), scan_ref(centers, ys, True)):
+        assert np.array_equal(got, want)
+    assert _scan(centers, ys, d_div=False)[0][0] == 1
+
+
+@pytest.mark.parametrize("d,k", [(16, 2981), (5, 7), (6, 4)])
+def test_mmse_kernel_at_thresholds_equal_to_row_statistics(d, k):
+    centers = sample_uniform_sphere_batch(d, k, rng_for(85, d, k))
+    sigma2 = _sigma2(d, k)
+    ys = _noisy(centers, 300, math.sqrt(sigma2), 86, d, k)
+    alpha = 1.0 / (1.0 + sigma2)
+    sq = np.sort(sq_dists(alpha * ys, centers) / d, axis=1)
+    for i in (0, 7, 299):
+        smin, second = sq[i, 0], sq[i, 1]
+        # tau2 at the runner-up: the row has a second index at or below
+        # tau2 and must erase; tau1 = tau2 at the minimum: it must accept
+        for tau1, tau2, accepted in ((smin, second, False), (smin, smin, True)):
+            out = _mmse_batch(centers, ys, alpha, tau1, tau2)
+            assert np.array_equal(out, mmse_batch_ref(centers, ys, alpha, tau1, tau2))
+            assert (out[i] != ERASURE) == accepted
+
+
+def test_corr_kernel_at_thresholds_equal_to_row_statistics():
+    # a near-copy of three centers puts runner-up correlations at 0.5 or
+    # above, where 1 - (1 - v) == v exactly, so 1 - eta2 can equal a row
+    # statistic
+    d, k = 16, 64
+    base = sample_uniform_sphere_batch(d, k, rng_for(87))
+    centers = np.vstack([base, base[:3] + 0.05 * rng_for(88).standard_normal((3, d))])
+    ys = base[np.arange(300) % 3] + 0.3 * rng_for(89).standard_normal((300, d))
+    corr = np.sort((ys @ centers.T) / d, axis=1)
+    for i in (0, 1, 2, 150):
+        cmax, second = corr[i, -1], corr[i, -2]
+        assert 0.5 <= second < cmax
+        # 1 - eta2 at the runner-up must erase; 1 - eta1 = 1 - eta2 at
+        # the maximum must accept
+        for eta1, eta2, accepted in ((1.0 - second, 1.0 - second, False), (1.0 - cmax, 1.0 - cmax, True)):
+            assert 1.0 - eta2 in (second, cmax)
+            out = _corr_batch(centers, ys, eta1, eta2)
+            assert np.array_equal(out, corr_batch_ref(centers, ys, eta1, eta2))
+            assert (out[i] != ERASURE) == accepted
+
+
+@pytest.mark.parametrize("d,k", [(16, 2981), (5, 7)])
+def test_kernels_match_refs_on_off_sphere_centers(d, k):
+    rng = rng_for(90, d, k)
+    true = sample_uniform_sphere_batch(d, k, rng)
+    sigma2 = _sigma2(d, k)
+    ys = _noisy(true, 512, math.sqrt(sigma2), 91, d, k)
+    m = max(1, (3 * k) // 4)
+    mismatched = true[:m] * rng.uniform(0.7, 1.3, size=(m, 1)) + 0.1 * rng.standard_normal((m, d))
+    p = MmseParams.for_noise(sigma2, c=1.45)
+    _assert_kernels_match(mismatched, ys, [p, shift_mmse_thresholds(p, 1e-4)], [(0.3, 0.5)])
+
+
+@pytest.mark.parametrize("kind", ["nn", "mmse"])
+def test_estimator_matches_ref_kernels_for_any_worker_count(kind):
+    # the criterion-3 geometry, with a partial last block
+    d, k, trials, seed = 16, 2981, 2 * TRIAL_BLOCK + 300, 92
+    cb = sample_codebook(d, k, rng_for(93))
+    sigma2 = noise_for_beta(d, k, 2.0).sigma2
+    spec = DecoderSpec.nn() if kind == "nn" else DecoderSpec.mmse(sigma2, c=1.45)
+    errors = erasures = 0
+    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
+        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+        rng = rng_for(seed, block)
+        labels = rng.integers(0, k, size=size)
+        ys = cb.centers[labels] + math.sqrt(sigma2) * rng.standard_normal((size, d))
+        if kind == "nn":
+            out = nn_batch_ref(cb.centers, ys)
+        else:
+            p = spec.mmse_params()
+            out = mmse_batch_ref(cb.centers, ys, p.alpha, p.tau1, p.tau2)
+        errors += int(np.sum(out != labels))
+        erasures += int(np.sum(out == ERASURE))
+    for workers in (1, 2, 4):
+        est = estimate_error_prob(cb, sigma2, spec, trials, seed, workers=workers)
+        assert (est.error_count, est.erasure_count) == (errors, erasures)

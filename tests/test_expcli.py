@@ -362,6 +362,41 @@ def test_cli_bounds_table():
     assert "rdf_lower_bound" in res.output
 
 
+@pytest.mark.parametrize("flag", ["--d", "--k"])
+def test_cli_bounds_rejects_a_grid(flag):
+    # the table is for one (d, k); a comma-separated grid is a usage error
+    # naming the flag, not a table for its first value
+    args = {"--d": "16", "--k": "8", flag: "16,32"}
+    res = cli("bounds", *[x for kv in args.items() for x in kv])
+    assert res.exit_code == 2
+    assert flag in res.output
+    assert "capacity" not in res.output
+
+
+def test_cli_decode_sweep_hash_is_pinned(tmp_path):
+    # the criterion-3 geometry at both sides of capacity, MMSE and NN; the
+    # hash was recorded from the full-matrix decode kernels, so any change
+    # to a decode outcome shows here
+    cfg = tmp_path / "sweep.json"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(
+        json.dumps(
+            {
+                "kind": "decode_sweep",
+                "d": [16],
+                "k": [2981],
+                "beta": [0.5, 2.0],
+                "decoders": [{"kind": "mmse", "c": 1.45}, {"kind": "nn"}],
+                "trials": 1024,
+            }
+        )
+    )
+    res = cli("decode-sweep", "--config", str(cfg), "--seed", "0", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    header = out.read_text().splitlines()[0]
+    assert "determinism_hash=23dc7c710fb6e0d4d8b9c3af62814d06" in header.split()
+
+
 def test_cli_decode_sweep_and_replay(tmp_path):
     cfg = tmp_path / "sweep.json"
     out = tmp_path / "sweep.csv"
