@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config/validation error, 3 runtime error
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import click
 import numpy as np
@@ -96,6 +98,18 @@ LEARN_FIELDS = [
     "status",
 ]
 
+NET_FIELDS = [
+    "experiment_id",
+    "d",
+    "eps_I",
+    "net_size",
+    "probes",
+    "covering_fraction",
+    "seed",
+    "wall_ms",
+    "status",
+]
+
 # timing column is environment noise, never part of determinism
 _TIMING_FIELDS = {"wall_ms"}
 
@@ -148,44 +162,8 @@ class SweepSpec:
                 raise ConfigError(f"sigma2 must be > 0, got {s2}")
 
 
-_SPEC_KEYS = {
-    "kind",
-    "d",
-    "k",
-    "beta",
-    "sigma2",
-    "decoders",
-    "trials",
-    "replicates",
-    "master_seed",
-    "out",
-    "workers",
-    "learner",
-    "bounds",
-    "eps_I",
-    "probes",
-}
-
-_LEARNER_KEYS = {
-    "eps_I",
-    "eps",
-    "N",
-    "Nbar",
-    "phi",
-    "test_kind",
-    "decoder_kind",
-    "threshold_const",
-    "corr_eta1",
-    "corr_eta2",
-    "mmse_c",
-    "mmse_c2",
-    "eps0",
-    "net_strategy",
-    "C_net",
-    "c_net",
-    "d_max_net",
-    "R_switch",
-}
+_SPEC_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
+_LEARNER_KEYS = {f.name for f in dataclasses.fields(LearnerConfig)}
 
 
 def parse_spec(obj: dict) -> SweepSpec:
@@ -300,9 +278,73 @@ def _grid(spec: SweepSpec) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # experiment runners
+#
+# A sweep is a job list plus one row function. Every job carries its row's
+# experiment_id and every random stream is keyed by the job alone, so a row
+# can be recomputed without its neighbours (see _replay).
 
 
-def run_decode_sweep(spec: SweepSpec, *, debug_scan: bool = False) -> list[dict]:
+def _cell_jobs(spec: SweepSpec, prefix: str) -> list[dict]:
+    """One job per (grid cell, replicate), in row order."""
+    return [
+        {**cell, "rep": rep, "experiment_id": f"{prefix}-{cell['gidx']}-{rep}"}
+        for cell in _grid(spec)
+        for rep in range(spec.replicates)
+    ]
+
+
+def _decode_row(spec: SweepSpec, job: dict) -> dict:
+    t0 = time.perf_counter()
+    d, k, sigma2 = job["d"], job["k"], job["sigma2"]
+    entry = job["decoder_entry"]
+    seed_key = (job["gidx"], job["rep"])
+    row = {
+        "experiment_id": job["experiment_id"],
+        "d": d,
+        "k": k,
+        "beta": job["beta"],
+        "sigma2": sigma2,
+        "rate": job["rate"],
+        "decoder": _decoder_label(entry),
+        "trials": spec.trials,
+        "seed": spec.master_seed,
+        "status": "ok",
+    }
+    dec = _resolve_decoder(entry, sigma2)
+    if dec.kind in ("corr", "mismatched_corr"):
+        p = dec.corr_params()
+        if not corr_params_feasible(d, k, sigma2, p):
+            bound = corr_feasibility_bound(d, k, sigma2, p.eta1)
+            row.update(
+                error_count=0,
+                erasure_count=0,
+                rho_hat=float("nan"),
+                ci_low=float("nan"),
+                ci_high=float("nan"),
+                status=f"infeasible eta2>={bound:.6f}",
+                wall_ms=0.0,
+            )
+            return row
+    cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
+    est = estimate_error_prob(
+        cb, sigma2, dec, spec.trials, spec.master_seed, seed_path=(*seed_key, _STREAM_TRIALS)
+    )
+    row.update(
+        error_count=est.error_count,
+        erasure_count=est.erasure_count,
+        rho_hat=est.rho_hat,
+        ci_low=est.ci_low,
+        ci_high=est.ci_high,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+    )
+    return row
+
+
+def _decode_plan(spec: SweepSpec):
+    return _cell_jobs(spec, "dsweep"), partial(_decode_row, spec)
+
+
+def run_decode_sweep(spec: SweepSpec) -> list[dict]:
     """One row per (grid cell, codebook replicate).
 
     Codebooks are resampled per replicate so averaging rows estimates the
@@ -310,63 +352,7 @@ def run_decode_sweep(spec: SweepSpec, *, debug_scan: bool = False) -> list[dict]
     thresholds become status=infeasible rows; if every cell is infeasible
     the sweep raises instead (nothing would run).
     """
-    cells = _grid(spec)
-    jobs = [(cell, rep) for cell in cells for rep in range(spec.replicates)]
-
-    def run_one(job):
-        cell, rep = job
-        t0 = time.perf_counter()
-        d, k, sigma2 = cell["d"], cell["k"], cell["sigma2"]
-        entry = cell["decoder_entry"]
-        seed_key = (cell["gidx"], rep)
-        row = {
-            "experiment_id": f"dsweep-{cell['gidx']}-{rep}",
-            "d": d,
-            "k": k,
-            "beta": cell["beta"],
-            "sigma2": sigma2,
-            "rate": cell["rate"],
-            "decoder": _decoder_label(entry),
-            "trials": spec.trials,
-            "seed": spec.master_seed,
-            "status": "ok",
-        }
-        dec = _resolve_decoder(entry, sigma2)
-        if dec.kind in ("corr", "mismatched_corr"):
-            p = dec.corr_params()
-            if not corr_params_feasible(d, k, sigma2, p):
-                bound = corr_feasibility_bound(d, k, sigma2, p.eta1)
-                row.update(
-                    error_count=0,
-                    erasure_count=0,
-                    rho_hat=float("nan"),
-                    ci_low=float("nan"),
-                    ci_high=float("nan"),
-                    status=f"infeasible eta2>={bound:.6f}",
-                    wall_ms=0.0,
-                )
-                return row
-        cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
-        est = estimate_error_prob(
-            cb,
-            sigma2,
-            dec,
-            spec.trials,
-            spec.master_seed,
-            seed_path=(*seed_key, _STREAM_TRIALS),
-            debug_scan=debug_scan,
-        )
-        row.update(
-            error_count=est.error_count,
-            erasure_count=est.erasure_count,
-            rho_hat=est.rho_hat,
-            ci_low=est.ci_low,
-            ci_high=est.ci_high,
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-        return row
-
-    rows = _run_jobs(jobs, run_one, spec.workers)
+    rows = _run_jobs(*_decode_plan(spec), spec.workers)
     if rows and all(str(r["status"]).startswith("infeasible") for r in rows):
         raise ConfigError(
             "all grid points have infeasible decoder thresholds; "
@@ -375,51 +361,44 @@ def run_decode_sweep(spec: SweepSpec, *, debug_scan: bool = False) -> list[dict]
     return rows
 
 
+def _learn_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
+    t0 = time.perf_counter()
+    d, k, sigma2 = job["d"], job["k"], job["sigma2"]
+    seed_key = (job["gidx"], job["rep"])
+    cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
+    res = run_learner(
+        cb, sigma2, cfg, spec.master_seed, seed_path=(*seed_key, _STREAM_LEARNER), probes=spec.probes
+    )
+    return {
+        "experiment_id": job["experiment_id"],
+        "d": d,
+        "k": k,
+        "beta": job["beta"],
+        "sigma2": sigma2,
+        "rate": job["rate"],
+        "N": cfg.N,
+        "Nbar": cfg.Nbar,
+        "m": res.m,
+        "loss_avg": res.loss_avg,
+        "loss_max": res.loss_max,
+        "genie_loss": res.genie_loss,
+        "net_size": res.screening_stats.net_size,
+        "t_close_size": res.screening_stats.t_close_size,
+        "covering_fraction": res.screening_stats.covering_fraction,
+        "erasure_rate_step2": res.screening_stats.erasure_rate_step2,
+        "seed": spec.master_seed,
+        "wall_ms": (time.perf_counter() - t0) * 1000.0,
+        "status": "ok",
+    }
+
+
+def _learn_plan(spec: SweepSpec):
+    return _cell_jobs(spec, "learn"), partial(_learn_row, spec, LearnerConfig(**spec.learner))
+
+
 def run_learn_experiment(spec: SweepSpec) -> list[dict]:
     """One row per (grid cell, seed replicate) of the full learner."""
-    base = dict(spec.learner)
-    cells = _grid(spec)
-    jobs = [(cell, rep) for cell in cells for rep in range(spec.replicates)]
-
-    def run_one(job):
-        cell, rep = job
-        t0 = time.perf_counter()
-        d, k, sigma2 = cell["d"], cell["k"], cell["sigma2"]
-        cfg = LearnerConfig(**base)
-        cb = sample_codebook(
-            d, k, rng_for(spec.master_seed, cell["gidx"], rep, _STREAM_CODEBOOK)
-        )
-        res = run_learner(
-            cb,
-            sigma2,
-            cfg,
-            spec.master_seed,
-            seed_path=(cell["gidx"], rep, _STREAM_LEARNER),
-            probes=spec.probes,
-        )
-        return {
-            "experiment_id": f"learn-{cell['gidx']}-{rep}",
-            "d": d,
-            "k": k,
-            "beta": cell["beta"],
-            "sigma2": sigma2,
-            "rate": cell["rate"],
-            "N": cfg.N,
-            "Nbar": cfg.Nbar,
-            "m": res.m,
-            "loss_avg": res.loss_avg,
-            "loss_max": res.loss_max,
-            "genie_loss": res.genie_loss,
-            "net_size": res.screening_stats.net_size,
-            "t_close_size": res.screening_stats.t_close_size,
-            "covering_fraction": res.screening_stats.covering_fraction,
-            "erasure_rate_step2": res.screening_stats.erasure_rate_step2,
-            "seed": spec.master_seed,
-            "wall_ms": (time.perf_counter() - t0) * 1000.0,
-            "status": "ok",
-        }
-
-    return _run_jobs(jobs, run_one, spec.workers)
+    return _run_jobs(*_learn_plan(spec), spec.workers)
 
 
 def run_bounds_report(inputs: dict) -> list[dict]:
@@ -465,41 +444,41 @@ def run_bounds_report(inputs: dict) -> list[dict]:
     return rows
 
 
+def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
+    t0 = time.perf_counter()
+    gidx = job["gidx"]
+    net = build_net(
+        job["d"],
+        job["eps_I"],
+        strategy=cfg.net_strategy,
+        rng=rng_for(spec.master_seed, gidx, _STREAM_CODEBOOK),
+        C_net=cfg.C_net,
+        c_net=cfg.c_net,
+        d_max_net=cfg.d_max_net,
+    )
+    frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
+    return {
+        "experiment_id": job["experiment_id"],
+        "d": job["d"],
+        "eps_I": job["eps_I"],
+        "net_size": net.size,
+        "probes": spec.probes,
+        "covering_fraction": frac,
+        "seed": spec.master_seed,
+        "wall_ms": (time.perf_counter() - t0) * 1000.0,
+        "status": "ok",
+    }
+
+
+def _net_plan(spec: SweepSpec):
+    cells = [(d, eps_I) for d in spec.d for eps_I in spec.eps_I or (0.25,)]
+    jobs = [{"gidx": g, "d": d, "eps_I": e, "experiment_id": f"net-{g}"} for g, (d, e) in enumerate(cells)]
+    return jobs, partial(_net_row, spec, LearnerConfig(**spec.learner))
+
+
 def run_net_stats(spec: SweepSpec) -> list[dict]:
     """Net size and empirical covering fraction per (d, eps_I)."""
-    eps_grid = spec.eps_I or (0.25,)
-    rows = []
-    gidx = 0
-    for d in spec.d:
-        for eps_I in eps_grid:
-            t0 = time.perf_counter()
-            base = dict(spec.learner)
-            cfg = LearnerConfig(**base) if base else LearnerConfig()
-            net = build_net(
-                d,
-                eps_I,
-                strategy=cfg.net_strategy,
-                rng=rng_for(spec.master_seed, gidx, _STREAM_CODEBOOK),
-                C_net=cfg.C_net,
-                c_net=cfg.c_net,
-                d_max_net=cfg.d_max_net,
-            )
-            frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
-            rows.append(
-                {
-                    "experiment_id": f"net-{gidx}",
-                    "d": d,
-                    "eps_I": eps_I,
-                    "net_size": net.size,
-                    "probes": spec.probes,
-                    "covering_fraction": frac,
-                    "seed": spec.master_seed,
-                    "wall_ms": (time.perf_counter() - t0) * 1000.0,
-                    "status": "ok",
-                }
-            )
-            gidx += 1
-    return rows
+    return _run_jobs(*_net_plan(spec), spec.workers)
 
 
 def _run_jobs(jobs, fn, workers: int) -> list[dict]:
@@ -607,18 +586,23 @@ def _emit(rows, fields, spec, constants, default_out=None):
         click.echo(buf.getvalue(), nl=False)
 
 
-def _replay(spec: SweepSpec, row_id: str, runner, fields) -> int:
-    """Recompute one row from its id and compare against the CSV on disk."""
+def _replay(spec: SweepSpec, row_id: str, plan, fields) -> int:
+    """Recompute one row from its id and compare against the CSV on disk.
+
+    Only the job with that id runs: plan(spec) gives the sweep's job list
+    and row function.
+    """
     if not spec.out:
         raise ConfigError("--replay needs --out (or config out) pointing at the original CSV")
     old_rows = read_csv_rows(spec.out)
     old = next((r for r in old_rows if r["experiment_id"] == row_id), None)
     if old is None:
         raise ConfigError(f"row {row_id!r} not found in {spec.out}")
-    new_rows = runner(spec)
-    new = next((r for r in new_rows if r["experiment_id"] == row_id), None)
-    if new is None:
+    jobs, row_fn = plan(spec)
+    job = next((j for j in jobs if j["experiment_id"] == row_id), None)
+    if job is None:
         raise ConfigError(f"row {row_id!r} not produced by this config")
+    new = row_fn(job)
     mismatches = []
     for f in fields:
         if f in _TIMING_FIELDS:
@@ -690,7 +674,7 @@ def cmd_decode_sweep(config, seed, out, workers, replay_id, d, k, beta):
     """Monte Carlo decoding-error sweep over a parameter grid."""
     spec = _load_spec(config, "decode_sweep", seed, out, workers, d, k, beta)
     if replay_id:
-        return _replay(spec, replay_id, run_decode_sweep, DECODE_FIELDS)
+        return _replay(spec, replay_id, _decode_plan, DECODE_FIELDS)
     rows = run_decode_sweep(spec)
     _emit(rows, DECODE_FIELDS, spec, {})
     return EXIT_OK
@@ -703,7 +687,7 @@ def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
     """Run the two-step center learner across seeds and grid points."""
     spec = _load_spec(config, "learn", seed, out, workers, d, k, beta)
     if replay_id:
-        return _replay(spec, replay_id, run_learn_experiment, LEARN_FIELDS)
+        return _replay(spec, replay_id, _learn_plan, LEARN_FIELDS)
     rows = run_learn_experiment(spec)
     constants = {f"learner.{key}": val for key, val in sorted(spec.learner.items())}
     _emit(rows, LEARN_FIELDS, spec, constants)
@@ -717,14 +701,15 @@ def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
 @_cli_guard
 def cmd_bounds(config, seed, out, d, k):
     """Print (and optionally CSV) the closed-form bound table."""
-    # --d and --k stay in the spec so the CSV's config hash records them
+    # --d and --k write into the spec, the table's one source of d and k,
+    # so the CSV's config hash records them
     spec = _load_spec(config, "bounds", seed, out, None, d and str(d), k and str(k), None)
-    inputs = dict(spec.bounds)
-    if d is not None:
-        inputs["d"] = d
-    if k is not None:
-        inputs["k"] = k
-    rows = run_bounds_report(inputs)
+    if len(spec.d) > 1 or len(spec.k) > 1:
+        raise ConfigError(f"bounds takes one d and one k, got d={list(spec.d)} k={list(spec.k)}")
+    nested = sorted({"d", "k"} & set(spec.bounds))
+    if nested:
+        raise ConfigError(f"move {', '.join(nested)} out of the bounds block to the top-level config keys")
+    rows = run_bounds_report({**spec.bounds, "d": spec.d[0], "k": spec.k[0]})
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:
         suffix = f"   [{r['constants']}]" if r["constants"] else ""
@@ -741,21 +726,10 @@ def cmd_bounds(config, seed, out, d, k):
 def cmd_net_stats(config, seed, out, replay_id, d):
     """Build nets and report size and empirical covering fraction."""
     spec = _load_spec(config, "net_stats", seed, out, None, d, None, None)
-    fields = [
-        "experiment_id",
-        "d",
-        "eps_I",
-        "net_size",
-        "probes",
-        "covering_fraction",
-        "seed",
-        "wall_ms",
-        "status",
-    ]
     if replay_id:
-        return _replay(spec, replay_id, run_net_stats, fields)
+        return _replay(spec, replay_id, _net_plan, NET_FIELDS)
     rows = run_net_stats(spec)
-    _emit(rows, fields, spec, {})
+    _emit(rows, NET_FIELDS, spec, {})
     return EXIT_OK
 
 
@@ -769,7 +743,7 @@ def cmd_phase_transition(config, seed, out, workers, replay_id, d, k, beta):
         spec = SweepSpec(**{**spec.__dict__, "beta": (0.5, 0.75, 1.0, 1.5, 2.0)})
     sweep = SweepSpec(**{**spec.__dict__, "kind": "decode_sweep"})
     if replay_id:
-        return _replay(sweep, replay_id, run_decode_sweep, DECODE_FIELDS)
+        return _replay(sweep, replay_id, _decode_plan, DECODE_FIELDS)
     rows = run_decode_sweep(sweep)
     _emit(rows, DECODE_FIELDS, spec, {})
     # aggregate across replicates per beta for the summary

@@ -47,10 +47,7 @@ class LearnerConfig:
 
     eps_I: screening precision in (0, 1/2); also sets the candidate
         spacing 2 sqrt(eps_I d) and the net size.
-    eps: target precision for the final estimates (drives N_bar choices
-        and the matching radius in evaluation).
     N, Nbar: sample budgets for the two steps (fresh samples each).
-    phi: failure budget in (0, 1), used by the budget helper formulas.
     test_kind: zero_rate | positive_rate | auto (auto switches on the rate).
     decoder_kind: mismatched_corr | mismatched_mmse | auto for Step II.
     threshold_const: the fraction of N/k a net point must pass in Step I.
@@ -66,10 +63,8 @@ class LearnerConfig:
     """
 
     eps_I: float = 0.25
-    eps: float = 0.05
     N: int = 2000
     Nbar: int = 1000
-    phi: float = 0.05
     test_kind: str = "auto"
     decoder_kind: str = "auto"
     threshold_const: float = 0.25
@@ -87,8 +82,6 @@ class LearnerConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_I < 0.5:
             raise ValueError(f"eps_I must be in (0, 1/2), got {self.eps_I}")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError(f"phi must be in (0, 1), got {self.phi}")
         if self.N < 1 or self.Nbar < 1:
             raise ValueError("sample budgets must be >= 1")
         if self.test_kind not in ("zero_rate", "positive_rate", "auto"):
@@ -454,22 +447,7 @@ def match_centers(true_cb: Codebook, candidates: np.ndarray, radius_sq: float) -
 
 
 # ---------------------------------------------------------------------------
-# budgets and the full pipeline
-
-
-def step1_budget(d: int, k: int, sigma2: float, eps_I: float, phi: float, C1: float = 1.0, C2: float = 1.0) -> int:
-    """Screening budget shape C1 k sigma2 ln(1/eps_I)/eps_I^2 + C2 k ln(1/phi).
-
-    The prefactors are calibration parameters, not claims; defaults 1.
-    """
-    n = C1 * sigma2 * k * math.log(1.0 / eps_I) / (eps_I * eps_I) + C2 * k * math.log(1.0 / phi)
-    return int(math.ceil(n))
-
-
-def step2_budget(k: int, sigma2: float, eps: float, phi: float, C: float = 1.0) -> int:
-    """Refinement budget shape k sigma2/eps + C (k/sqrt(eps)) ln(1/phi)."""
-    n = k * sigma2 / eps + C * (k / math.sqrt(eps)) * math.log(1.0 / phi)
-    return int(math.ceil(n))
+# the full pipeline
 
 
 def run_learner(

@@ -9,9 +9,11 @@ import pytest
 from click.testing import CliRunner
 
 import spherecodes
+from spherecodes import expcli
 from spherecodes.expcli import (
     DECODE_FIELDS,
     LEARN_FIELDS,
+    NET_FIELDS,
     ConfigError,
     SweepSpec,
     _grid,
@@ -276,6 +278,18 @@ def test_net_stats_rows():
     assert 0.0 <= rows[0]["covering_fraction"] <= 1.0
 
 
+def test_net_stats_worker_invariance():
+    def sweep(workers):
+        spec = parse_spec(
+            {"kind": "net_stats", "d": [3, 4], "eps_I": [0.3, 0.4], "probes": 200, "workers": workers}
+        )
+        return run_net_stats(spec)
+
+    a, b = sweep(1), sweep(4)
+    assert [r["experiment_id"] for r in a] == ["net-0", "net-1", "net-2", "net-3"]
+    assert determinism_hash(a, NET_FIELDS) == determinism_hash(b, NET_FIELDS)
+
+
 # ---------------------------------------------------------------------------
 # CSV plumbing
 
@@ -353,6 +367,32 @@ def test_package_import_loads_neither_scipy_nor_click():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_bounds_reads_d_and_k_from_the_config(tmp_path):
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"kind": "bounds", "d": [16], "k": [8]}))
+    res = cli("bounds", "--config", str(cfg))
+    assert res.exit_code == 0, res.output
+    table = dict(line.split()[:2] for line in res.output.splitlines())
+    assert table["rate"] == "0.129965096"  # ln(8) / 16, not the d=64, k=256 default
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"d": [16, 32], "k": [8]}, "one d and one k"),
+        ({"d": [16], "k": [8], "bounds": {"k": 8}}, "move k out of the bounds block"),
+    ],
+    ids=["grid", "nested"],
+)
+def test_cli_bounds_config_errors(tmp_path, obj, message):
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"kind": "bounds", **obj}))
+    res = cli("bounds", "--config", str(cfg))
+    assert res.exit_code == 2
+    assert message in res.stderr
+    assert "capacity" not in res.output
 
 
 def test_cli_bounds_table():
@@ -449,6 +489,103 @@ def test_cli_replay_detects_tampering(tmp_path):
     )
     assert res.exit_code == 3
     assert "replay mismatch" in res.stderr
+
+
+# per sweep kind: its command, its row function, its row count and a config
+REPLAY_CASES = {
+    "decode": (
+        "decode-sweep",
+        "_decode_row",
+        8,
+        {
+            "kind": "decode_sweep",
+            "d": [8],
+            "k": [4],
+            "beta": [0.5, 2.0],
+            "decoders": [{"kind": "nn"}, {"kind": "mmse", "c": 1.4}],
+            "trials": 200,
+            "replicates": 2,
+            "master_seed": 9,
+        },
+    ),
+    "learn": (
+        "learn",
+        "_learn_row",
+        4,
+        {
+            "kind": "learn",
+            "d": [4],
+            "k": [2],
+            "beta": [0.5, 2.0],
+            "replicates": 2,
+            "probes": 200,
+            "learner": {"N": 200, "Nbar": 100, "C_net": 2.0},
+        },
+    ),
+    "net-stats": (
+        "net-stats",
+        "_net_row",
+        4,
+        {"kind": "net_stats", "d": [3, 4], "eps_I": [0.3, 0.4], "probes": 200},
+    ),
+    "phase-transition": (
+        "phase-transition",
+        "_decode_row",
+        1,
+        {"kind": "phase_transition", "d": [16], "k": [8], "beta": [2.0], "trials": 200},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_cli_replay_recomputes_only_the_named_row(case, tmp_path, monkeypatch):
+    command, row_fn, n_rows, obj = REPLAY_CASES[case]
+    cfg = tmp_path / "sweep.json"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(obj))
+    res = cli(command, "--config", str(cfg), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    ids = [r["experiment_id"] for r in read_csv_rows(str(out))]
+    assert len(ids) == n_rows
+
+    calls = []
+    real = getattr(expcli, row_fn)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expcli, row_fn, counted)
+    for row_id in ids:
+        calls.clear()
+        res = cli(command, "--config", str(cfg), "--out", str(out), "--replay", row_id)
+        assert res.exit_code == 0, res.output
+        assert "matches the recorded row" in res.output
+        assert len(calls) == 1, row_id
+
+
+def test_cli_replay_of_a_row_outside_the_grid(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(REPLAY_CASES["decode"][3]))
+    assert cli("decode-sweep", "--config", str(cfg), "--out", str(out)).exit_code == 0
+    # dsweep-3-0 is in the CSV, but a one-beta grid has only cells 0 and 1
+    res = cli(
+        "decode-sweep", "--config", str(cfg), "--out", str(out), "--beta", "2.0", "--replay", "dsweep-3-0"
+    )
+    assert res.exit_code == 2
+    assert "not produced by this config" in res.stderr
+
+
+@pytest.mark.parametrize("knob", ["eps", "phi"])
+def test_cli_learner_block_rejects_removed_knobs(tmp_path, knob):
+    obj = dict(REPLAY_CASES["learn"][3])
+    obj["learner"] = {**obj["learner"], knob: 0.05}
+    cfg = tmp_path / "learn.json"
+    cfg.write_text(json.dumps(obj))
+    res = cli("learn", "--config", str(cfg))
+    assert res.exit_code == 2
+    assert f"unknown learner config keys: ['{knob}']" in res.stderr
 
 
 def test_cli_replay_needs_out(tmp_path):

@@ -35,8 +35,6 @@ from spherecodes.learner import (
     ScreeningStats,
     _pass_counts,
     build_step2_decoder,
-    step1_budget,
-    step2_budget,
 )
 
 from .oracles import cluster_means_ref, separated_subset_ref
@@ -63,8 +61,6 @@ def test_config_validation():
     LearnerConfig()
     with pytest.raises(ValueError):
         LearnerConfig(eps_I=0.5)
-    with pytest.raises(ValueError):
-        LearnerConfig(phi=0.0)
     with pytest.raises(ValueError):
         LearnerConfig(N=0)
     with pytest.raises(ValueError):
@@ -574,24 +570,6 @@ def test_match_centers_empty():
     res = match_centers(cb, np.zeros((0, 8)), radius_sq=1.0)
     assert res.fully_certified
     assert res.matching.shape == (0,)
-
-
-# ---------------------------------------------------------------------------
-# budgets
-
-
-def test_budget_formulas():
-    d, k, sigma2, eps_I, phi = 8, 4, 2.0, 0.25, 0.05
-    n1 = step1_budget(d, k, sigma2, eps_I, phi)
-    expect1 = math.ceil(
-        sigma2 * k * math.log(1 / eps_I) / eps_I**2 + k * math.log(1 / phi)
-    )
-    assert n1 == expect1
-    n2 = step2_budget(k, sigma2, 0.05, phi)
-    expect2 = math.ceil(
-        k * sigma2 / 0.05 + (k / math.sqrt(0.05)) * math.log(1 / phi)
-    )
-    assert n2 == expect2
 
 
 # ---------------------------------------------------------------------------
