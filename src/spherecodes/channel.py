@@ -7,7 +7,7 @@ observations(), which never exposes them. privileged_labels() is the
 deliberate, greppable escape hatch for evaluation code only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,12 @@ class GmmBatch:
     """n channel outputs with hidden labels.
 
     sigma2 is the per-coordinate noise variance actually used (0 for
-    noiseless batches). codebook_id ties the batch to its generator for
-    bookkeeping; it is not used numerically.
+    noiseless batches).
     """
 
     _samples: np.ndarray  # (n, d)
     _labels: np.ndarray  # (n,) ints in [0, k)
     sigma2: float
-    codebook_id: int = field(default=0)
 
     def __post_init__(self):
         s = np.ascontiguousarray(np.asarray(self._samples, dtype=np.float64))
@@ -92,9 +90,11 @@ def sample_gmm(
             f"sigma2 must be > 0, got {sigma2}; use sample_noiseless for sigma=0"
         )
     labels = _draw_labels(cb.k, n, rng, stratified)
+    # in place, the same bits as centers[labels] + sqrt(sigma2) * noise
     noise = rng.standard_normal((n, cb.d))
-    samples = cb.centers[labels] + np.sqrt(sigma2) * noise
-    return GmmBatch(samples, labels, float(sigma2), codebook_id=id(cb))
+    noise *= np.sqrt(sigma2)
+    noise += cb.centers[labels]
+    return GmmBatch(noise, labels, float(sigma2))
 
 
 def sample_noiseless(
@@ -104,7 +104,7 @@ def sample_noiseless(
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     labels = _draw_labels(cb.k, n, rng, stratified)
-    return GmmBatch(cb.centers[labels].copy(), labels, 0.0, codebook_id=id(cb))
+    return GmmBatch(cb.centers[labels].copy(), labels, 0.0)
 
 
 def dump_batch(batch: GmmBatch, path: str, label_path: str | None = None) -> None:

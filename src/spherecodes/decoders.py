@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
 from .sphere import sq_dists
@@ -245,10 +246,13 @@ def corr_params_feasible(d: int, k: int, sigma2: float, p: CorrParams) -> bool:
 # vectorized kernels (shared by the scalar wrappers and the estimators)
 
 
-def _scan(centers: np.ndarray, a: np.ndarray, d_div: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(
+    centers: np.ndarray, a: np.ndarray, d_div: bool, with_runner_up: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Per row of sq_dists(a, centers), divided by d when d_div: the argmin
-    (lowest index on ties), the minimum and the runner-up minimum (the
-    smallest entry at any other index; inf when k = 1).
+    (lowest index on ties), the minimum and, when with_runner_up, the
+    runner-up minimum (the smallest entry at any other index; inf when
+    k = 1), else None.
 
     One GEMM for the whole block, then in-place passes over row slabs of
     about SLAB_BYTES in sq_dists's own operation order, so every entry has
@@ -261,7 +265,7 @@ def _scan(centers: np.ndarray, a: np.ndarray, d_div: bool) -> tuple[np.ndarray, 
     g = 2.0 * a @ centers.T
     best = np.empty(n, dtype=np.int64)
     smin = np.empty(n)
-    runner_up = np.empty(n)
+    runner_up = np.empty(n) if with_runner_up else None
     rows = max(1, SLAB_BYTES // (8 * centers.shape[0]))
     idx = np.arange(rows)
     for lo in range(0, n, rows):
@@ -274,13 +278,14 @@ def _scan(centers: np.ndarray, a: np.ndarray, d_div: bool) -> tuple[np.ndarray, 
         b = np.argmin(s, axis=1)
         best[lo : lo + rows] = b
         smin[lo : lo + rows] = s[r, b]
-        s[r, b] = np.inf
-        np.min(s, axis=1, out=runner_up[lo : lo + rows])
+        if with_runner_up:
+            s[r, b] = np.inf
+            np.min(s, axis=1, out=runner_up[lo : lo + rows])
     return best, smin, runner_up
 
 
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return _scan(centers, ys, d_div=False)[0]
+    return _scan(centers, ys, d_div=False, with_runner_up=False)[0]
 
 
 def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
@@ -300,7 +305,7 @@ def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
     # acceptance needs smin <= tau1 <= tau2, so the winner is itself at or
     # below tau2 and is the only such index iff the runner-up exceeds tau2
-    best, smin, runner_up = _scan(centers, alpha * ys, d_div=True)
+    best, smin, runner_up = _scan(centers, alpha * ys, d_div=True, with_runner_up=True)
     ok = (smin <= tau1) & (runner_up > tau2)
     return np.where(ok, best, ERASURE).astype(np.int64)
 
@@ -457,9 +462,8 @@ def estimate_error_prob(
 
     def run_block(args: tuple[int, int]) -> tuple[int, int]:
         block, size = args
-        rng = rng_for(master_seed, *seed_path, block)
-        labels = rng.integers(0, cb.k, size=size)
-        ys = cb.centers[labels] + math.sqrt(sigma2) * rng.standard_normal((size, cb.d))
+        batch = sample_gmm(cb, sigma2, size, rng_for(master_seed, *seed_path, block))
+        ys, labels = batch.observations(), batch.privileged_labels()
         out = decode_batch(cb, ys, decoder_spec)
         if debug_scan:
             _exhaustive_scan_check(cb.centers, ys, decoder_spec)

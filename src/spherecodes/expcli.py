@@ -1,11 +1,12 @@
 """Experiment orchestration and the command-line surface.
 
-Sweeps are described by a JSON config (strict keys: typos are errors, not
-silently ignored), run under deterministic counter-based seeding, and
-written as RFC-4180 CSV with one `#` metadata comment line carrying the
-package version, the config hash, the constants in effect, and a
-determinism hash over everything except wall-clock columns. Reruns with
-the same master seed produce identical bytes apart from timing.
+Sweeps are described by a JSON config (strict keys: each kind accepts only
+the keys it reads, so typos and settings it would ignore are errors), run
+under deterministic counter-based seeding, and written as RFC-4180 CSV
+with one `#` metadata comment line carrying the package version, the
+config hash, the constants in effect, and a determinism hash over
+everything except wall-clock columns. Reruns with the same master seed
+produce identical bytes apart from timing.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error
 (including replay mismatches).
@@ -118,6 +119,24 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+# the top-level keys each kind reads, besides kind itself; a key another
+# kind reads is still an error here, not a silently ignored setting
+_DECODE_KEYS = {"d", "k", "beta", "sigma2", "decoders", "trials", "replicates", "master_seed", "out", "workers"}
+_KIND_KEYS = {
+    "decode_sweep": _DECODE_KEYS,
+    "phase_transition": _DECODE_KEYS,
+    "learn": {"d", "k", "beta", "sigma2", "replicates", "master_seed", "out", "workers", "learner", "probes"},
+    "net_stats": {"d", "eps_I", "probes", "master_seed", "out", "workers", "learner"},
+    "bounds": {"d", "k", "out", "bounds"},
+}
+# the learner-block keys each kind reads: the learner reads every knob, a
+# net-stats sweep only the net construction ones
+_LEARNER_KEYS = {
+    "learn": {f.name for f in dataclasses.fields(LearnerConfig)},
+    "net_stats": {"net_strategy", "C_net", "c_net", "d_max_net"},
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment description.
@@ -144,10 +163,8 @@ class SweepSpec:
     eps_I: tuple = ()
     probes: int = 10000
 
-    _KINDS = ("decode_sweep", "learn", "bounds", "net_stats", "phase_transition")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
@@ -162,21 +179,26 @@ class SweepSpec:
                 raise ConfigError(f"sigma2 must be > 0, got {s2}")
 
 
-_SPEC_KEYS = {f.name for f in dataclasses.fields(SweepSpec)}
-_LEARNER_KEYS = {f.name for f in dataclasses.fields(LearnerConfig)}
-
-
 def parse_spec(obj: dict) -> SweepSpec:
-    """Validate a config dict into a SweepSpec; unknown keys are errors."""
+    """Validate a config dict into a SweepSpec; a key its kind does not
+    read is an error."""
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(obj) - _SPEC_KEYS
+    kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    allowed = _KIND_KEYS[kind]
+    unknown = set(obj) - allowed - {"kind"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)} ({kind} takes {sorted(allowed)})")
+    for block in ("learner", "bounds"):
+        if not isinstance(obj.get(block, {}), dict):
+            raise ConfigError(f"{block} must be a JSON object")
     if "learner" in obj:
-        bad = set(obj["learner"]) - _LEARNER_KEYS
+        allowed = _LEARNER_KEYS[kind]
+        bad = set(obj["learner"]) - allowed
         if bad:
-            raise ConfigError(f"unknown learner config keys: {sorted(bad)}")
+            raise ConfigError(f"unknown learner config keys: {sorted(bad)} ({kind} takes {sorted(allowed)})")
     kw = dict(obj)
     for key in ("d", "k", "beta", "sigma2", "eps_I"):
         if key in kw:
@@ -695,15 +717,15 @@ def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
 
 
 @main.command("bounds")
-@_with_options("config", "seed", "out")
+@_with_options("config", "out")
 @click.option("--d", type=int, default=None, help="Dimension d (one value).")
 @click.option("--k", type=int, default=None, help="Number of centers k (one value).")
 @_cli_guard
-def cmd_bounds(config, seed, out, d, k):
+def cmd_bounds(config, out, d, k):
     """Print (and optionally CSV) the closed-form bound table."""
     # --d and --k write into the spec, the table's one source of d and k,
     # so the CSV's config hash records them
-    spec = _load_spec(config, "bounds", seed, out, None, d and str(d), k and str(k), None)
+    spec = _load_spec(config, "bounds", None, out, None, d and str(d), k and str(k), None)
     if len(spec.d) > 1 or len(spec.k) > 1:
         raise ConfigError(f"bounds takes one d and one k, got d={list(spec.d)} k={list(spec.k)}")
     nested = sorted({"d", "k"} & set(spec.bounds))

@@ -14,22 +14,23 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import GmmBatch, sample_gmm
 from .codebook import Codebook, rate
-from .decoders import (
-    ERASURE,
-    DecoderSpec,
-    MmseParams,
-    CorrParams,
-    decode_batch,
-    shift_corr_thresholds,
-    shift_mmse_thresholds,
+from .decoders import ERASURE, DecoderSpec, MmseParams, decode_batch
+from .sphere import (
+    C_NET_DEFAULT,
+    D_MAX_NET_DEFAULT,
+    Net,
+    build_net,
+    c_NET_DEFAULT,
+    project_ball,
+    sq_dists,
+    verify_covering,
 )
-from .sphere import Net, build_net, project_ball, sq_dists, verify_covering
 from .seeds import rng_for
 
 # below this rate the noise grows with d and correlation screening/decoding
@@ -51,15 +52,16 @@ class LearnerConfig:
     test_kind: zero_rate | positive_rate | auto (auto switches on the rate).
     decoder_kind: mismatched_corr | mismatched_mmse | auto for Step II.
     threshold_const: the fraction of N/k a net point must pass in Step I.
-    corr_eta1, corr_eta2: Step II correlation thresholds (pre-shift).
+    corr_eta1, corr_eta2: Step II correlation thresholds.
     mmse_c, mmse_c2: Step II residual threshold factors tau1 = c tau,
         tau2 = c2 tau (c2 defaults to c; the classical analysis shape is
         c2 = c^2).
-    eps0: corruption allowance used to shift Step II thresholds; 0 keeps
-        the matched thresholds (the desk-scale default: at screening
-        precisions around 0.25 a principled shift would consume the gap).
-    net_strategy, C_net, c_net, d_max_net: net construction controls.
-    R_switch: rate boundary for the auto regime selectors.
+    net_strategy, C_net, c_net, d_max_net: net construction controls,
+        passed to sphere.build_net; the defaults are sphere's.
+
+    Step II uses the matched thresholds: at screening precisions around
+    0.25 a corruption shift (decoders.shift_*_thresholds) would consume
+    the gap. The auto selectors switch regime at rate R_SWITCH_DEFAULT.
     """
 
     eps_I: float = 0.25
@@ -72,12 +74,10 @@ class LearnerConfig:
     corr_eta2: float = 0.3
     mmse_c: float = 1.4
     mmse_c2: float | None = None
-    eps0: float = 0.0
     net_strategy: str = "randomized"
-    C_net: float = 16.0
-    c_net: float = 1.0
-    d_max_net: int = 12
-    R_switch: float = R_SWITCH_DEFAULT
+    C_net: float = C_NET_DEFAULT
+    c_net: float = c_NET_DEFAULT
+    d_max_net: int = D_MAX_NET_DEFAULT
 
     def __post_init__(self):
         if not 0.0 < self.eps_I < 0.5:
@@ -90,16 +90,18 @@ class LearnerConfig:
             raise ValueError(f"unknown decoder_kind {self.decoder_kind!r}")
         if self.threshold_const <= 0:
             raise ValueError("threshold_const must be > 0")
+        if self.net_strategy != "randomized":
+            raise ValueError(f"unknown net_strategy {self.net_strategy!r}")
 
     def resolve_test_kind(self, d: int, k: int) -> str:
         if self.test_kind != "auto":
             return self.test_kind
-        return "zero_rate" if rate(d, k) < self.R_switch else "positive_rate"
+        return "zero_rate" if rate(d, k) < R_SWITCH_DEFAULT else "positive_rate"
 
     def resolve_decoder_kind(self, d: int, k: int) -> str:
         if self.decoder_kind != "auto":
             return self.decoder_kind
-        return "mismatched_corr" if rate(d, k) < self.R_switch else "mismatched_mmse"
+        return "mismatched_corr" if rate(d, k) < R_SWITCH_DEFAULT else "mismatched_mmse"
 
 
 @dataclass(frozen=True)
@@ -317,20 +319,12 @@ def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: i
 
 
 def build_step2_decoder(cfg: LearnerConfig, d: int, k: int, sigma2: float) -> DecoderSpec:
-    """Erasure-capable decoder for cluster assignment, from config knobs.
-
-    Thresholds start at the matched values and are widened by eps0 when a
-    corruption allowance is configured; eps0 = 0 keeps them matched.
-    """
+    """Erasure-capable decoder for cluster assignment, at the matched
+    thresholds the config sets."""
     kind = cfg.resolve_decoder_kind(d, k)
     if kind == "mismatched_corr":
-        p = CorrParams(eta1=cfg.corr_eta1, eta2=cfg.corr_eta2)
-        if cfg.eps0 > 0:
-            p = shift_corr_thresholds(p, cfg.eps0)
-        return DecoderSpec(kind="mismatched_corr", params={"eta1": p.eta1, "eta2": p.eta2})
+        return DecoderSpec(kind="mismatched_corr", params={"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2})
     p = MmseParams.for_noise(sigma2, c=cfg.mmse_c, c2=cfg.mmse_c2 if cfg.mmse_c2 is not None else cfg.mmse_c)
-    if cfg.eps0 > 0:
-        p = shift_mmse_thresholds(p, cfg.eps0)
     return DecoderSpec(
         kind="mismatched_mmse",
         params={"alpha": p.alpha, "tau": p.tau, "tau1": p.tau1, "tau2": p.tau2},

@@ -16,7 +16,9 @@ D_MAX_NET_DEFAULT = 12
 # byte budget for the (M, d) point array, checked before it is allocated;
 # building a net briefly holds a few arrays of this size
 NET_BYTES_MAX = 1 << 29
-C_NET_DEFAULT = 4.0
+# net_size's constants; C_net = 16 is the value the acceptance configs,
+# demos and benchmark use
+C_NET_DEFAULT = 16.0
 c_NET_DEFAULT = 1.0
 
 _NORM_TOL = 1e-9
@@ -139,23 +141,21 @@ def build_net(
 ) -> Net:
     """Construct a candidate net on sqrt(d) * S^(d-1).
 
-    randomized: M uniform sphere points, M from net_size. Covering is not
-    guaranteed, only certified post hoc by verify_covering; the acceptance
-    experiments calibrate C_net until the certificate holds.
-
-    grid: deterministic fallback. Gaussian-quantile lattice directions,
-    normalized and deduplicated, same M budget. Deterministic across runs
-    but generally a worse cover than the randomized net at equal size.
+    M uniform sphere points, M from net_size. Covering is not guaranteed,
+    only certified post hoc by verify_covering; the acceptance experiments
+    calibrate C_net until the certificate holds.
 
     Args:
         d: ambient dimension, must be <= d_max_net.
         eps_I: target precision in (0, 1/2).
-        strategy: "randomized" or "grid".
-        rng: required for the randomized strategy.
+        strategy: "randomized", the one construction.
+        rng: the stream the points are drawn from.
 
     Raises NetInfeasibleError, before allocating, when d exceeds d_max_net
     or the (M, d) point array would exceed NET_BYTES_MAX bytes.
     """
+    if strategy != "randomized":
+        raise ValueError(f"unknown net strategy: {strategy!r}")
     if not 0.0 < eps_I < 0.5:
         raise ValueError(f"eps_I must be in (0, 1/2), got {eps_I}")
     if d < 1:
@@ -175,57 +175,9 @@ def build_net(
             f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB, "
             f"over the {NET_BYTES_MAX / 2**30:.2f} GiB budget"
         )
-    if strategy == "randomized":
-        if rng is None:
-            raise ValueError("randomized net needs an rng")
-        pts = sample_uniform_sphere_batch(d, M, rng)
-        return Net(points=pts, eps_I=eps_I)
-    if strategy == "grid":
-        pts = _grid_directions(d, M)
-        return Net(points=pts, eps_I=eps_I)
-    raise ValueError(f"unknown net strategy: {strategy!r}")
-
-
-def _grid_directions(d: int, M: int) -> np.ndarray:
-    """Deterministic quasi-uniform directions: inverse-Gaussian lattice.
-
-    Takes the first M points of a d-dimensional Halton-style radical
-    inverse sequence, maps coordinates through the standard normal
-    quantile, and normalizes to the sphere. No randomness involved.
-    """
-    from scipy.stats import norm
-
-    primes = _first_primes(d)
-    idx = np.arange(1, M + 1)
-    u = np.empty((M, d))
-    for j, p in enumerate(primes):
-        u[:, j] = _radical_inverse(idx, p)
-    # clip away 0/1 so the quantile stays finite
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = norm.ppf(u)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g * (np.sqrt(d) / norms)
-
-
-def _first_primes(n: int) -> list[int]:
-    primes, cand = [], 2
-    while len(primes) < n:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    return primes
-
-
-def _radical_inverse(idx: np.ndarray, base: int) -> np.ndarray:
-    out = np.zeros(idx.shape, dtype=np.float64)
-    f = 1.0 / base
-    i = idx.astype(np.int64)
-    while np.any(i > 0):
-        out += f * (i % base)
-        i //= base
-        f /= base
-    return out
+    if rng is None:
+        raise ValueError("randomized net needs an rng")
+    return Net(points=sample_uniform_sphere_batch(d, M, rng), eps_I=eps_I)
 
 
 def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from spherecodes.expcli import (
     run_net_stats,
     write_csv,
 )
+from spherecodes.learner import LearnerConfig
 
 from .oracles import sigma2_for_beta_ref
 
@@ -270,7 +272,7 @@ def test_bounds_report_pure_and_strict():
 
 def test_net_stats_rows():
     spec = parse_spec(
-        {"kind": "net_stats", "d": [4], "k": [4], "eps_I": [0.3], "probes": 500}
+        {"kind": "net_stats", "d": [4], "eps_I": [0.3], "probes": 500}
     )
     rows = run_net_stats(spec)
     assert len(rows) == 1
@@ -349,6 +351,7 @@ def test_cli_version():
         ("bounds", "--workers"),
         ("bounds", "--replay"),
         ("bounds", "--beta"),
+        ("bounds", "--seed"),
         ("net-stats", "--workers"),
         ("net-stats", "--k"),
         ("net-stats", "--beta"),
@@ -435,6 +438,41 @@ def test_cli_decode_sweep_hash_is_pinned(tmp_path):
     assert res.exit_code == 0, res.output
     header = out.read_text().splitlines()[0]
     assert "determinism_hash=23dc7c710fb6e0d4d8b9c3af62814d06" in header.split()
+
+
+PINNED_SWEEPS = {
+    "learn": (
+        {
+            "kind": "learn",
+            "d": [4],
+            "k": [2],
+            "beta": [0.5, 2.0],
+            "replicates": 2,
+            "probes": 200,
+            "learner": {"N": 200, "Nbar": 100},
+        },
+        "b088ebdb96b042931156fcdbf78c4397",
+    ),
+    "net-stats": (
+        {"kind": "net_stats", "d": [3, 4], "eps_I": [0.3, 0.4], "probes": 200},
+        "f2ac082760c3563e7363538cfaff57c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SWEEPS))
+def test_cli_sweep_hash_is_pinned(tmp_path, command):
+    # both configs leave the net constants at their defaults, so a change
+    # of default net size, of the Step-I or Step-II draws or of any learner
+    # number shows here
+    obj, dhash = PINNED_SWEEPS[command]
+    cfg = tmp_path / "sweep.json"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(json.dumps(obj))
+    res = cli(command, "--config", str(cfg), "--seed", "0", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    header = out.read_text().splitlines()[0]
+    assert f"determinism_hash={dhash}" in header.split()
 
 
 def test_cli_decode_sweep_and_replay(tmp_path):
@@ -577,7 +615,7 @@ def test_cli_replay_of_a_row_outside_the_grid(tmp_path):
     assert "not produced by this config" in res.stderr
 
 
-@pytest.mark.parametrize("knob", ["eps", "phi"])
+@pytest.mark.parametrize("knob", ["eps", "phi", "eps0", "R_switch"])
 def test_cli_learner_block_rejects_removed_knobs(tmp_path, knob):
     obj = dict(REPLAY_CASES["learn"][3])
     obj["learner"] = {**obj["learner"], knob: 0.05}
@@ -586,6 +624,103 @@ def test_cli_learner_block_rejects_removed_knobs(tmp_path, knob):
     res = cli("learn", "--config", str(cfg))
     assert res.exit_code == 2
     assert f"unknown learner config keys: ['{knob}']" in res.stderr
+
+
+# per kind: its command and a small config it runs
+KIND_CASES = {
+    "decode_sweep": ("decode-sweep", {"d": [8], "k": [4], "beta": [2.0], "trials": 200}),
+    "phase_transition": ("phase-transition", {"d": [8], "k": [4], "beta": [2.0], "trials": 200}),
+    "learn": (
+        "learn",
+        {"d": [4], "k": [2], "beta": [2.0], "probes": 200, "learner": {"N": 200, "Nbar": 100, "C_net": 2.0}},
+    ),
+    "net_stats": ("net-stats", {"d": [3], "eps_I": [0.3], "probes": 200}),
+    "bounds": ("bounds", {"d": [16], "k": [8]}),
+}
+DECODE_KEYS = {"d", "k", "beta", "sigma2", "decoders", "trials", "replicates", "master_seed", "out", "workers"}
+KIND_KEYS = {
+    "decode_sweep": DECODE_KEYS,
+    "phase_transition": DECODE_KEYS,
+    "learn": {"d", "k", "beta", "sigma2", "replicates", "master_seed", "out", "workers", "learner", "probes"},
+    "net_stats": {"d", "eps_I", "probes", "master_seed", "out", "workers", "learner"},
+    "bounds": {"d", "k", "out", "bounds"},
+}
+# a valid value for every key, so only the key itself can be at fault
+KEY_VALUES = {
+    "d": [8],
+    "k": [4],
+    "beta": [2.0],
+    "sigma2": [1.0],
+    "decoders": [{"kind": "nn"}],
+    "trials": 200,
+    "replicates": 1,
+    "master_seed": 0,
+    "workers": 1,
+    "learner": {},
+    "bounds": {},
+    "eps_I": [0.3],
+    "probes": 200,
+    "out": "sweep.csv",
+}
+UNREAD_KEYS = [
+    (kind, key)
+    for kind in sorted(KIND_KEYS)
+    for key in sorted({f.name for f in dataclasses.fields(SweepSpec)} - KIND_KEYS[kind] - {"kind"})
+]
+
+
+@pytest.mark.parametrize("kind, key", UNREAD_KEYS)
+def test_cli_rejects_a_config_key_the_kind_does_not_read(tmp_path, kind, key):
+    command, obj = KIND_CASES[kind]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, **obj, key: KEY_VALUES[key]}))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert f"unknown config keys: ['{key}']" in res.stderr
+
+
+def test_parse_spec_accepts_every_key_the_kind_reads():
+    for kind, keys in KIND_KEYS.items():
+        for key in keys:
+            parse_spec({"kind": kind, key: KEY_VALUES[key]})
+
+
+NET_KNOBS = {"net_strategy", "C_net", "c_net", "d_max_net"}
+
+
+@pytest.mark.parametrize(
+    "knob", sorted({f.name for f in dataclasses.fields(LearnerConfig)} - NET_KNOBS)
+)
+def test_cli_net_stats_learner_block_takes_only_net_knobs(tmp_path, knob):
+    # each knob at its own default, so only the key itself can be at fault
+    default = next(f.default for f in dataclasses.fields(LearnerConfig) if f.name == knob)
+    command, obj = KIND_CASES["net_stats"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "net_stats", **obj, "learner": {knob: default}}))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert f"unknown learner config keys: ['{knob}']" in res.stderr
+
+
+@pytest.mark.parametrize("kind", ["learn", "net_stats"])
+def test_cli_grid_net_strategy_is_a_config_error(tmp_path, kind):
+    command, obj = KIND_CASES[kind]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, **obj, "learner": {"net_strategy": "grid"}}))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert "unknown net_strategy 'grid'" in res.stderr
+
+
+@pytest.mark.parametrize("kind, block", [("learn", "learner"), ("net_stats", "learner"), ("bounds", "bounds")])
+@pytest.mark.parametrize("value", [5, ["C_net"], "C_net"])
+def test_cli_config_block_must_be_an_object(tmp_path, kind, block, value):
+    command, obj = KIND_CASES[kind]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, **obj, block: value}))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert f"{block} must be a JSON object" in res.stderr
 
 
 def test_cli_replay_needs_out(tmp_path):
@@ -641,7 +776,7 @@ def test_cli_net_stats(tmp_path):
     out = tmp_path / "net.csv"
     cfg = tmp_path / "net.json"
     cfg.write_text(
-        json.dumps({"kind": "net_stats", "d": [4], "k": [4], "eps_I": [0.3], "probes": 500})
+        json.dumps({"kind": "net_stats", "d": [4], "eps_I": [0.3], "probes": 500})
     )
     res = cli("net-stats", "--config", str(cfg), "--out", str(out))
     assert res.exit_code == 0, res.output
