@@ -205,6 +205,11 @@ def parse_spec(obj: dict) -> SweepSpec:
             val = kw[key]
             kw[key] = tuple(val) if isinstance(val, (list, tuple)) else (val,)
     if "decoders" in kw:
+        if not isinstance(kw["decoders"], (list, tuple)):
+            raise ConfigError("decoders must be a list of objects")
+        for entry in kw["decoders"]:
+            if not isinstance(entry, dict):
+                raise ConfigError(f"decoders entry {entry!r} is not an object")
         kw["decoders"] = tuple(kw["decoders"])
     try:
         return SweepSpec(**kw)

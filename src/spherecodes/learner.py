@@ -38,7 +38,8 @@ from .seeds import rng_for
 R_SWITCH_DEFAULT = 0.2
 
 # Step-I statistic buffer: one block of net points against all observations
-# (65 rows at N = 2000), small enough to stay in cache between its passes
+# (65 rows at N = 2000), small enough to stay in cache between the GEMM and
+# the compare
 _SCREEN_BUF_BYTES = 1 << 20
 
 
@@ -182,17 +183,63 @@ def local_test_positive_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float, sig
     return int(resid / math.sqrt(d) <= thr)
 
 
+# flips the 63 magnitude bits of a negative double's int64 view, so that
+# integer order is the order of the doubles (-0.0 just below +0.0); applied
+# twice it gives the bits back
+_NEG_FLIP = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _ordered(bits: np.ndarray) -> np.ndarray:
+    return bits ^ ((bits >> 63) & _NEG_FLIP)
+
+
+def _least_passing(passes, n: int) -> np.ndarray:
+    """For each j < n, the least double x with passes(x)[j], where passes
+    maps an (n,) float64 array to an (n,) bool array and is monotone (once
+    true at x, true at every larger x). The entry is -inf when -inf passes
+    and nan when even +inf fails, so x >= cut[j] equals passes(x)[j] for
+    every double x.
+
+    Bisection over the doubles in integer order, about 64 vectorised steps.
+    """
+    lo = np.full(n, _ordered(np.array(-np.inf).view(np.int64)))
+    hi = np.full(n, _ordered(np.array(np.inf).view(np.int64)))
+    while True:
+        # the unsigned gap cannot overflow across the whole double range
+        gap = hi.view(np.uint64) - lo.view(np.uint64)
+        if not np.any(gap > 1):
+            break
+        mid = (lo.view(np.uint64) + (gap >> np.uint64(1))).view(np.int64)
+        ok = passes(_ordered(mid).view(np.float64))
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    cut = _ordered(hi).view(np.float64)
+    cut[passes(np.full(n, -np.inf))] = -np.inf
+    cut[~passes(np.full(n, np.inf))] = np.nan
+    return cut
+
+
 def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:
     """Per-net-point counts of local-test passes over all observations.
 
-    The M x N statistic matrix is formed a block of net points at a time in
-    one preallocated buffer of about _SCREEN_BUF_BYTES.
+    The M x N GEMM statistic is formed a block of net points at a time in
+    one preallocated buffer of about _SCREEN_BUF_BYTES. Each test is a
+    monotone function of the GEMM entry x, so it equals x >= cut for an
+    exact cutoff found once per call: one for the zero-rate test, one per
+    observation for the positive-rate test. A block is then one GEMM, one
+    compare and one count.
     """
     M, d = net_points.shape
+    n = obs.shape[0]
     if test_kind == "zero_rate":
+        # normalized correlation fl(x / d) >= thr, x = <p, y>; correctly
+        # rounded division by d > 0 is monotone in x
         thr = 1.0 - 0.25 * eps_I
         rhs = obs.T
+        cut = _least_passing(lambda x: x / d >= thr, 1)[0]
     elif test_kind == "positive_rate":
+        # squared residual fl(fl(||v||^2 - x) + d) <= thr_sq, x = <2 p, v>,
+        # v = alpha y; both roundings are monotone in x
         alpha = 1.0 / (1.0 + sigma2)
         tau = sigma2 * alpha
         slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
@@ -200,9 +247,9 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         v = alpha * obs
         v_sq = np.sum(v * v, axis=1)
         rhs = v.T
+        cut = _least_passing(lambda x: v_sq - x + d <= thr_sq, n)
     else:
         raise ValueError(f"unknown test_kind {test_kind!r}")
-    n = obs.shape[0]
     rows = max(2, _SCREEN_BUF_BYTES // (8 * n))
     # numpy hands a one-row product to BLAS gemv, whose rounding differs
     # from the GEMM rows of every other block, so a lone last row joins the
@@ -212,22 +259,30 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         bounds.pop()
     bounds.append(M)
     buf = np.empty((rows + 1, n))
+    # pass flags, rows padded with zero bytes to whole uint64 words
+    flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
+    two_pts = np.empty((rows + 1, d)) if test_kind == "positive_rate" else None
     counts = np.zeros(M, dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         pts = net_points[lo:hi]
-        out = buf[: hi - lo]
-        if test_kind == "zero_rate":
-            # normalized correlation <x, y> / d >= thr
-            np.matmul(pts, rhs, out=out)
-            np.divide(out, d, out=out)
-            counts[lo:hi] = np.count_nonzero(out >= thr, axis=1)
-        else:
-            # squared residual ||v||^2 - 2 <x, v> + d <= thr_sq, v = alpha y
-            np.matmul(2.0 * pts, rhs, out=out)
-            np.subtract(v_sq, out, out=out)
-            np.add(out, d, out=out)
-            counts[lo:hi] = np.count_nonzero(out <= thr_sq, axis=1)
+        if two_pts is not None:
+            pts = np.multiply(pts, 2.0, out=two_pts[: hi - lo])
+        out = np.matmul(pts, rhs, out=buf[: hi - lo])
+        np.greater_equal(out, cut, out=flags[: hi - lo, :n])
+        counts[lo:hi] = _row_counts(flags[: hi - lo])
     return counts
+
+
+def _row_counts(flags: np.ndarray) -> np.ndarray:
+    """True entries per row of a C-contiguous bool array whose row length is
+    a multiple of 8: the rows' uint64 words are added in byte lanes, at most
+    255 words at a time so that no lane carries, and the 8 lanes summed."""
+    words = flags.view(np.uint64)
+    total = np.zeros(flags.shape[0], dtype=np.int64)
+    for g in range(0, words.shape[1], 255):
+        lanes = words[:, g : g + 255].sum(axis=1, dtype=np.uint64)
+        total += lanes.view(np.uint8).reshape(-1, 8).sum(axis=1, dtype=np.int64)
+    return total
 
 
 def step1_screen(

@@ -3,9 +3,9 @@
 The closed-form references are written as literal term-by-term arithmetic,
 std-lib math only, kept deliberately separate from the package's own
 formula code so the two paths cannot share a bug. The covering, spacing,
-minimum-distance, cluster-mean and batch-decoder references are the
-package's former implementations, kept as the exact definitions its fast
-paths must reproduce.
+minimum-distance, cluster-mean, batch-decoder and Step-I pass-count
+references are the package's former implementations, kept as the exact
+definitions its fast paths must reproduce.
 """
 
 import math
@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from spherecodes import ERASURE, project_ball, sample_uniform_sphere_batch
+from spherecodes.learner import _SCREEN_BUF_BYTES
 from spherecodes.sphere import sq_dists
 
 
@@ -180,3 +181,51 @@ def scan_ref(centers, a, d_div):
     best = np.argmin(sq, axis=1)
     runner_up = np.sort(sq, axis=1)[:, 1] if sq.shape[1] > 1 else np.full(sq.shape[0], np.inf)
     return best, sq[np.arange(sq.shape[0]), best], runner_up
+
+
+def pass_counts_ref(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:
+    """Per-net-point counts of local-test passes over all observations.
+
+    The M x N statistic matrix is formed a block of net points at a time in
+    one preallocated buffer of about _SCREEN_BUF_BYTES.
+    """
+    M, d = net_points.shape
+    if test_kind == "zero_rate":
+        thr = 1.0 - 0.25 * eps_I
+        rhs = obs.T
+    elif test_kind == "positive_rate":
+        alpha = 1.0 / (1.0 + sigma2)
+        tau = sigma2 * alpha
+        slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
+        thr_sq = (math.sqrt(tau + 0.5 * alpha * eps_I) + slack) ** 2 * d
+        v = alpha * obs
+        v_sq = np.sum(v * v, axis=1)
+        rhs = v.T
+    else:
+        raise ValueError(f"unknown test_kind {test_kind!r}")
+    n = obs.shape[0]
+    rows = max(2, _SCREEN_BUF_BYTES // (8 * n))
+    # numpy hands a one-row product to BLAS gemv, whose rounding differs
+    # from the GEMM rows of every other block, so a lone last row joins the
+    # block before it
+    bounds = list(range(0, M, rows))
+    if M - bounds[-1] == 1 and len(bounds) > 1:
+        bounds.pop()
+    bounds.append(M)
+    buf = np.empty((rows + 1, n))
+    counts = np.zeros(M, dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pts = net_points[lo:hi]
+        out = buf[: hi - lo]
+        if test_kind == "zero_rate":
+            # normalized correlation <x, y> / d >= thr
+            np.matmul(pts, rhs, out=out)
+            np.divide(out, d, out=out)
+            counts[lo:hi] = np.count_nonzero(out >= thr, axis=1)
+        else:
+            # squared residual ||v||^2 - 2 <x, v> + d <= thr_sq, v = alpha y
+            np.matmul(2.0 * pts, rhs, out=out)
+            np.subtract(v_sq, out, out=out)
+            np.add(out, d, out=out)
+            counts[lo:hi] = np.count_nonzero(out <= thr_sq, axis=1)
+    return counts

@@ -453,6 +453,20 @@ PINNED_SWEEPS = {
         },
         "b088ebdb96b042931156fcdbf78c4397",
     ),
+    # the positive-rate screen, with N not a multiple of 8 and a net of
+    # several blocks
+    "learn-positive-rate": (
+        {
+            "kind": "learn",
+            "d": [4],
+            "k": [3],
+            "beta": [0.5, 2.0],
+            "replicates": 2,
+            "probes": 200,
+            "learner": {"N": 203, "Nbar": 100, "test_kind": "positive_rate"},
+        },
+        "ad040b9a6540c8f4806674186ae73649",
+    ),
     "net-stats": (
         {"kind": "net_stats", "d": [3, 4], "eps_I": [0.3, 0.4], "probes": 200},
         "f2ac082760c3563e7363538cfaff57c4",
@@ -460,15 +474,16 @@ PINNED_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_SWEEPS))
-def test_cli_sweep_hash_is_pinned(tmp_path, command):
-    # both configs leave the net constants at their defaults, so a change
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_cli_sweep_hash_is_pinned(tmp_path, name):
+    # every config leaves the net constants at their defaults, so a change
     # of default net size, of the Step-I or Step-II draws or of any learner
     # number shows here
-    obj, dhash = PINNED_SWEEPS[command]
+    obj, dhash = PINNED_SWEEPS[name]
     cfg = tmp_path / "sweep.json"
     out = tmp_path / "sweep.csv"
     cfg.write_text(json.dumps(obj))
+    command = obj["kind"].replace("_", "-")
     res = cli(command, "--config", str(cfg), "--seed", "0", "--out", str(out))
     assert res.exit_code == 0, res.output
     header = out.read_text().splitlines()[0]
@@ -721,6 +736,23 @@ def test_cli_config_block_must_be_an_object(tmp_path, kind, block, value):
     res = cli(command, "--config", str(cfg))
     assert res.exit_code == 2, res.output
     assert f"{block} must be a JSON object" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "decoders, message",
+    [
+        ({"kind": "nn"}, "decoders must be a list of objects"),
+        ("nn", "decoders must be a list of objects"),
+        (["nn"], "decoders entry 'nn' is not an object"),
+    ],
+    ids=["object", "string", "list-of-strings"],
+)
+def test_cli_decoders_must_be_a_list_of_objects(tmp_path, decoders, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "decode_sweep", "d": [8], "k": [4], "decoders": decoders}))
+    res = cli("decode-sweep", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
 
 
 def test_cli_replay_needs_out(tmp_path):

@@ -33,11 +33,12 @@ from spherecodes import (
 from spherecodes.learner import (
     _SCREEN_BUF_BYTES,
     ScreeningStats,
+    _least_passing,
     _pass_counts,
     build_step2_decoder,
 )
 
-from .oracles import cluster_means_ref, separated_subset_ref
+from .oracles import cluster_means_ref, pass_counts_ref, separated_subset_ref
 
 
 def nearby_on_sphere(x: np.ndarray, frac_sq: float) -> np.ndarray:
@@ -186,6 +187,85 @@ def test_pass_counts_lone_last_row_equals_dense_product():
     assert 1.0 - 0.25 * eps_I == s
     counts = _pass_counts(pts, obs, "zero_rate", eps_I, 1.0)
     assert np.array_equal(counts, np.count_nonzero(dense >= s, axis=1))
+
+
+def screen_inputs(d, m, n, seed):
+    # net points on the sphere and observations near some of them
+    rng = rng_for(seed)
+    pts = sample_uniform_sphere_batch(d, m, rng)
+    obs = pts[rng.integers(0, m, n)] + 0.7 * rng.standard_normal((n, d))
+    return pts, obs
+
+
+@pytest.mark.parametrize("test_kind", ["zero_rate", "positive_rate"])
+@pytest.mark.parametrize("n", [1, 7, 8, 2000, 2041, 4100])
+def test_pass_counts_equal_reference(test_kind, n):
+    # M = 3 rows + 1: three full blocks, the last one taking the lone
+    # last row. eps_I = 6 passes most entries, so at N = 4100 (513 words
+    # a row) the byte lanes would wrap without the 255-word groups.
+    rows = _SCREEN_BUF_BYTES // (8 * n)
+    pts, obs = screen_inputs(6, 3 * rows + 1, n, 160 + n)
+    for eps_I in (0.25, 6.0):
+        counts = _pass_counts(pts, obs, test_kind, eps_I, 0.8)
+        assert np.array_equal(counts, pass_counts_ref(pts, obs, test_kind, eps_I, 0.8))
+    if n == 4100:
+        assert counts.max() > 8 * 255
+
+
+def least_passing_walk(passes, x):
+    """The least double passing a monotone test, by single steps from x."""
+    while passes(x):
+        x = math.nextafter(x, -math.inf)
+    while not passes(x):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@pytest.mark.parametrize("d, eps_I", [(6, 0.25), (6, 0.002), (7, 0.3), (16, 0.1)])
+def test_pass_counts_statistic_on_the_cutoff(d, eps_I):
+    # one GEMM statistic lands exactly on the least passing value x* and one
+    # on x* - 1 ulp: the first passes, the second fails, as in the reference
+    rng = rng_for(180)
+    e1 = np.eye(d)[0]
+    # zero-rate: <e1, y> = y[0] exactly
+    thr = 1.0 - 0.25 * eps_I
+    x_star = least_passing_walk(lambda x: x / d >= thr, thr * d)
+    obs = rng.standard_normal((2, d))
+    obs[:, 0] = [x_star, math.nextafter(x_star, -math.inf)]
+    pts = np.vstack([e1, e1])
+    counts = _pass_counts(pts, obs, "zero_rate", eps_I, 1.0)
+    assert counts.tolist() == [1, 1]
+    assert np.array_equal(counts, pass_counts_ref(pts, obs, "zero_rate", eps_I, 1.0))
+    for row, passes in enumerate([1, 0]):
+        one = obs[row : row + 1]
+        assert _pass_counts(pts, one, "zero_rate", eps_I, 1.0).tolist() == [passes] * 2
+        assert pass_counts_ref(pts, one, "zero_rate", eps_I, 1.0).tolist() == [passes] * 2
+    # positive-rate at sigma2 = 1: alpha = 1/2 and v[0] = y[0] / 2 = 1, so
+    # <2 a e1, v> = 2 a exactly
+    y = rng.standard_normal((1, d))
+    y[0, 0] = 2.0
+    v = 0.5 * y
+    v_sq = float(np.sum(v * v, axis=1)[0])
+    alpha, tau = 0.5, 0.5
+    slack = math.sqrt(2.0 * alpha * alpha * math.log(2.0) / d)
+    thr_sq = (math.sqrt(tau + 0.5 * alpha * eps_I) + slack) ** 2 * d
+    x_star = least_passing_walk(lambda x: v_sq - x + d <= thr_sq, v_sq + d - thr_sq)
+    pts = np.outer([x_star / 2, math.nextafter(x_star, -math.inf) / 2, 2 * x_star], e1)
+    counts = _pass_counts(pts, y, "positive_rate", eps_I, 1.0)
+    assert counts.tolist() == [1, 0, 1]
+    assert np.array_equal(counts, pass_counts_ref(pts, y, "positive_rate", eps_I, 1.0))
+
+
+def test_least_passing_is_the_exact_threshold():
+    rng = rng_for(190)
+    t = rng.standard_normal(500) * np.exp2(rng.integers(-1074, 1000, 500))
+    t[:3] = [np.inf, -np.inf, 5e-324]
+    assert np.array_equal(_least_passing(lambda x: x >= t, t.size), t)
+    # -0.0 == 0.0, so -0.0 is the least double at or above 0.0
+    zero = _least_passing(lambda x: x >= 0.0, 1)
+    assert zero[0] == 0.0 and math.copysign(1.0, zero[0]) < 0
+    assert _least_passing(lambda x: x >= -np.inf, 1)[0] == -np.inf
+    assert np.isnan(_least_passing(lambda x: x > np.inf, 1)[0])
 
 
 def test_step1_ignores_labels():
