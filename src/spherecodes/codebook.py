@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import is_on_sphere, sample_uniform_sphere_batch, sq_dists
+from .sphere import ARRAY_BYTES_MAX, is_on_sphere, sample_uniform_sphere_batch, sq_dists
 
-# beyond this the (k, d) array and the k x k scans stop being desk-scale
-MAX_K = 2**24
 # min_distance scans the k x k distance matrix in row chunks of this size
 _SCAN_ENTRIES = 2_000_000
 
@@ -54,13 +52,20 @@ class ChannelParams:
 
 
 def sample_codebook(d: int, k: int, rng: np.random.Generator) -> Codebook:
-    """k independent uniform sphere points; deterministic given the rng state."""
+    """k independent uniform sphere points; deterministic given the rng state.
+
+    Raises ValueError, before allocating, when the (k, d) centers would
+    exceed ARRAY_BYTES_MAX bytes."""
     if k < 2:
         raise ValueError(f"codebook needs k >= 2, got {k}")
-    if k > MAX_K:
-        raise ValueError(f"k={k} exceeds MAX_K={MAX_K}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    nbytes = k * d * 8
+    if nbytes > ARRAY_BYTES_MAX:
+        raise ValueError(
+            f"codebook of k={k} centers in dimension {d} needs {nbytes} bytes, "
+            f"over the {ARRAY_BYTES_MAX}-byte budget"
+        )
     return Codebook(centers=sample_uniform_sphere_batch(d, k, rng), d=d, k=k)
 
 

@@ -20,21 +20,20 @@ qualifies. Erasure counts as an error for matched decoding; for partial
 codebooks it is the desired outcome on messages with no surviving center.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import sq_dists
+from .sphere import ARRAY_BYTES_MAX, sq_dists
 
 ERASURE = -1
 
-# trials are processed in fixed-size blocks so per-block seeds (and hence
-# all counts) are independent of worker scheduling
+# trials are processed in fixed-size blocks with per-block seeds, so the
+# counts do not depend on the order the blocks run in
 TRIAL_BLOCK = 1024
 
 # _scan post-processes its (n, k) distance matrix in row slabs of about this
@@ -145,33 +144,23 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 
 # ---------------------------------------------------------------------------
-# single-input decoders
+# single-input decoders: one row of decode_batch, which holds the kernel
+# choice and the empty-list policy
 
 
 def decode_nn(cb, y: np.ndarray) -> int:
     """Nearest center index; ties broken toward the lowest index."""
-    centers = _centers_of(cb)
-    if centers.shape[0] == 0:
-        raise ValueError("nearest-neighbor decoding needs at least one center")
-    return int(_nn_batch(centers, np.asarray(y, dtype=np.float64)[None, :])[0])
+    return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec.nn())[0])
 
 
 def decode_corr(cb, y: np.ndarray, p: CorrParams) -> int:
     """Correlation threshold decoding; ERASURE when no index qualifies."""
-    centers = _centers_of(cb)
-    if centers.shape[0] == 0:
-        return ERASURE
-    out = _corr_batch(centers, np.asarray(y, dtype=np.float64)[None, :], p.eta1, p.eta2)
-    return int(out[0])
+    return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec.corr(p.eta1, p.eta2))[0])
 
 
 def decode_mmse(cb, y: np.ndarray, p: MmseParams) -> int:
     """Scaled-residual threshold decoding; ERASURE when no index qualifies."""
-    centers = _centers_of(cb)
-    if centers.shape[0] == 0:
-        return ERASURE
-    out = _mmse_batch(centers, np.asarray(y, dtype=np.float64)[None, :], p.alpha, p.tau1, p.tau2)
-    return int(out[0])
+    return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec(kind="mmse", params=asdict(p)))[0])
 
 
 def shift_corr_thresholds(p: CorrParams, eps: float, big_c: float = 1.0) -> CorrParams:
@@ -243,7 +232,7 @@ def corr_params_feasible(d: int, k: int, sigma2: float, p: CorrParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels (shared by the scalar wrappers and the estimators)
+# vectorized kernels, reached only through decode_batch
 
 
 def _scan(
@@ -358,7 +347,7 @@ def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSp
 
 @dataclass(frozen=True)
 class DecoderSpec:
-    """Tagged decoder description, JSON-serializable for configs and CSV.
+    """Tagged decoder description: a kind and its threshold fields.
 
     kind: nn | corr | mmse | mismatched_corr | mismatched_mmse.
     params: threshold fields appropriate to the kind. The mismatched kinds
@@ -391,15 +380,6 @@ class DecoderSpec:
             tau2=float(self.params["tau2"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, **self.params}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecoderSpec":
-        obj = json.loads(text)
-        kind = obj.pop("kind")
-        return cls(kind=kind, params=obj)
-
     @classmethod
     def nn(cls) -> "DecoderSpec":
         return cls(kind="nn")
@@ -414,11 +394,7 @@ class DecoderSpec:
     @classmethod
     def mmse(cls, sigma2: float, c: float = 1.2, c2: float | None = None, mismatched: bool = False) -> "DecoderSpec":
         p = MmseParams.for_noise(sigma2, c=c, c2=c2)
-        kind = "mismatched_mmse" if mismatched else "mmse"
-        return cls(
-            kind=kind,
-            params={"alpha": p.alpha, "tau": p.tau, "tau1": p.tau1, "tau2": p.tau2},
-        )
+        return cls(kind="mismatched_mmse" if mismatched else "mmse", params=asdict(p))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +408,6 @@ def estimate_error_prob(
     trials: int,
     master_seed: int,
     *,
-    workers: int = 1,
     seed_path: tuple[int, ...] = (),
     debug_scan: bool = False,
 ) -> ErrorEstimate:
@@ -440,47 +415,38 @@ def estimate_error_prob(
 
     Erasures count as errors (matched-decoding convention: a declared error
     is still an error). Trials run in fixed blocks whose seeds derive from
-    (master_seed, *seed_path, block); counts are therefore bit-identical
-    for any worker count.
+    (master_seed, *seed_path, block), so the counts do not depend on how
+    the blocks are scheduled.
 
     Args:
-        workers: thread count for block-level parallelism. Results do not
-            depend on it.
         seed_path: extra stream-key components (grid index, replicate, ...)
             so sweeps can give every cell an independent stream.
         debug_scan: re-verify accept-uniqueness exhaustively per trial.
+
+    Raises ValueError, before the first block, when a block's
+    TRIAL_BLOCK x k distance matrix would exceed ARRAY_BYTES_MAX bytes.
     """
     if trials < 100:
         raise ValueError(f"need trials >= 100, got {trials}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
+    nbytes = TRIAL_BLOCK * cb.k * 8
+    if nbytes > ARRAY_BYTES_MAX:
+        raise ValueError(
+            f"decoding k={cb.k} centers needs a {nbytes}-byte distance matrix per block, "
+            f"over the {ARRAY_BYTES_MAX}-byte budget"
+        )
 
-    blocks = [
-        (b, min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))
-        for b in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK)
-    ]
-
-    def run_block(args: tuple[int, int]) -> tuple[int, int]:
-        block, size = args
+    error_count = erasure_count = 0
+    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
+        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
         batch = sample_gmm(cb, sigma2, size, rng_for(master_seed, *seed_path, block))
         ys, labels = batch.observations(), batch.privileged_labels()
         out = decode_batch(cb, ys, decoder_spec)
         if debug_scan:
             _exhaustive_scan_check(cb.centers, ys, decoder_spec)
-        errors = int(np.sum(out != labels))
-        erasures = int(np.sum(out == ERASURE))
-        return errors, erasures
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-
-    error_count = sum(r[0] for r in results)
-    erasure_count = sum(r[1] for r in results)
+        error_count += int(np.sum(out != labels))
+        erasure_count += int(np.sum(out == ERASURE))
     rho = error_count / trials
     lo, hi = wilson_interval(error_count, trials)
     return ErrorEstimate(

@@ -120,11 +120,12 @@ class ConfigError(ValueError):
 
 
 # the top-level keys each kind reads, besides kind itself; a key another
-# kind reads is still an error here, not a silently ignored setting
+# kind reads is still an error here, not a silently ignored setting. A
+# phase transition is a beta grid: its summary groups rows by beta
 _DECODE_KEYS = {"d", "k", "beta", "sigma2", "decoders", "trials", "replicates", "master_seed", "out", "workers"}
 _KIND_KEYS = {
     "decode_sweep": _DECODE_KEYS,
-    "phase_transition": _DECODE_KEYS,
+    "phase_transition": _DECODE_KEYS - {"sigma2"},
     "learn": {"d", "k", "beta", "sigma2", "replicates", "master_seed", "out", "workers", "learner", "probes"},
     "net_stats": {"d", "eps_I", "probes", "master_seed", "out", "workers", "learner"},
     "bounds": {"d", "k", "out", "bounds"},
@@ -767,11 +768,10 @@ def cmd_phase_transition(config, seed, out, workers, replay_id, d, k, beta):
     """Decode sweep across a beta grid plus a monotonicity summary."""
     spec = _load_spec(config, "phase_transition", seed, out, workers, d, k, beta)
     if not spec.beta:
-        spec = SweepSpec(**{**spec.__dict__, "beta": (0.5, 0.75, 1.0, 1.5, 2.0)})
-    sweep = SweepSpec(**{**spec.__dict__, "kind": "decode_sweep"})
+        spec = dataclasses.replace(spec, beta=(0.5, 0.75, 1.0, 1.5, 2.0))
     if replay_id:
-        return _replay(sweep, replay_id, _decode_plan, DECODE_FIELDS)
-    rows = run_decode_sweep(sweep)
+        return _replay(spec, replay_id, _decode_plan, DECODE_FIELDS)
+    rows = run_decode_sweep(spec)
     _emit(rows, DECODE_FIELDS, spec, {})
     # aggregate across replicates per beta for the summary
     by_beta: dict[float, list[dict]] = {}

@@ -14,7 +14,7 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -154,6 +154,22 @@ class MatchResult:
 # local tests
 
 
+def _local_test_threshold(test_kind: str, d: int, eps_I: float, sigma2: float) -> tuple[float, float]:
+    """(alpha, thr) of a local test in dimension d, for the scalar tests and
+    the Step-I screen alike: the zero-rate correlation bar 1 - eps_I/4
+    (alpha unused), or the positive-rate residual bar
+    sqrt(tau + alpha eps_I / 2) + sqrt(2 alpha^2 sigma2 ln 2 / d) with
+    alpha = 1/(1+sigma2) and tau = sigma2 alpha."""
+    if test_kind == "zero_rate":
+        return 1.0, 1.0 - 0.25 * eps_I
+    if test_kind == "positive_rate":
+        alpha = 1.0 / (1.0 + sigma2)
+        tau = sigma2 * alpha
+        slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
+        return alpha, math.sqrt(tau + 0.5 * alpha * eps_I) + slack
+    raise ValueError(f"unknown test_kind {test_kind!r}")
+
+
 def local_test_zero_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float) -> int:
     """1 iff the normalized correlation clears 1 - eps_I/4.
 
@@ -162,7 +178,8 @@ def local_test_zero_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float) -> int:
     almost never do.
     """
     d = x_hat.shape[-1]
-    return int(float(np.dot(y, x_hat)) / d >= 1.0 - 0.25 * eps_I)
+    _, thr = _local_test_threshold("zero_rate", d, eps_I, 0.0)
+    return int(float(np.dot(y, x_hat)) / d >= thr)
 
 
 def local_test_positive_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float, sigma2: float) -> int:
@@ -175,10 +192,7 @@ def local_test_positive_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float, sig
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     d = x_hat.shape[-1]
-    alpha = 1.0 / (1.0 + sigma2)
-    tau = sigma2 * alpha
-    slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
-    thr = math.sqrt(tau + 0.5 * alpha * eps_I) + slack
+    alpha, thr = _local_test_threshold("positive_rate", d, eps_I, sigma2)
     resid = float(np.linalg.norm(alpha * np.asarray(y) - x_hat))
     return int(resid / math.sqrt(d) <= thr)
 
@@ -231,25 +245,21 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     """
     M, d = net_points.shape
     n = obs.shape[0]
+    alpha, thr = _local_test_threshold(test_kind, d, eps_I, sigma2)
     if test_kind == "zero_rate":
         # normalized correlation fl(x / d) >= thr, x = <p, y>; correctly
         # rounded division by d > 0 is monotone in x
-        thr = 1.0 - 0.25 * eps_I
         rhs = obs.T
         cut = _least_passing(lambda x: x / d >= thr, 1)[0]
-    elif test_kind == "positive_rate":
-        # squared residual fl(fl(||v||^2 - x) + d) <= thr_sq, x = <2 p, v>,
-        # v = alpha y; both roundings are monotone in x
-        alpha = 1.0 / (1.0 + sigma2)
-        tau = sigma2 * alpha
-        slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
-        thr_sq = (math.sqrt(tau + 0.5 * alpha * eps_I) + slack) ** 2 * d
+    else:
+        # squared residual fl(fl(||v||^2 - x) + d) <= thr_sq, x = <p, 2 v>,
+        # v = alpha y; both roundings are monotone in x. Doubling is exact,
+        # so <p, 2 v> has the bits of <2 p, v>
+        thr_sq = thr ** 2 * d
         v = alpha * obs
         v_sq = np.sum(v * v, axis=1)
-        rhs = v.T
+        rhs = (2.0 * v).T
         cut = _least_passing(lambda x: v_sq - x + d <= thr_sq, n)
-    else:
-        raise ValueError(f"unknown test_kind {test_kind!r}")
     rows = max(2, _SCREEN_BUF_BYTES // (8 * n))
     # numpy hands a one-row product to BLAS gemv, whose rounding differs
     # from the GEMM rows of every other block, so a lone last row joins the
@@ -261,13 +271,9 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     buf = np.empty((rows + 1, n))
     # pass flags, rows padded with zero bytes to whole uint64 words
     flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
-    two_pts = np.empty((rows + 1, d)) if test_kind == "positive_rate" else None
     counts = np.zeros(M, dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pts = net_points[lo:hi]
-        if two_pts is not None:
-            pts = np.multiply(pts, 2.0, out=two_pts[: hi - lo])
-        out = np.matmul(pts, rhs, out=buf[: hi - lo])
+        out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
         np.greater_equal(out, cut, out=flags[: hi - lo, :n])
         counts[lo:hi] = _row_counts(flags[: hi - lo])
     return counts
@@ -380,10 +386,7 @@ def build_step2_decoder(cfg: LearnerConfig, d: int, k: int, sigma2: float) -> De
     if kind == "mismatched_corr":
         return DecoderSpec(kind="mismatched_corr", params={"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2})
     p = MmseParams.for_noise(sigma2, c=cfg.mmse_c, c2=cfg.mmse_c2 if cfg.mmse_c2 is not None else cfg.mmse_c)
-    return DecoderSpec(
-        kind="mismatched_mmse",
-        params={"alpha": p.alpha, "tau": p.tau, "tau1": p.tau1, "tau2": p.tau2},
-    )
+    return DecoderSpec(kind="mismatched_mmse", params=asdict(p))
 
 
 def step2_cluster_average(

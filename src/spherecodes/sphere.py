@@ -13,9 +13,10 @@ import numpy as np
 # Net sizes grow like exp(c * d * ln(1/eps)); past d ~ 12 they stop fitting
 # in desk-scale memory.
 D_MAX_NET_DEFAULT = 12
-# byte budget for the (M, d) point array, checked before it is allocated;
-# building a net briefly holds a few arrays of this size
-NET_BYTES_MAX = 1 << 29
+# byte budget for any one large array (a net's (M, d) points, a codebook's
+# (k, d) centers, a decode block's TRIAL_BLOCK x k distances), checked
+# before it is allocated; building a net briefly holds a few of this size
+ARRAY_BYTES_MAX = 1 << 29
 # net_size's constants; C_net = 16 is the value the acceptance configs,
 # demos and benchmark use
 C_NET_DEFAULT = 16.0
@@ -152,7 +153,7 @@ def build_net(
         rng: the stream the points are drawn from.
 
     Raises NetInfeasibleError, before allocating, when d exceeds d_max_net
-    or the (M, d) point array would exceed NET_BYTES_MAX bytes.
+    or the (M, d) point array would exceed ARRAY_BYTES_MAX bytes.
     """
     if strategy != "randomized":
         raise ValueError(f"unknown net strategy: {strategy!r}")
@@ -170,10 +171,10 @@ def build_net(
         return Net(points=pts, eps_I=eps_I)
     M = net_size(d, eps_I, C_net, c_net)
     nbytes = M * d * 8
-    if nbytes > NET_BYTES_MAX:
+    if nbytes > ARRAY_BYTES_MAX:
         raise NetInfeasibleError(
             f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB, "
-            f"over the {NET_BYTES_MAX / 2**30:.2f} GiB budget"
+            f"over the {ARRAY_BYTES_MAX / 2**30:.2f} GiB budget"
         )
     if rng is None:
         raise ValueError("randomized net needs an rng")

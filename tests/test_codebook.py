@@ -80,6 +80,21 @@ def test_codebook_validation():
         sample_codebook(4, 1, rng_for(22))
 
 
+def test_sample_codebook_memory_guard_raises_before_allocating(monkeypatch):
+    # 2^24 centers in d=128 would be a 16 GiB array
+    with pytest.raises(ValueError, match=f"k={2**24} .* {2**34} bytes"):
+        sample_codebook(128, 2**24, rng_for(23))
+
+    # exactly the budget passes the guard and reaches the sampler
+    def reached(d, n, rng):
+        raise RuntimeError(f"sampling {n} x {d}")
+
+    monkeypatch.setattr(codebook, "sample_uniform_sphere_batch", reached)
+    k = codebook.ARRAY_BYTES_MAX // (128 * 8)
+    with pytest.raises(RuntimeError, match=f"sampling {k} x 128"):
+        sample_codebook(128, k, rng_for(23))
+
+
 def test_min_distance_hand_example():
     # 2-D sphere of radius sqrt(2): three points at angles 0, 90, 180 deg
     r = math.sqrt(2.0)

@@ -30,6 +30,7 @@ from spherecodes import (
     wilson_interval,
 )
 
+from spherecodes import decoders
 from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch, _scan
 from spherecodes.sphere import sq_dists
 
@@ -333,20 +334,7 @@ def test_nn_error_monotone_in_noise():
 
 
 # ---------------------------------------------------------------------------
-# DecoderSpec serialization
-
-
-def test_decoder_spec_roundtrip():
-    for spec in (
-        DecoderSpec.nn(),
-        DecoderSpec.corr(0.25),
-        DecoderSpec.corr(0.2, 0.4, mismatched=True),
-        DecoderSpec.mmse(1.0, c=1.3),
-        DecoderSpec.mmse(0.5, c=1.2, c2=2.0, mismatched=True),
-    ):
-        back = DecoderSpec.from_json(spec.to_json())
-        assert back.kind == spec.kind
-        assert back.params == pytest.approx(spec.params)
+# DecoderSpec
 
 
 def test_decoder_spec_validation():
@@ -396,12 +384,21 @@ def test_estimator_trials_floor():
         estimate_error_prob(cb, 1.0, DecoderSpec.nn(), 99, 72)
 
 
-def test_estimator_worker_invariance():
-    cb = sample_codebook(16, 12, rng_for(73))
-    spec = DecoderSpec.mmse(1.0, c=1.3)
-    a = estimate_error_prob(cb, 1.0, spec, 4096, 74, workers=1)
-    b = estimate_error_prob(cb, 1.0, spec, 4096, 74, workers=4)
-    assert (a.error_count, a.erasure_count) == (b.error_count, b.erasure_count)
+def test_estimator_memory_guard_raises_before_the_first_block(monkeypatch):
+    def reached(cb, sigma2, n, rng):
+        raise RuntimeError(f"drawing a block of {n}")
+
+    monkeypatch.setattr(decoders, "sample_gmm", reached)
+    # d = 1 keeps the codebook itself small: its centers are +-1
+    signs = np.where(np.arange(65537) % 2 == 0, 1.0, -1.0)[:, None]
+    big = Codebook(centers=signs, d=1, k=65537)
+    nbytes = TRIAL_BLOCK * 65537 * 8
+    with pytest.raises(ValueError, match=f"k=65537 .* {nbytes}-byte"):
+        estimate_error_prob(big, 1.0, DecoderSpec.nn(), 100, 72)
+    # k = 65,536 fills the budget exactly and reaches the first block
+    fits = Codebook(centers=signs[:65536], d=1, k=65536)
+    with pytest.raises(RuntimeError, match="drawing a block of 100"):
+        estimate_error_prob(fits, 1.0, DecoderSpec.nn(), 100, 72)
 
 
 def test_estimator_seed_path_separates_streams():
@@ -625,7 +622,7 @@ def test_kernels_match_refs_on_off_sphere_centers(d, k):
 
 
 @pytest.mark.parametrize("kind", ["nn", "mmse"])
-def test_estimator_matches_ref_kernels_for_any_worker_count(kind):
+def test_estimator_matches_ref_kernels(kind):
     # the criterion-3 geometry, with a partial last block
     d, k, trials, seed = 16, 2981, 2 * TRIAL_BLOCK + 300, 92
     cb = sample_codebook(d, k, rng_for(93))
@@ -644,6 +641,5 @@ def test_estimator_matches_ref_kernels_for_any_worker_count(kind):
             out = mmse_batch_ref(cb.centers, ys, p.alpha, p.tau1, p.tau2)
         errors += int(np.sum(out != labels))
         erasures += int(np.sum(out == ERASURE))
-    for workers in (1, 2, 4):
-        est = estimate_error_prob(cb, sigma2, spec, trials, seed, workers=workers)
-        assert (est.error_count, est.erasure_count) == (errors, erasures)
+    est = estimate_error_prob(cb, sigma2, spec, trials, seed)
+    assert (est.error_count, est.erasure_count) == (errors, erasures)

@@ -655,7 +655,7 @@ KIND_CASES = {
 DECODE_KEYS = {"d", "k", "beta", "sigma2", "decoders", "trials", "replicates", "master_seed", "out", "workers"}
 KIND_KEYS = {
     "decode_sweep": DECODE_KEYS,
-    "phase_transition": DECODE_KEYS,
+    "phase_transition": DECODE_KEYS - {"sigma2"},
     "learn": {"d", "k", "beta", "sigma2", "replicates", "master_seed", "out", "workers", "learner", "probes"},
     "net_stats": {"d", "eps_I", "probes", "master_seed", "out", "workers", "learner"},
     "bounds": {"d", "k", "out", "bounds"},
@@ -692,6 +692,23 @@ def test_cli_rejects_a_config_key_the_kind_does_not_read(tmp_path, kind, key):
     res = cli(command, "--config", str(cfg))
     assert res.exit_code == 2, res.output
     assert f"unknown config keys: ['{key}']" in res.stderr
+
+
+def test_cli_phase_transition_rejects_a_sigma2_grid(tmp_path):
+    # the summary groups rows by beta, which a sigma2 grid leaves nan
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "phase_transition", "d": [16], "k": [8], "sigma2": [1.0], "trials": 200}))
+    res = cli("phase-transition", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert "unknown config keys: ['sigma2']" in res.stderr
+
+
+def test_cli_decode_sweep_k_over_the_byte_budget_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "decode_sweep", "d": [2], "k": [70000], "beta": [2.0], "trials": 200}))
+    res = cli("decode-sweep", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert "k=70000" in res.stderr
 
 
 def test_parse_spec_accepts_every_key_the_kind_reads():

@@ -169,6 +169,23 @@ def test_step1_requires_matching_budget():
         step1_screen(net, batch, cfg, k)
 
 
+@pytest.mark.parametrize("test_kind", ["zero_rate", "positive_rate"])
+@pytest.mark.parametrize("d, eps_I", [(6, 0.25), (16, 0.25), (8, 0.4)])
+def test_step1_counts_the_public_local_test(test_kind, d, eps_I):
+    # the net point is one of the emitting centers, so it passes on some
+    # observations and fails on others
+    sigma2 = 1.0
+    cb = sample_codebook(d, 4, rng_for(110, d))
+    p = cb.centers[0]
+    obs = sample_gmm(cb, sigma2, 2000, rng_for(111, d)).observations()
+    if test_kind == "zero_rate":
+        passes = sum(local_test_zero_rate(p, y, eps_I) for y in obs)
+    else:
+        passes = sum(local_test_positive_rate(p, y, eps_I, sigma2) for y in obs)
+    assert 0 < passes < 2000
+    assert _pass_counts(p[None], obs, test_kind, eps_I, sigma2)[0] == passes
+
+
 def test_pass_counts_lone_last_row_equals_dense_product():
     # M = rows + 1 puts the last net point alone in a block of the screen,
     # and the threshold sits exactly on one of its GEMM statistics

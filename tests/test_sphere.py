@@ -13,7 +13,7 @@ from spherecodes import (
     sample_uniform_sphere_batch,
     verify_covering,
 )
-from spherecodes.sphere import NET_BYTES_MAX, net_size
+from spherecodes.sphere import ARRAY_BYTES_MAX, net_size
 
 from .oracles import covering_min_sq_ref, covering_ref
 
@@ -109,7 +109,7 @@ def test_build_net_dimension_guard():
 def test_build_net_memory_guard_raises_before_allocating():
     # 16 * 4^12 points in d=12 would need about 26 GB; the gate on d passes
     M = net_size(12, 0.25, 16.0)
-    assert M * 12 * 8 > NET_BYTES_MAX
+    assert M * 12 * 8 > ARRAY_BYTES_MAX
     with pytest.raises(NetInfeasibleError, match=f"M={M}.*GiB"):
         build_net(12, 0.25, strategy="randomized", rng=rng_for(10), C_net=16.0)
 
