@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, read_container, write_container
+from .sphere import ARRAY_BYTES_MAX
 
 _MAGIC = b"SPHBAT01"
 
@@ -59,6 +60,19 @@ class GmmBatch:
         return v
 
 
+def _check_batch_size(n: int, d: int) -> None:
+    """n >= 1, and the (n, d) samples plus n labels fit ARRAY_BYTES_MAX;
+    checked before anything is drawn."""
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    nbytes = n * (d + 1) * 8
+    if nbytes > ARRAY_BYTES_MAX:
+        raise ValueError(
+            f"a batch of n={n} samples in dimension {d} needs {nbytes} bytes, "
+            f"over the {ARRAY_BYTES_MAX}-byte budget"
+        )
+
+
 def _draw_labels(k: int, n: int, rng: np.random.Generator, stratified: bool) -> np.ndarray:
     if stratified:
         if n % k != 0:
@@ -83,8 +97,7 @@ def sample_gmm(
     Args:
         stratified: exact per-label balance, for the genie baseline.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_batch_size(n, cb.d)
     if sigma2 <= 0:
         raise ValueError(
             f"sigma2 must be > 0, got {sigma2}; use sample_noiseless for sigma=0"
@@ -101,8 +114,7 @@ def sample_noiseless(
     cb: Codebook, n: int, rng: np.random.Generator, stratified: bool = False
 ) -> GmmBatch:
     """Degenerate sigma = 0 batch: every sample equals its center exactly."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    _check_batch_size(n, cb.d)
     labels = _draw_labels(cb.k, n, rng, stratified)
     return GmmBatch(cb.centers[labels].copy(), labels, 0.0)
 

@@ -21,7 +21,8 @@ codebooks it is the desired outcome on messages with no surviving center.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -303,28 +304,24 @@ def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:
     """Decode an (n, d) stack under any decoder spec; returns (n,) outcomes."""
     ys = np.asarray(ys, dtype=np.float64)
     centers = _centers_of(cb)
-    kind = spec.kind
     if centers.shape[0] == 0:
-        if kind == "nn":
+        if spec.family == "nn":
             raise ValueError("nearest-neighbor decoding needs at least one center")
         return np.full(ys.shape[0], ERASURE, dtype=np.int64)
-    if kind == "nn":
+    if spec.family == "nn":
         return _nn_batch(centers, ys)
-    if kind in ("corr", "mismatched_corr"):
+    if spec.family == "corr":
         p = spec.corr_params()
         return _corr_batch(centers, ys, p.eta1, p.eta2)
-    if kind in ("mmse", "mismatched_mmse"):
-        p = spec.mmse_params()
-        return _mmse_batch(centers, ys, p.alpha, p.tau1, p.tau2)
-    raise ValueError(f"unknown decoder kind {kind!r}")
+    p = spec.mmse_params()
+    return _mmse_batch(centers, ys, p.alpha, p.tau1, p.tau2)
 
 
 def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSpec") -> None:
     """Debug mode: per input, verify at most one index satisfies the accept
     condition, independently of the argmax/argmin shortcut."""
     d = centers.shape[1]
-    kind = spec.kind
-    if kind in ("corr", "mismatched_corr"):
+    if spec.family == "corr":
         p = spec.corr_params()
         corr = (ys @ centers.T) / d
         accept = (corr >= 1.0 - p.eta1) & (
@@ -332,7 +329,7 @@ def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSp
             - (corr >= 1.0 - p.eta2).astype(int)
             == 0
         )
-    elif kind in ("mmse", "mismatched_mmse"):
+    elif spec.family == "mmse":
         p = spec.mmse_params()
         sq = sq_dists(p.alpha * ys, centers) / d
         accept = (sq <= p.tau1) & (
@@ -345,56 +342,69 @@ def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSp
         raise AssertionError("two indices satisfied the accept condition at once")
 
 
+# the threshold record each kernel family reads (nn reads none); a
+# mismatched_ kind runs its family's kernel on already-shifted thresholds
+_RECORDS = {"nn": None, "corr": CorrParams, "mmse": MmseParams}
+_FAMILIES = {**{f: f for f in _RECORDS}, "mismatched_corr": "corr", "mismatched_mmse": "mmse"}
+
+
 @dataclass(frozen=True)
 class DecoderSpec:
     """Tagged decoder description: a kind and its threshold fields.
 
-    kind: nn | corr | mmse | mismatched_corr | mismatched_mmse.
-    params: threshold fields appropriate to the kind. The mismatched kinds
-    carry the already-shifted thresholds, so downstream decode paths treat
-    them identically to their matched counterparts.
+    kind: nn | corr | mmse | mismatched_corr | mismatched_mmse. family,
+    the kind without its mismatched_ prefix, picks the kernel; the
+    mismatched kinds carry already-shifted thresholds.
+    params: exactly the fields of the family's record in _RECORDS, as
+    numbers. Construction checks them and builds the record once; a
+    missing, unknown or non-numeric field raises InvalidDecoderParams.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-
-    _KINDS = ("nn", "corr", "mmse", "mismatched_corr", "mismatched_mmse")
+    _record: CorrParams | MmseParams | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in _FAMILIES:
             raise ValueError(f"unknown decoder kind {self.kind!r}")
-        # fail fast on malformed thresholds
-        if self.kind in ("corr", "mismatched_corr"):
-            self.corr_params()
-        elif self.kind in ("mmse", "mismatched_mmse"):
-            self.mmse_params()
+        record = _RECORDS[self.family]
+        names = [f.name for f in fields(record)] if record else []
+        unknown = sorted(set(self.params) - set(names))
+        if unknown:
+            raise InvalidDecoderParams(
+                f"unknown {self.kind} decoder fields {unknown}; it takes {' '.join(names) or 'no params'}"
+            )
+        missing = [n for n in names if n not in self.params]
+        if missing:
+            raise InvalidDecoderParams(f"{self.kind} decoder is missing fields {missing}")
+        for n in names:
+            v = self.params[n]
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InvalidDecoderParams(f"{self.kind} decoder field {n} must be a number, got {v!r}")
+        if record:
+            object.__setattr__(self, "_record", record(**{n: float(self.params[n]) for n in names}))
+
+    @property
+    def family(self) -> str:
+        return _FAMILIES[self.kind]
 
     def corr_params(self) -> CorrParams:
-        return CorrParams(eta1=float(self.params["eta1"]), eta2=float(self.params["eta2"]))
+        return self._record
 
     def mmse_params(self) -> MmseParams:
-        return MmseParams(
-            alpha=float(self.params["alpha"]),
-            tau=float(self.params["tau"]),
-            tau1=float(self.params["tau1"]),
-            tau2=float(self.params["tau2"]),
-        )
+        return self._record
 
     @classmethod
     def nn(cls) -> "DecoderSpec":
         return cls(kind="nn")
 
     @classmethod
-    def corr(cls, eta1: float, eta2: float | None = None, mismatched: bool = False) -> "DecoderSpec":
-        if eta2 is None:
-            eta2 = eta1
-        kind = "mismatched_corr" if mismatched else "corr"
-        return cls(kind=kind, params={"eta1": eta1, "eta2": eta2})
+    def corr(cls, eta1: float, eta2: float | None = None) -> "DecoderSpec":
+        return cls(kind="corr", params={"eta1": eta1, "eta2": eta1 if eta2 is None else eta2})
 
     @classmethod
-    def mmse(cls, sigma2: float, c: float = 1.2, c2: float | None = None, mismatched: bool = False) -> "DecoderSpec":
-        p = MmseParams.for_noise(sigma2, c=c, c2=c2)
-        return cls(kind="mismatched_mmse" if mismatched else "mmse", params=asdict(p))
+    def mmse(cls, sigma2: float, c: float = 1.2, c2: float | None = None) -> "DecoderSpec":
+        return cls(kind="mmse", params=asdict(MmseParams.for_noise(sigma2, c=c, c2=c2)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import click
@@ -39,13 +39,8 @@ from .bounds import (
     single_sample_mi_upper,
 )
 from .codebook import noise_for_beta, rate, sample_codebook
-from .decoders import (
-    DecoderSpec,
-    corr_feasibility_bound,
-    corr_params_feasible,
-    estimate_error_prob,
-)
-from .learner import LearnerConfig, run_learner
+from .decoders import DecoderSpec, MmseParams, corr_feasibility_bound, estimate_error_prob
+from .learner import NET_KNOBS, LearnerConfig, run_learner
 from .seeds import rng_for
 from .sphere import build_net, verify_covering
 
@@ -134,7 +129,7 @@ _KIND_KEYS = {
 # net-stats sweep only the net construction ones
 _LEARNER_KEYS = {
     "learn": {f.name for f in dataclasses.fields(LearnerConfig)},
-    "net_stats": {"net_strategy", "C_net", "c_net", "d_max_net"},
+    "net_stats": set(NET_KNOBS),
 }
 
 
@@ -230,43 +225,25 @@ def _config_hash(spec: SweepSpec) -> str:
 def _resolve_decoder(entry: dict, sigma2: float) -> DecoderSpec:
     """Materialize a decoder entry at a concrete noise level.
 
-    Accepts full DecoderSpec dicts or the c-factor shorthand for the
-    residual decoders ({"kind": "mmse", "c": 1.2, "c2": ...}).
+    Two shorthands are expanded here: {"kind": "mmse", "c": 1.2, "c2": ...}
+    becomes the residual thresholds at sigma2, and a missing eta2 defaults
+    to eta1. DecoderSpec checks the resulting fields.
     """
-    entry = dict(entry)
-    kind = entry.pop("kind", None)
+    params = dict(entry)
+    kind = params.pop("kind", None)
     if kind is None:
         raise ConfigError("decoder entry needs a 'kind'")
-    if kind == "nn":
-        if entry:
-            raise ConfigError(f"nn decoder takes no params, got {sorted(entry)}")
-        return DecoderSpec.nn()
-    if kind in ("corr", "mismatched_corr"):
-        unknown = set(entry) - {"eta1", "eta2"}
-        if unknown:
-            raise ConfigError(f"unknown corr decoder keys: {sorted(unknown)}")
-        eta1 = entry.get("eta1")
-        if eta1 is None:
-            raise ConfigError("corr decoder needs eta1")
-        return DecoderSpec.corr(
-            float(eta1), float(entry.get("eta2", eta1)), mismatched=kind.startswith("mismatched")
-        )
-    if kind in ("mmse", "mismatched_mmse"):
-        if "c" in entry:
-            unknown = set(entry) - {"c", "c2"}
-            if unknown:
-                raise ConfigError(f"unknown mmse decoder keys: {sorted(unknown)}")
-            return DecoderSpec.mmse(
-                sigma2,
-                c=float(entry["c"]),
-                c2=float(entry["c2"]) if "c2" in entry else None,
-                mismatched=kind.startswith("mismatched"),
-            )
-        unknown = set(entry) - {"alpha", "tau", "tau1", "tau2"}
-        if unknown:
-            raise ConfigError(f"unknown mmse decoder keys: {sorted(unknown)}")
-        return DecoderSpec(kind=kind, params=entry)
-    raise ConfigError(f"unknown decoder kind {kind!r}")
+    try:
+        if "c" in params:
+            c, c2 = params.pop("c"), params.pop("c2", None)
+            if params:
+                raise ConfigError(f"unknown {kind} decoder keys {sorted(params)} beside the shorthand c, c2")
+            params = asdict(MmseParams.for_noise(sigma2, c=c, c2=c2))
+        elif "eta1" in params:
+            params.setdefault("eta2", params["eta1"])
+        return DecoderSpec(kind=kind, params=params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"decoder entry {_decoder_label(entry)}: {exc}") from exc
 
 
 def _decoder_label(entry: dict) -> str:
@@ -339,10 +316,10 @@ def _decode_row(spec: SweepSpec, job: dict) -> dict:
         "status": "ok",
     }
     dec = _resolve_decoder(entry, sigma2)
-    if dec.kind in ("corr", "mismatched_corr"):
+    if dec.family == "corr":
         p = dec.corr_params()
-        if not corr_params_feasible(d, k, sigma2, p):
-            bound = corr_feasibility_bound(d, k, sigma2, p.eta1)
+        bound = corr_feasibility_bound(d, k, sigma2, p.eta1)
+        if not p.eta2 < bound:
             row.update(
                 error_count=0,
                 erasure_count=0,
@@ -475,15 +452,8 @@ def run_bounds_report(inputs: dict) -> list[dict]:
 def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
     t0 = time.perf_counter()
     gidx = job["gidx"]
-    net = build_net(
-        job["d"],
-        job["eps_I"],
-        strategy=cfg.net_strategy,
-        rng=rng_for(spec.master_seed, gidx, _STREAM_CODEBOOK),
-        C_net=cfg.C_net,
-        c_net=cfg.c_net,
-        d_max_net=cfg.d_max_net,
-    )
+    rng = rng_for(spec.master_seed, gidx, _STREAM_CODEBOOK)
+    net = build_net(job["d"], job["eps_I"], rng=rng, **cfg.net_kwargs())
     frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
     return {
         "experiment_id": job["experiment_id"],
@@ -773,19 +743,23 @@ def cmd_phase_transition(config, seed, out, workers, replay_id, d, k, beta):
         return _replay(spec, replay_id, _decode_plan, DECODE_FIELDS)
     rows = run_decode_sweep(spec)
     _emit(rows, DECODE_FIELDS, spec, {})
-    # aggregate across replicates per beta for the summary
-    by_beta: dict[float, list[dict]] = {}
+    # aggregate across replicates per (decoder, beta); each decoder is
+    # judged on its own rows, and named when the sweep has several
+    by_decoder: dict[str, dict[float, list[dict]]] = {}
     for r in rows:
-        by_beta.setdefault(r["beta"], []).append(r)
-    click.echo("beta  rho_hat(aggregated)")
-    agg = []
-    for b in sorted(by_beta):
-        errs = sum(r["error_count"] for r in by_beta[b])
-        tot = sum(r["trials"] for r in by_beta[b])
-        agg.append((b, errs / tot))
-        click.echo(f"{b:<5g} {errs / tot:.6f}")
-    decreasing = all(agg[i][1] > agg[i + 1][1] for i in range(len(agg) - 1))
-    click.echo(f"strictly decreasing in beta: {decreasing}")
+        by_decoder.setdefault(r["decoder"], {}).setdefault(r["beta"], []).append(r)
+    for label, by_beta in by_decoder.items():
+        if len(by_decoder) > 1:
+            click.echo(f"decoder {label}")
+        click.echo("beta  rho_hat(aggregated)")
+        agg = []
+        for b in sorted(by_beta):
+            errs = sum(r["error_count"] for r in by_beta[b])
+            tot = sum(r["trials"] for r in by_beta[b])
+            agg.append((b, errs / tot))
+            click.echo(f"{b:<5g} {errs / tot:.6f}")
+        decreasing = all(agg[i][1] > agg[i + 1][1] for i in range(len(agg) - 1))
+        click.echo(f"strictly decreasing in beta: {decreasing}")
     return EXIT_OK
 
 

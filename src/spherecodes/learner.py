@@ -43,6 +43,11 @@ R_SWITCH_DEFAULT = 0.2
 _SCREEN_BUF_BYTES = 1 << 20
 
 
+# the LearnerConfig fields that only build the net, each with the
+# sphere.build_net keyword it passes
+NET_KNOBS = {"net_strategy": "strategy", "C_net": "C_net", "c_net": "c_net", "d_max_net": "d_max_net"}
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     """Knobs for the two-step learner.
@@ -93,6 +98,10 @@ class LearnerConfig:
             raise ValueError("threshold_const must be > 0")
         if self.net_strategy != "randomized":
             raise ValueError(f"unknown net_strategy {self.net_strategy!r}")
+
+    def net_kwargs(self) -> dict:
+        """The net knobs as sphere.build_net's keyword arguments."""
+        return {kw: getattr(self, name) for name, kw in NET_KNOBS.items()}
 
     def resolve_test_kind(self, d: int, k: int) -> str:
         if self.test_kind != "auto":
@@ -384,9 +393,11 @@ def build_step2_decoder(cfg: LearnerConfig, d: int, k: int, sigma2: float) -> De
     thresholds the config sets."""
     kind = cfg.resolve_decoder_kind(d, k)
     if kind == "mismatched_corr":
-        return DecoderSpec(kind="mismatched_corr", params={"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2})
-    p = MmseParams.for_noise(sigma2, c=cfg.mmse_c, c2=cfg.mmse_c2 if cfg.mmse_c2 is not None else cfg.mmse_c)
-    return DecoderSpec(kind="mismatched_mmse", params=asdict(p))
+        params = {"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2}
+    else:
+        c2 = cfg.mmse_c if cfg.mmse_c2 is None else cfg.mmse_c2
+        params = asdict(MmseParams.for_noise(sigma2, c=cfg.mmse_c, c2=c2))
+    return DecoderSpec(kind=kind, params=params)
 
 
 def step2_cluster_average(
@@ -523,15 +534,7 @@ def run_learner(
     """
     d, k = cb.d, cb.k
     if net is None:
-        net = build_net(
-            d,
-            cfg.eps_I,
-            strategy=cfg.net_strategy,
-            rng=rng_for(master_seed, *seed_path, 0),
-            C_net=cfg.C_net,
-            c_net=cfg.c_net,
-            d_max_net=cfg.d_max_net,
-        )
+        net = build_net(d, cfg.eps_I, rng=rng_for(master_seed, *seed_path, 0), **cfg.net_kwargs())
     covering = verify_covering(net, probes, rng_for(master_seed, *seed_path, 3))
 
     batch1 = sample_gmm(cb, sigma2, cfg.N, rng_for(master_seed, *seed_path, 1))

@@ -76,6 +76,14 @@ def test_sigma2_domain(cb):
         sample_gmm(cb, 1.0, 0, rng_for(38))
 
 
+@pytest.mark.parametrize("draw", [sample_gmm, sample_noiseless], ids=["gmm", "noiseless"])
+def test_batch_over_the_byte_budget_raises_before_drawing(cb, draw):
+    # 10^12 samples would need 88 TB; the check must refuse before allocating
+    args = (cb, 1.0, 10**12) if draw is sample_gmm else (cb, 10**12)
+    with pytest.raises(ValueError, match=r"n=1000000000000 .* 88000000000000 bytes"):
+        draw(*args, rng_for(38))
+
+
 def test_determinism(cb):
     a = sample_gmm(cb, 0.3, 100, rng_for(39))
     b = sample_gmm(cb, 0.3, 100, rng_for(39))

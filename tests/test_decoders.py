@@ -342,8 +342,14 @@ def test_decoder_spec_validation():
         DecoderSpec(kind="magic")
     with pytest.raises(InvalidDecoderParams):
         DecoderSpec(kind="corr", params={"eta1": 0.5, "eta2": 0.2})
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidDecoderParams, match="tau"):
         DecoderSpec(kind="mmse", params={"alpha": 0.5})
+    with pytest.raises(InvalidDecoderParams, match=r"unknown nn decoder fields \['eta1'\]"):
+        DecoderSpec(kind="nn", params={"eta1": 0.3})
+    with pytest.raises(InvalidDecoderParams, match=r"unknown corr decoder fields \['bogus'\]"):
+        DecoderSpec(kind="corr", params={"eta1": 0.3, "eta2": 0.3, "bogus": 1})
+    with pytest.raises(InvalidDecoderParams, match="mismatched_corr decoder field eta2 must be a number"):
+        DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": "0.3"})
 
 
 # ---------------------------------------------------------------------------

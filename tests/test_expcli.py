@@ -772,6 +772,32 @@ def test_cli_decoders_must_be_a_list_of_objects(tmp_path, decoders, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "corr", "eta1": 0.3, "eta2": None}, "corr decoder field eta2 must be a number, got None"),
+        ({"kind": "mmse"}, "mmse decoder is missing fields ['alpha', 'tau', 'tau1', 'tau2']"),
+        ({"kind": "mismatched_corr", "eta1": 0.3, "eta3": 0.3}, "unknown mismatched_corr decoder fields ['eta3']"),
+    ],
+    ids=["non-numeric", "missing", "unknown"],
+)
+def test_cli_bad_decoder_entry_is_a_config_error_naming_the_field(tmp_path, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "decode_sweep", "d": [8], "k": [4], "trials": 200, "decoders": [entry]}))
+    res = cli("decode-sweep", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+
+
+def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
+    command, obj = KIND_CASES["learn"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "learn", **obj, "learner": {**obj["learner"], "N": 10**12}}))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert "n=1000000000000" in res.stderr
+
+
 def test_cli_replay_needs_out(tmp_path):
     res = cli("decode-sweep", "--replay", "dsweep-0-0")
     assert res.exit_code == 2
@@ -819,6 +845,30 @@ def test_cli_phase_transition_summary(tmp_path):
     assert res.exit_code == 0, res.output
     assert "strictly decreasing in beta: True" in res.output
     assert out.exists()
+
+
+def test_cli_phase_transition_summary_per_decoder(tmp_path):
+    # two decoders: each gets its own rho per beta, from its own rows only
+    out = tmp_path / "pt.csv"
+    cfg = tmp_path / "pt.json"
+    decoders = [{"kind": "nn"}, {"kind": "mmse", "c": 1.2}]
+    obj = {"kind": "phase_transition", "d": [8], "k": [4], "beta": [0.5, 2.0], "trials": 2000}
+    cfg.write_text(json.dumps({**obj, "decoders": decoders}))
+    res = cli("phase-transition", "--config", str(cfg), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = read_csv_rows(str(out))
+    summary = res.output.splitlines()[1:]
+    assert len(summary) == 2 * 5
+    for i, entry in enumerate(decoders):
+        label = json.dumps(entry, sort_keys=True)
+        block = summary[5 * i : 5 * i + 5]
+        assert block[0] == f"decoder {label}"
+        assert block[1] == "beta  rho_hat(aggregated)"
+        for line, beta in zip(block[2:4], (0.5, 2.0)):
+            own = [r for r in rows if r["decoder"] == label and float(r["beta"]) == beta]
+            rho = sum(int(r["error_count"]) for r in own) / sum(int(r["trials"]) for r in own)
+            assert line == f"{beta:<5g} {rho:.6f}"
+        assert block[4].startswith("strictly decreasing in beta: ")
 
 
 def test_cli_net_stats(tmp_path):

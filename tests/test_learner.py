@@ -472,7 +472,7 @@ def test_step2_monotone_in_budget():
     d, k = 16, 4
     sigma2 = 1.0
     cb = sample_codebook(d, k, rng_for(125))
-    spec = DecoderSpec.mmse(sigma2, c=1.4, c2=1.4, mismatched=True)
+    spec = DecoderSpec(kind="mismatched_mmse", params=DecoderSpec.mmse(sigma2, c=1.4, c2=1.4).params)
     lo, hi = [], []
     for s in range(30):
         small = sample_gmm(cb, sigma2, 500, rng_for(126, s, 0))
