@@ -37,15 +37,11 @@ from .decoders import (
     InvalidDecoderParams,
     MmseParams,
     corr_feasibility_bound,
-    corr_params_feasible,
     decode_batch,
     decode_corr,
     decode_mmse,
     decode_nn,
     estimate_error_prob,
-    p_approx_profile,
-    shift_corr_thresholds,
-    shift_mmse_thresholds,
     wilson_interval,
 )
 from .learner import (
@@ -72,7 +68,6 @@ from .sphere import (
     is_on_sphere,
     net_size,
     project_ball,
-    sample_uniform_sphere,
     sample_uniform_sphere_batch,
     verify_covering,
 )

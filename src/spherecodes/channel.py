@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, read_container, write_container
+from .codebook import Codebook
 from .sphere import ARRAY_BYTES_MAX
-
-_MAGIC = b"SPHBAT01"
 
 
 @dataclass(frozen=True)
@@ -117,18 +115,3 @@ def sample_noiseless(
     _check_batch_size(n, cb.d)
     labels = _draw_labels(cb.k, n, rng, stratified)
     return GmmBatch(cb.centers[labels].copy(), labels, 0.0)
-
-
-def dump_batch(batch: GmmBatch, path: str, label_path: str | None = None) -> None:
-    """Binary dump in the codebook container layout, labels in a side file."""
-    write_container(path, _MAGIC, batch.observations().astype("<f8"))
-    if label_path is not None:
-        write_container(label_path, _MAGIC, batch.privileged_labels().astype("<i8")[:, None])
-
-
-def load_batch(path: str, label_path: str, sigma2: float) -> GmmBatch:
-    samples = read_container(path, _MAGIC, "<f8")
-    labels = read_container(label_path, _MAGIC, "<i8")
-    if labels.shape != (samples.shape[0], 1):
-        raise ValueError("label side-file does not match batch")
-    return GmmBatch(samples.astype(np.float64), labels[:, 0].astype(np.int64), float(sigma2))

@@ -11,9 +11,9 @@ Four decoder families over a codebook of on-sphere centers:
                      other index exceeds tau2, alpha = 1/(1+sigma2),
                      tau = sigma2 * alpha. Suited to fixed positive rates.
   mismatched         the same accept/reject shapes run against a corrupted
-                     or partial center list, with thresholds widened by the
-                     corruption radius; the DecoderSpec kinds
-                     mismatched_corr and mismatched_mmse.
+                     or partial center list, with thresholds the caller
+                     supplies; the DecoderSpec kinds mismatched_corr and
+                     mismatched_mmse.
 
 Outcomes are integer message indices, or ERASURE (-1) when no index
 qualifies. Erasure counts as an error for matched decoding; for partial
@@ -36,6 +36,8 @@ ERASURE = -1
 # trials are processed in fixed-size blocks with per-block seeds, so the
 # counts do not depend on the order the blocks run in
 TRIAL_BLOCK = 1024
+# the fewest trials an error estimate accepts
+TRIALS_MIN = 100
 
 # _scan post-processes its (n, k) distance matrix in row slabs of about this
 # many bytes, so each slab's in-place passes run on cached data
@@ -164,49 +166,6 @@ def decode_mmse(cb, y: np.ndarray, p: MmseParams) -> int:
     return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec(kind="mmse", params=asdict(p)))[0])
 
 
-def shift_corr_thresholds(p: CorrParams, eps: float, big_c: float = 1.0) -> CorrParams:
-    """Widen correlation thresholds for centers corrupted by sqrt(eps * d).
-
-    A corrupted center moves every correlation by at most about
-    (1 + big_c) * sqrt(eps), so the accept bar drops by that much and the
-    reject bar rises by it: eta1 -> eta1 + (1+big_c)sqrt(eps),
-    eta2 -> eta2 - (1+big_c)sqrt(eps).
-    """
-    if eps < 0:
-        raise InvalidDecoderParams(f"corruption eps must be >= 0, got {eps}")
-    shift = (1.0 + big_c) * math.sqrt(eps)
-    eta1 = p.eta1 + shift
-    eta2 = p.eta2 - shift
-    if not 0.0 < eta1 <= eta2 < 1.0:
-        raise InvalidDecoderParams(
-            f"corruption eps={eps} consumes the threshold gap: "
-            f"shifted eta1={eta1:.6f} > eta2={eta2:.6f}"
-        )
-    return CorrParams(eta1=eta1, eta2=eta2)
-
-
-def shift_mmse_thresholds(p: MmseParams, eps0: float) -> MmseParams:
-    """Widen residual thresholds for corrupted centers.
-
-    sqrt(tau1) grows by sqrt(eps0) and sqrt(tau2) shrinks by it, which
-    preserves ordering only while 2 sqrt(eps0) < sqrt(tau2) - sqrt(tau1);
-    beyond that the gap is consumed and the parameters are invalid.
-    """
-    if eps0 < 0:
-        raise InvalidDecoderParams(f"corruption eps0 must be >= 0, got {eps0}")
-    if eps0 == 0:
-        return p
-    gap = math.sqrt(p.tau2) - math.sqrt(p.tau1)
-    if 2.0 * math.sqrt(eps0) >= gap:
-        raise InvalidDecoderParams(
-            f"corruption eps0={eps0} consumes the threshold gap "
-            f"(2 sqrt(eps0) = {2 * math.sqrt(eps0):.6f} >= {gap:.6f})"
-        )
-    t1 = (math.sqrt(p.tau1) + math.sqrt(eps0)) ** 2
-    t2 = (math.sqrt(p.tau2) - math.sqrt(eps0)) ** 2
-    return MmseParams(alpha=p.alpha, tau=p.tau, tau1=t1, tau2=t2)
-
-
 def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
     """Largest eta2 for which the correlation thresholds are analyzable.
 
@@ -226,10 +185,6 @@ def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
     return 1.0 - math.sqrt(2.0 * lk / d + eta1 * eta1 / sigma2) - math.sqrt(
         2.0 * sigma2 * lk / d
     )
-
-
-def corr_params_feasible(d: int, k: int, sigma2: float, p: CorrParams) -> bool:
-    return p.eta2 < corr_feasibility_bound(d, k, sigma2, p.eta1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +298,7 @@ def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSp
 
 
 # the threshold record each kernel family reads (nn reads none); a
-# mismatched_ kind runs its family's kernel on already-shifted thresholds
+# mismatched_ kind runs its family's kernel on the caller's thresholds
 _RECORDS = {"nn": None, "corr": CorrParams, "mmse": MmseParams}
 _FAMILIES = {**{f: f for f in _RECORDS}, "mismatched_corr": "corr", "mismatched_mmse": "mmse"}
 
@@ -354,7 +309,7 @@ class DecoderSpec:
 
     kind: nn | corr | mmse | mismatched_corr | mismatched_mmse. family,
     the kind without its mismatched_ prefix, picks the kernel; the
-    mismatched kinds carry already-shifted thresholds.
+    mismatched kinds run it on thresholds the caller supplies.
     params: exactly the fields of the family's record in _RECORDS, as
     numbers. Construction checks them and builds the record once; a
     missing, unknown or non-numeric field raises InvalidDecoderParams.
@@ -436,8 +391,8 @@ def estimate_error_prob(
     Raises ValueError, before the first block, when a block's
     TRIAL_BLOCK x k distance matrix would exceed ARRAY_BYTES_MAX bytes.
     """
-    if trials < 100:
-        raise ValueError(f"need trials >= 100, got {trials}")
+    if trials < TRIALS_MIN:
+        raise ValueError(f"need trials >= {TRIALS_MIN}, got {trials}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     nbytes = TRIAL_BLOCK * cb.k * 8
@@ -468,49 +423,3 @@ def estimate_error_prob(
         error_count=error_count,
         erasure_count=erasure_count,
     )
-
-
-def p_approx_profile(
-    cb: Codebook,
-    partial_cb: Codebook,
-    matching: np.ndarray,
-    sigma2: float,
-    decoder_spec: DecoderSpec,
-    trials_per_message: int,
-    master_seed: int,
-    *,
-    seed_path: tuple[int, ...] = (),
-) -> tuple[np.ndarray, float]:
-    """Per-message success rates when decoding against a partial center list.
-
-    matching maps partial indices l in [m] to true indices in [k],
-    injectively. For a true message i covered by the matching, success
-    means the decoder returns the l with matching[l] == i; for an uncovered
-    i, success means ERASURE (the decoder is supposed to notice the center
-    is missing). Returns (success_rate_per_true_message, average).
-    """
-    matching = np.asarray(matching, dtype=np.int64)
-    partial_centers = _centers_of(partial_cb) if partial_cb is not None else np.empty((0, cb.d))
-    m = partial_centers.shape[0]
-    if matching.shape != (m,):
-        raise ValueError(f"matching must have shape ({m},)")
-    if m > 0:
-        if len(np.unique(matching)) != m or matching.min() < 0 or matching.max() >= cb.k:
-            raise ValueError("matching must be an injection into the true index set")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-
-    # true index -> partial index, or ERASURE when uncovered
-    inverse = np.full(cb.k, ERASURE, dtype=np.int64)
-    inverse[matching] = np.arange(m, dtype=np.int64)
-
-    success = np.zeros(cb.k, dtype=np.int64)
-    for i in range(cb.k):
-        rng = rng_for(master_seed, *seed_path, i)
-        ys = cb.centers[i] + math.sqrt(sigma2) * rng.standard_normal(
-            (trials_per_message, cb.d)
-        )
-        out = decode_batch(partial_centers, ys, decoder_spec)
-        success[i] = int(np.sum(out == inverse[i]))
-    rates = success / trials_per_message
-    return rates, float(rates.mean())

@@ -9,7 +9,8 @@ everything except wall-clock columns. Reruns with the same master seed
 produce identical bytes apart from timing.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error
-(including replay mismatches).
+(replay mismatches, and any other fault, reported with its exception type
+and the file and line that raised it).
 """
 
 import csv
@@ -18,8 +19,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -39,7 +42,7 @@ from .bounds import (
     single_sample_mi_upper,
 )
 from .codebook import noise_for_beta, rate, sample_codebook
-from .decoders import DecoderSpec, MmseParams, corr_feasibility_bound, estimate_error_prob
+from .decoders import TRIALS_MIN, DecoderSpec, MmseParams, corr_feasibility_bound, estimate_error_prob
 from .learner import NET_KNOBS, LearnerConfig, run_learner
 from .seeds import rng_for
 from .sphere import build_net, verify_covering
@@ -162,10 +165,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if self.trials < TRIALS_MIN:
+            raise ConfigError(f"trials must be >= {TRIALS_MIN}, got {self.trials}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if not self.d or not self.k:
             raise ConfigError("d and k grids must be nonempty")
         if self.beta and self.sigma2:
@@ -298,10 +303,22 @@ def _cell_jobs(spec: SweepSpec, prefix: str) -> list[dict]:
     ]
 
 
+def _cell_decoder(cell: dict) -> DecoderSpec | str:
+    """The cell's decoder at its noise level, or its row status when the
+    correlation thresholds are infeasible there."""
+    dec = _resolve_decoder(cell["decoder_entry"], cell["sigma2"])
+    if dec.family == "corr":
+        p = dec.corr_params()
+        bound = corr_feasibility_bound(cell["d"], cell["k"], cell["sigma2"], p.eta1)
+        if not p.eta2 < bound:
+            return f"infeasible eta2>={bound:.6f}"
+    return dec
+
+
 def _decode_row(spec: SweepSpec, job: dict) -> dict:
     t0 = time.perf_counter()
     d, k, sigma2 = job["d"], job["k"], job["sigma2"]
-    entry = job["decoder_entry"]
+    dec = job["decoder"]
     seed_key = (job["gidx"], job["rep"])
     row = {
         "experiment_id": job["experiment_id"],
@@ -310,26 +327,22 @@ def _decode_row(spec: SweepSpec, job: dict) -> dict:
         "beta": job["beta"],
         "sigma2": sigma2,
         "rate": job["rate"],
-        "decoder": _decoder_label(entry),
+        "decoder": _decoder_label(job["decoder_entry"]),
         "trials": spec.trials,
         "seed": spec.master_seed,
         "status": "ok",
     }
-    dec = _resolve_decoder(entry, sigma2)
-    if dec.family == "corr":
-        p = dec.corr_params()
-        bound = corr_feasibility_bound(d, k, sigma2, p.eta1)
-        if not p.eta2 < bound:
-            row.update(
-                error_count=0,
-                erasure_count=0,
-                rho_hat=float("nan"),
-                ci_low=float("nan"),
-                ci_high=float("nan"),
-                status=f"infeasible eta2>={bound:.6f}",
-                wall_ms=0.0,
-            )
-            return row
+    if isinstance(dec, str):
+        row.update(
+            error_count=0,
+            erasure_count=0,
+            rho_hat=float("nan"),
+            ci_low=float("nan"),
+            ci_high=float("nan"),
+            status=dec,
+            wall_ms=0.0,
+        )
+        return row
     cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
     est = estimate_error_prob(
         cb, sigma2, dec, spec.trials, spec.master_seed, seed_path=(*seed_key, _STREAM_TRIALS)
@@ -346,7 +359,13 @@ def _decode_row(spec: SweepSpec, job: dict) -> dict:
 
 
 def _decode_plan(spec: SweepSpec):
-    return _cell_jobs(spec, "dsweep"), partial(_decode_row, spec)
+    # every entry is resolved at every grid point before any row runs, so a
+    # bad entry fails before the first decode
+    decoders = {cell["gidx"]: _cell_decoder(cell) for cell in _grid(spec)}
+    if decoders and all(isinstance(dec, str) for dec in decoders.values()):
+        raise ConfigError(f"all grid points have infeasible decoder thresholds; first violation: {decoders[0]}")
+    jobs = [{**job, "decoder": decoders[job["gidx"]]} for job in _cell_jobs(spec, "dsweep")]
+    return jobs, partial(_decode_row, spec)
 
 
 def run_decode_sweep(spec: SweepSpec) -> list[dict]:
@@ -357,13 +376,7 @@ def run_decode_sweep(spec: SweepSpec) -> list[dict]:
     thresholds become status=infeasible rows; if every cell is infeasible
     the sweep raises instead (nothing would run).
     """
-    rows = _run_jobs(*_decode_plan(spec), spec.workers)
-    if rows and all(str(r["status"]).startswith("infeasible") for r in rows):
-        raise ConfigError(
-            "all grid points have infeasible decoder thresholds; "
-            f"first violation: {rows[0]['status']}"
-        )
-    return rows
+    return _run_jobs(*_decode_plan(spec), spec.workers)
 
 
 def _learn_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
@@ -621,11 +634,13 @@ def _cli_guard(fn):
     def wrapper(*args, **kwargs):
         try:
             code = fn(*args, **kwargs)
-        except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
+        except (ConfigError, ValueError, FileNotFoundError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
-            click.echo(f"runtime error: {exc}", err=True)
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+            click.echo(f"runtime error: {type(exc).__name__}: {exc} ({where})", err=True)
             sys.exit(EXIT_RUNTIME)
         sys.exit(code or EXIT_OK)
 

@@ -66,8 +66,9 @@ class LearnerConfig:
         passed to sphere.build_net; the defaults are sphere's.
 
     Step II uses the matched thresholds: at screening precisions around
-    0.25 a corruption shift (decoders.shift_*_thresholds) would consume
-    the gap. The auto selectors switch regime at rate R_SWITCH_DEFAULT.
+    0.25, widening them by the candidates' corruption radius would consume
+    the gap between the accept and reject bars. The auto selectors switch
+    regime at rate R_SWITCH_DEFAULT.
     """
 
     eps_I: float = 0.25

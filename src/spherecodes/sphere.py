@@ -29,19 +29,9 @@ class NetInfeasibleError(ValueError):
     """Requested net exceeds the dimension cap or the memory budget."""
 
 
-def sample_uniform_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform point on sqrt(d) * S^(d-1).
-
-    Standard Gaussian direction rescaled to norm sqrt(d); rotation
-    invariance is inherited from the Gaussian.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return sample_uniform_sphere_batch(d, 1, rng)[0]
-
-
 def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d) array of independent uniform sphere points."""
+    """(n, d) independent uniform points on sqrt(d) * S^(d-1): standard
+    Gaussian rows, which are rotation invariant, rescaled to norm sqrt(d)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if n < 1:

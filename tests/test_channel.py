@@ -8,7 +8,6 @@ from spherecodes import (
     sample_gmm,
     sample_noiseless,
 )
-from spherecodes.channel import dump_batch, load_batch
 
 
 @pytest.fixture
@@ -96,38 +95,3 @@ def test_batch_validation():
         GmmBatch(np.zeros((3, 2)), np.zeros(4, dtype=np.int64), 1.0)
     with pytest.raises(ValueError):
         GmmBatch(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 1.0)
-
-
-def test_dump_load_roundtrip(cb, tmp_path):
-    batch = sample_gmm(cb, 0.9, 25, rng_for(40))
-    p = str(tmp_path / "batch.bin")
-    lp = str(tmp_path / "batch.labels.bin")
-    dump_batch(batch, p, lp)
-    back = load_batch(p, lp, 0.9)
-    assert np.array_equal(back.observations(), batch.observations())
-    assert np.array_equal(back.privileged_labels(), batch.privileged_labels())
-    assert back.sigma2 == 0.9
-
-
-def test_load_rejects_mismatched_side_file(cb, tmp_path):
-    b1 = sample_gmm(cb, 0.9, 25, rng_for(41))
-    b2 = sample_gmm(cb, 0.9, 30, rng_for(42))
-    p1, lp1 = str(tmp_path / "a.bin"), str(tmp_path / "a.labels.bin")
-    p2, lp2 = str(tmp_path / "b.bin"), str(tmp_path / "b.labels.bin")
-    dump_batch(b1, p1, lp1)
-    dump_batch(b2, p2, lp2)
-    with pytest.raises(ValueError, match="side-file"):
-        load_batch(p1, lp2, 0.9)
-
-
-@pytest.mark.parametrize("which", ["samples", "labels"])
-def test_load_rejects_truncated_dump(cb, tmp_path, which):
-    batch = sample_gmm(cb, 0.9, 25, rng_for(43))
-    p, lp = str(tmp_path / "c.bin"), str(tmp_path / "c.labels.bin")
-    dump_batch(batch, p, lp)
-    target = p if which == "samples" else lp
-    blob = open(target, "rb").read()
-    open(target, "wb").write(blob[:-16])
-    with pytest.raises(ValueError, match="truncated") as exc:
-        load_batch(p, lp, 0.9)
-    assert target in str(exc.value)

@@ -53,8 +53,9 @@ def test_parse_spec_rejects_unknown_keys():
 def test_parse_spec_rejects_bad_values():
     with pytest.raises(ConfigError, match="kind"):
         parse_spec({"kind": "mystery", "d": [8], "k": [4]})
-    with pytest.raises(ConfigError, match="trials"):
-        parse_spec({"kind": "decode_sweep", "d": [8], "k": [4], "trials": 0})
+    for key, value in (("trials", 0), ("trials", 99), ("workers", 0), ("workers", -3)):
+        with pytest.raises(ConfigError, match=key):
+            parse_spec({"kind": "decode_sweep", "d": [8], "k": [4], key: value})
     with pytest.raises(ConfigError, match="not both"):
         parse_spec(
             {"kind": "decode_sweep", "d": [8], "k": [4], "beta": [2.0], "sigma2": [1.0]}
@@ -787,6 +788,34 @@ def test_cli_bad_decoder_entry_is_a_config_error_naming_the_field(tmp_path, entr
     res = cli("decode-sweep", "--config", str(cfg))
     assert res.exit_code == 2, res.output
     assert message in res.stderr
+
+
+def test_cli_bad_second_decoder_entry_fails_before_any_row_decodes(tmp_path, monkeypatch):
+    calls = []
+    real = expcli.estimate_error_prob
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed_path"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(expcli, "estimate_error_prob", counted)
+    cfg = tmp_path / "cfg.json"
+    obj = {"kind": "decode_sweep", "d": [8], "k": [4], "beta": [0.5, 2.0], "trials": 200, "replicates": 2}
+    cfg.write_text(json.dumps({**obj, "decoders": [{"kind": "nn"}, {"kind": "mmse"}]}))
+    res = cli("decode-sweep", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert "mmse decoder is missing fields" in res.stderr
+    assert len(calls) == 0
+
+
+def test_cli_stray_key_error_is_a_runtime_error(monkeypatch):
+    def fault(spec):
+        raise KeyError("alpha")
+
+    monkeypatch.setattr(expcli, "run_decode_sweep", fault)
+    res = cli("decode-sweep", "--d", "8", "--k", "4", "--beta", "2.0")
+    assert res.exit_code == 3, res.output
+    assert "runtime error: KeyError: 'alpha' (test_expcli.py:" in res.stderr
 
 
 def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):

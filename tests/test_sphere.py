@@ -9,7 +9,6 @@ from spherecodes import (
     build_net,
     project_ball,
     rng_for,
-    sample_uniform_sphere,
     sample_uniform_sphere_batch,
     verify_covering,
 )
@@ -21,13 +20,13 @@ from .oracles import covering_min_sq_ref, covering_ref
 def test_sample_norm_invariant():
     rng = rng_for(1)
     for d in (1, 2, 7, 64, 513):
-        x = sample_uniform_sphere(d, rng)
+        x = sample_uniform_sphere_batch(d, 1, rng)[0]
         assert abs(np.dot(x, x) - d) <= 1e-9 * d
 
 
 def test_sample_d1_is_sign():
     rng = rng_for(2)
-    vals = np.array([float(sample_uniform_sphere(1, rng)[0]) for _ in range(64)])
+    vals = sample_uniform_sphere_batch(1, 64, rng)[:, 0]
     assert np.all(np.abs(np.abs(vals) - 1.0) <= 1e-12)
     assert len(set(np.sign(vals))) == 2
 
@@ -42,7 +41,7 @@ def test_sample_mean_coordinate_clt():
 
 def test_sample_rejects_zero_dimension():
     with pytest.raises(ValueError):
-        sample_uniform_sphere(0, rng_for(4))
+        sample_uniform_sphere_batch(0, 1, rng_for(4))
 
 
 def test_rotation_invariance_ks():
@@ -66,7 +65,7 @@ def test_project_ball_examples():
     p = project_ball(x, d)
     assert np.isclose(np.linalg.norm(p), np.sqrt(d))
     assert np.allclose(p / np.linalg.norm(p), x / np.linalg.norm(x))
-    on_sphere = sample_uniform_sphere(d, rng_for(6))
+    on_sphere = sample_uniform_sphere_batch(d, 1, rng_for(6))[0]
     assert np.array_equal(project_ball(on_sphere, d), on_sphere)
 
 
