@@ -56,7 +56,6 @@ from .learner import (
     match_centers,
     run_learner,
     select_candidates,
-    separated_subset,
     step1_screen,
     step2_cluster_average,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook
-from .sphere import ARRAY_BYTES_MAX
+from .sphere import check_array_bytes
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,7 @@ def _check_batch_size(n: int, d: int) -> None:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     nbytes = n * (d + 1) * 8
-    if nbytes > ARRAY_BYTES_MAX:
-        raise ValueError(
-            f"a batch of n={n} samples in dimension {d} needs {nbytes} bytes, "
-            f"over the {ARRAY_BYTES_MAX}-byte budget"
-        )
+    check_array_bytes(nbytes, f"a batch of n={n} samples in dimension {d} needs {nbytes} bytes")
 
 
 def _draw_labels(k: int, n: int, rng: np.random.Generator, stratified: bool) -> np.ndarray:

@@ -10,10 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import ARRAY_BYTES_MAX, is_on_sphere, sample_uniform_sphere_batch, sq_dists
-
-# min_distance scans the k x k distance matrix in row chunks of this size
-_SCAN_ENTRIES = 2_000_000
+from .sphere import SCAN_ENTRIES, check_array_bytes, is_on_sphere, sample_uniform_sphere_batch, sq_dists
 
 _MAGIC = b"SPHCBK01"
 _VERSION = 1
@@ -61,11 +58,7 @@ def sample_codebook(d: int, k: int, rng: np.random.Generator) -> Codebook:
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     nbytes = k * d * 8
-    if nbytes > ARRAY_BYTES_MAX:
-        raise ValueError(
-            f"codebook of k={k} centers in dimension {d} needs {nbytes} bytes, "
-            f"over the {ARRAY_BYTES_MAX}-byte budget"
-        )
+    check_array_bytes(nbytes, f"codebook of k={k} centers in dimension {d} needs {nbytes} bytes")
     return Codebook(centers=sample_uniform_sphere_batch(d, k, rng), d=d, k=k)
 
 
@@ -95,7 +88,7 @@ def min_distance(cb: Codebook) -> float:
     """Smallest pairwise distance among the centers.
 
     Scans the upper triangle of the squared-distance matrix in row chunks
-    of about _SCAN_ENTRIES entries. Every pair within rounding of the
+    of about SCAN_ENTRIES entries. Every pair within rounding of the
     smallest scanned value is then rechecked as sqrt(np.dot(diff, diff))
     of its difference, so the result is that exact pairwise expression's
     minimum and does not depend on the chunking.
@@ -104,7 +97,7 @@ def min_distance(cb: Codebook) -> float:
     k = c.shape[0]
     # the expansion's rounding error is a few ulps of the squared norms, d
     slack = 1e-9 * cb.d
-    rows = max(1, _SCAN_ENTRIES // k)
+    rows = max(1, SCAN_ENTRIES // k)
     best = np.inf
     near = []
     for lo in range(0, k - 1, rows):
@@ -125,46 +118,32 @@ def min_distance(cb: Codebook) -> float:
     return float(np.sqrt(exact))
 
 
-def write_container(path: str, magic: bytes, body: np.ndarray) -> None:
-    """Write a (rows, cols) array in the layout read_container reads."""
-    rows, cols = body.shape
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<QQQ", _VERSION, cols, rows))
-        f.write(body.tobytes(order="C"))
-
-
 def save_codebook(cb: Codebook, path: str) -> None:
-    """Flat binary container: magic, version, d, k as little-endian u64,
-    then k*d little-endian f64 in row-major order."""
-    write_container(path, _MAGIC, cb.centers.astype("<f8"))
+    """Flat binary container: 8-byte magic, then version, d, k as
+    little-endian u64, then k*d little-endian f64 in row-major order."""
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<QQQ", _VERSION, cb.d, cb.k))
+        f.write(cb.centers.astype("<f8").tobytes(order="C"))
 
 
-def read_container(path: str, magic: bytes, dtype: str) -> np.ndarray:
-    """Read a flat binary container: 8-byte magic, then version, cols, rows
-    as little-endian u64, then rows*cols values of dtype in row-major order.
-
-    Returns the (rows, cols) body. A wrong magic or version, or a header or
-    body shorter than it declares, raises a ValueError naming the file.
-    """
+def load_codebook(path: str) -> Codebook:
+    """Read save_codebook's container. A wrong magic or version, or a
+    header or body shorter than it declares, raises a ValueError naming
+    the file."""
     with open(path, "rb") as f:
         got = f.read(8)
-        if got != magic:
+        if got != _MAGIC:
             raise ValueError(f"bad magic in {path!r}: {got!r}")
         header = f.read(24)
         if len(header) != 24:
             raise ValueError(f"truncated header in {path!r}")
-        version, cols, rows = struct.unpack("<QQQ", header)
+        version, d, k = struct.unpack("<QQQ", header)
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version} in {path!r}")
-        size = np.dtype(dtype).itemsize * cols * rows
+        size = 8 * d * k
         body = f.read(size)
         if len(body) != size:
             raise ValueError(f"truncated body in {path!r}")
-    return np.frombuffer(body, dtype=dtype).reshape(rows, cols)
-
-
-def load_codebook(path: str) -> Codebook:
-    centers = read_container(path, _MAGIC, "<f8")
-    k, d = centers.shape
-    return Codebook(centers=centers.astype(np.float64), d=int(d), k=int(k))
+    centers = np.frombuffer(body, dtype="<f8").reshape(k, d).astype(np.float64)
+    return Codebook(centers=centers, d=d, k=k)

@@ -29,7 +29,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import ARRAY_BYTES_MAX, sq_dists
+from .sphere import check_array_bytes, sq_dists
 
 ERASURE = -1
 
@@ -116,7 +116,6 @@ class ErrorEstimate:
 
     rho_hat: float
     trials: int
-    erasure_rate: float
     ci_low: float
     ci_high: float
     error_count: int = 0
@@ -272,29 +271,29 @@ def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:
     return _mmse_batch(centers, ys, p.alpha, p.tau1, p.tau2)
 
 
-def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSpec") -> None:
-    """Debug mode: per input, verify at most one index satisfies the accept
-    condition, independently of the argmax/argmin shortcut."""
+def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSpec", out: np.ndarray) -> None:
+    """Debug mode: raise AssertionError unless the kernel's outcomes equal
+    the rule counted over every index. nn: the row argmin of sq_dists;
+    corr, mmse: the index that clears the accept bar while no other index
+    clears the reject bar, else ERASURE."""
     d = centers.shape[1]
-    if spec.family == "corr":
-        p = spec.corr_params()
-        corr = (ys @ centers.T) / d
-        accept = (corr >= 1.0 - p.eta1) & (
-            np.sum(corr >= 1.0 - p.eta2, axis=1, keepdims=True)
-            - (corr >= 1.0 - p.eta2).astype(int)
-            == 0
-        )
-    elif spec.family == "mmse":
-        p = spec.mmse_params()
-        sq = sq_dists(p.alpha * ys, centers) / d
-        accept = (sq <= p.tau1) & (
-            np.sum(sq <= p.tau2, axis=1, keepdims=True) - (sq <= p.tau2).astype(int)
-            == 0
-        )
+    if spec.family == "nn":
+        expected = np.argmin(sq_dists(ys, centers), axis=1)
     else:
-        return
-    if np.any(np.sum(accept, axis=1) > 1):
-        raise AssertionError("two indices satisfied the accept condition at once")
+        if spec.family == "corr":
+            p = spec.corr_params()
+            corr = (ys @ centers.T) / d
+            accept, reject_bar = corr >= 1.0 - p.eta1, corr >= 1.0 - p.eta2
+        else:
+            p = spec.mmse_params()
+            sq = sq_dists(p.alpha * ys, centers) / d
+            accept, reject_bar = sq <= p.tau1, sq <= p.tau2
+        others = np.sum(reject_bar, axis=1, keepdims=True) - reject_bar
+        accept &= others == 0
+        expected = np.where(accept.any(axis=1), np.argmax(accept, axis=1), ERASURE)
+    wrong = int(np.count_nonzero(out != expected))
+    if wrong:
+        raise AssertionError(f"{spec.kind} kernel disagrees with the exhaustive rule on {wrong} of {len(out)} trials")
 
 
 # the threshold record each kernel family reads (nn reads none); a
@@ -386,7 +385,9 @@ def estimate_error_prob(
     Args:
         seed_path: extra stream-key components (grid index, replicate, ...)
             so sweeps can give every cell an independent stream.
-        debug_scan: re-verify accept-uniqueness exhaustively per trial.
+        debug_scan: recompute every block's outcomes by the decoding rule
+            over all indices (see _exhaustive_scan_check) and raise
+            AssertionError on any trial where the kernel differs.
 
     Raises ValueError, before the first block, when a block's
     TRIAL_BLOCK x k distance matrix would exceed ARRAY_BYTES_MAX bytes.
@@ -396,11 +397,7 @@ def estimate_error_prob(
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     nbytes = TRIAL_BLOCK * cb.k * 8
-    if nbytes > ARRAY_BYTES_MAX:
-        raise ValueError(
-            f"decoding k={cb.k} centers needs a {nbytes}-byte distance matrix per block, "
-            f"over the {ARRAY_BYTES_MAX}-byte budget"
-        )
+    check_array_bytes(nbytes, f"decoding k={cb.k} centers needs a {nbytes}-byte distance matrix per block")
 
     error_count = erasure_count = 0
     for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
@@ -409,7 +406,7 @@ def estimate_error_prob(
         ys, labels = batch.observations(), batch.privileged_labels()
         out = decode_batch(cb, ys, decoder_spec)
         if debug_scan:
-            _exhaustive_scan_check(cb.centers, ys, decoder_spec)
+            _exhaustive_scan_check(cb.centers, ys, decoder_spec, out)
         error_count += int(np.sum(out != labels))
         erasure_count += int(np.sum(out == ERASURE))
     rho = error_count / trials
@@ -417,7 +414,6 @@ def estimate_error_prob(
     return ErrorEstimate(
         rho_hat=rho,
         trials=trials,
-        erasure_rate=erasure_count / trials,
         ci_low=lo,
         ci_high=hi,
         error_count=error_count,

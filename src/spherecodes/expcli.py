@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import click
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -165,12 +165,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.trials < TRIALS_MIN:
-            raise ConfigError(f"trials must be >= {TRIALS_MIN}, got {self.trials}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # the integer keys, each with its floor (master_seed has none)
+        floors = {"trials": TRIALS_MIN, "replicates": 1, "workers": 1, "probes": 1, "master_seed": None}
+        for name, floor in floors.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            if floor is not None and v < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {v}")
         if not self.d or not self.k:
             raise ConfigError("d and k grids must be nonempty")
         if self.beta and self.sigma2:
@@ -524,12 +526,12 @@ def determinism_hash(rows: list[dict], fields: list[str]) -> str:
     return h.hexdigest()
 
 
-def write_csv(path_or_buf, rows: list[dict], fields: list[str], spec: SweepSpec | None, constants: dict) -> str:
+def write_csv(path_or_buf, rows: list[dict], fields: list[str], spec: SweepSpec, constants: dict) -> str:
     """Write metadata comment + RFC-4180 rows; returns the determinism hash."""
     dhash = determinism_hash(rows, fields)
     meta = {
         "version": __version__,
-        "config_hash": _config_hash(spec) if spec is not None else "",
+        "config_hash": _config_hash(spec),
         "determinism_hash": dhash,
         **constants,
     }

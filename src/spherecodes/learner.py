@@ -14,6 +14,7 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -89,8 +90,10 @@ class LearnerConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_I < 0.5:
             raise ValueError(f"eps_I must be in (0, 1/2), got {self.eps_I}")
-        if self.N < 1 or self.Nbar < 1:
-            raise ValueError("sample budgets must be >= 1")
+        for name in ("N", "Nbar"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"sample budget {name} must be an integer >= 1, got {v!r}")
         if self.test_kind not in ("zero_rate", "positive_rate", "auto"):
             raise ValueError(f"unknown test_kind {self.test_kind!r}")
         if self.decoder_kind not in ("mismatched_corr", "mismatched_mmse", "auto"):
@@ -328,7 +331,9 @@ def _greedy_spaced(cands: np.ndarray, min_dist: float, limit: int) -> np.ndarray
     than min_dist to it in one vectorized pass, and repeats. A candidate
     whose squared distance lies within rounding of min_dist^2 is decided by
     the scalar np.dot of the difference, so ties at exactly min_dist are
-    kept and the result does not depend on the summation order.
+    kept and the result does not depend on the summation order. With limit
+    at least the candidate count the subset is maximal: every rejected
+    candidate lies within min_dist of a kept one.
     """
     if min_dist <= 0:
         raise ValueError(f"min_dist must be > 0, got {min_dist}")
@@ -355,18 +360,6 @@ def _greedy_spaced(cands: np.ndarray, min_dist: float, limit: int) -> np.ndarray
     return np.asarray(kept, dtype=np.int64)
 
 
-def separated_subset(candidates: np.ndarray, min_dist: float) -> np.ndarray:
-    """Greedy maximal spaced subset, scanning candidates in input order.
-
-    A candidate is kept iff its distance to every previously kept point is
-    >= min_dist; the result is maximal in the sense that every rejected
-    candidate is within min_dist of some kept one. Returns indices into
-    the candidate list.
-    """
-    cands = np.asarray(candidates, dtype=np.float64)
-    return _greedy_spaced(cands, min_dist, cands.shape[0])
-
-
 def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: int) -> np.ndarray:
     """Order screened points by descending pass count, space them at
     2 sqrt(eps_I d), and keep at most k (the estimate list has k slots).
@@ -374,7 +367,7 @@ def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: i
     The count ordering means the most confident candidates claim their
     neighborhoods first; ties fall back to input order for determinism.
     The greedy scan stops once k points are kept, so the result is the
-    first k of separated_subset on the ordered points.
+    first k of the full greedy spaced subset of the ordered points.
     """
     if points.shape[0] == 0:
         return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)

@@ -17,6 +17,9 @@ D_MAX_NET_DEFAULT = 12
 # (k, d) centers, a decode block's TRIAL_BLOCK x k distances), checked
 # before it is allocated; building a net briefly holds a few of this size
 ARRAY_BYTES_MAX = 1 << 29
+# the distance scans (verify_covering's probe chunks, codebook.min_distance's
+# row chunks) bound each distance matrix to this many entries
+SCAN_ENTRIES = 2_000_000
 # net_size's constants; C_net = 16 is the value the acceptance configs,
 # demos and benchmark use
 C_NET_DEFAULT = 16.0
@@ -27,6 +30,13 @@ _NORM_TOL = 1e-9
 
 class NetInfeasibleError(ValueError):
     """Requested net exceeds the dimension cap or the memory budget."""
+
+
+def check_array_bytes(nbytes: int, what: str, error: type[ValueError] = ValueError) -> None:
+    """Refuse an array of nbytes bytes over ARRAY_BYTES_MAX before it is
+    allocated. what names the array and its size, the message's opening."""
+    if nbytes > ARRAY_BYTES_MAX:
+        raise error(f"{what}, over the {ARRAY_BYTES_MAX}-byte budget")
 
 
 def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,11 +171,9 @@ def build_net(
         return Net(points=pts, eps_I=eps_I)
     M = net_size(d, eps_I, C_net, c_net)
     nbytes = M * d * 8
-    if nbytes > ARRAY_BYTES_MAX:
-        raise NetInfeasibleError(
-            f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB, "
-            f"over the {ARRAY_BYTES_MAX / 2**30:.2f} GiB budget"
-        )
+    check_array_bytes(
+        nbytes, f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB", NetInfeasibleError
+    )
     if rng is None:
         raise ValueError("randomized net needs an rng")
     return Net(points=sample_uniform_sphere_batch(d, M, rng), eps_I=eps_I)
@@ -197,10 +205,10 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     tree = cKDTree(pts)
     covered = 0
     # probes are drawn, and the dense formula evaluated, in chunks that
-    # bound the probe-net distance matrix to 2e6 entries; recheck rows come
-    # from the whole chunk's product because BLAS rounds a lone row's
-    # product differently
-    chunk = max(1, 2_000_000 // pts.shape[0])
+    # bound the probe-net distance matrix to SCAN_ENTRIES entries; recheck
+    # rows come from the whole chunk's product because BLAS rounds a lone
+    # row's product differently
+    chunk = max(1, SCAN_ENTRIES // pts.shape[0])
     for lo in range(0, probes, chunk):
         m = min(chunk, probes - lo)
         q = sample_uniform_sphere_batch(d, m, rng)

@@ -13,7 +13,7 @@ from spherecodes import (
     rng_for,
     sample_codebook,
 )
-from spherecodes import codebook
+from spherecodes import codebook, sphere
 from spherecodes.codebook import load_codebook, save_codebook
 
 from .oracles import min_distance_ref, sigma2_for_beta_ref
@@ -90,7 +90,7 @@ def test_sample_codebook_memory_guard_raises_before_allocating(monkeypatch):
         raise RuntimeError(f"sampling {n} x {d}")
 
     monkeypatch.setattr(codebook, "sample_uniform_sphere_batch", reached)
-    k = codebook.ARRAY_BYTES_MAX // (128 * 8)
+    k = sphere.ARRAY_BYTES_MAX // (128 * 8)
     with pytest.raises(RuntimeError, match=f"sampling {k} x 128"):
         sample_codebook(128, k, rng_for(23))
 
@@ -114,7 +114,7 @@ def test_min_distance_equals_pair_scan_exactly(d, k):
 
 def test_min_distance_chunked_scan_equals_pair_scan(monkeypatch):
     # 3-row chunks: the minimum and its near ties fall in different chunks
-    monkeypatch.setattr(codebook, "_SCAN_ENTRIES", 1000)
+    monkeypatch.setattr(codebook, "SCAN_ENTRIES", 1000)
     for seed in range(4):
         cb = sample_codebook(5, 300, rng_for(24, seed))
         assert min_distance(cb) == min_distance_ref(cb.centers)
@@ -130,7 +130,7 @@ def test_min_distance_two_pairs_tied_at_the_minimum(monkeypatch):
     expect = min_distance_ref(pts)
     assert expect == pytest.approx(2.0 * c * scale, rel=1e-12)
     assert min_distance(cb) == expect
-    monkeypatch.setattr(codebook, "_SCAN_ENTRIES", 10)
+    monkeypatch.setattr(codebook, "SCAN_ENTRIES", 10)
     assert min_distance(cb) == expect
 
 

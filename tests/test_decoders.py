@@ -104,7 +104,7 @@ def test_wilson_domain():
 
 def test_error_estimate_bracket_invariant():
     with pytest.raises(ValueError):
-        ErrorEstimate(rho_hat=0.5, trials=10, erasure_rate=0.0, ci_low=0.6, ci_high=0.9)
+        ErrorEstimate(rho_hat=0.5, trials=10, ci_low=0.6, ci_high=0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +396,23 @@ def test_estimator_debug_scan_runs():
     spec = DecoderSpec.mmse(1.0, c=1.2)
     est = estimate_error_prob(cb, 1.0, spec, 256, 80, debug_scan=True)
     assert est.trials == 256
+
+
+@pytest.mark.parametrize(
+    "kernel, spec",
+    [
+        ("_nn_batch", DecoderSpec.nn()),
+        ("_corr_batch", DecoderSpec.corr(0.3)),
+        ("_mmse_batch", DecoderSpec.mmse(1.0, c=1.2)),
+    ],
+    ids=["nn", "corr", "mmse"],
+)
+def test_estimator_debug_scan_catches_a_broken_kernel(monkeypatch, kernel, spec):
+    # a kernel that decodes every trial to index 0 must not pass the scan
+    monkeypatch.setattr(decoders, kernel, lambda centers, ys, *args: np.zeros(len(ys), dtype=np.int64))
+    cb = sample_codebook(8, 6, rng_for(79))
+    with pytest.raises(AssertionError, match="disagrees with the exhaustive rule"):
+        estimate_error_prob(cb, 1.0, spec, 256, 80, debug_scan=True)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,22 @@ def test_parse_spec_rejects_unknown_keys():
         parse_spec({"kind": "learn", "d": [8], "k": [4], "learner": {"epsI": 0.2}})
 
 
+# integer keys given a non-integer (a bool is not one here), and probes
+# below its floor of 1
+BAD_TYPED_VALUES = [
+    ("trials", 150.5),
+    ("master_seed", 1.5),
+    ("probes", 10.5),
+    ("probes", 0),
+    ("replicates", True),
+    ("workers", 1.5),
+]
+
+
 def test_parse_spec_rejects_bad_values():
     with pytest.raises(ConfigError, match="kind"):
         parse_spec({"kind": "mystery", "d": [8], "k": [4]})
-    for key, value in (("trials", 0), ("trials", 99), ("workers", 0), ("workers", -3)):
+    for key, value in (("trials", 0), ("trials", 99), ("workers", 0), ("workers", -3), *BAD_TYPED_VALUES):
         with pytest.raises(ConfigError, match=key):
             parse_spec({"kind": "decode_sweep", "d": [8], "k": [4], key: value})
     with pytest.raises(ConfigError, match="not both"):
@@ -825,6 +837,30 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     res = cli(command, "--config", str(cfg))
     assert res.exit_code == 2, res.output
     assert "n=1000000000000" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("decode_sweep", key, value) for key, value in BAD_TYPED_VALUES if key != "probes"]
+    + [("learn", key, value) for key, value in BAD_TYPED_VALUES if key == "probes"]
+    + [("learn", "N", 60.5), ("learn", "Nbar", True)],
+)
+def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
+    rows = []
+    for row_fn in ("_decode_row", "_learn_row"):
+        monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
+    command, obj = KIND_CASES[kind]
+    obj = {"kind": kind, **obj}
+    if key in ("N", "Nbar"):
+        obj["learner"] = {**obj["learner"], key: value}
+    else:
+        obj[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert f"{key} must be" in res.stderr
+    assert rows == []
 
 
 def test_cli_replay_needs_out(tmp_path):

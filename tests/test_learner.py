@@ -26,13 +26,13 @@ from spherecodes import (
     sample_noiseless,
     sample_uniform_sphere_batch,
     select_candidates,
-    separated_subset,
     step1_screen,
     step2_cluster_average,
 )
 from spherecodes.learner import (
     _SCREEN_BUF_BYTES,
     ScreeningStats,
+    _greedy_spaced,
     _least_passing,
     _pass_counts,
     build_step2_decoder,
@@ -64,6 +64,10 @@ def test_config_validation():
         LearnerConfig(eps_I=0.5)
     with pytest.raises(ValueError):
         LearnerConfig(N=0)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        LearnerConfig(N=60.5)
+    with pytest.raises(ValueError, match="Nbar must be an integer"):
+        LearnerConfig(Nbar=True)
     with pytest.raises(ValueError):
         LearnerConfig(test_kind="fancy")
     with pytest.raises(ValueError):
@@ -308,20 +312,20 @@ def test_step1_ignores_labels():
 
 def test_separated_subset_identical_points():
     pts = np.tile(np.array([1.0, 2.0]), (5, 1))
-    kept = separated_subset(pts, 0.5)
+    kept = _greedy_spaced(pts, 0.5, len(pts))
     assert kept.tolist() == [0]
 
 
 def test_separated_subset_boundary_is_kept():
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-    kept = separated_subset(pts, 1.0)
+    kept = _greedy_spaced(pts, 1.0, len(pts))
     assert kept.tolist() == [0, 1]
 
 
 def test_separated_subset_orthogonal_points():
     d = 4
     pts = math.sqrt(d) * np.eye(d)  # pairwise distance sqrt(2d) > sqrt(d)
-    kept = separated_subset(pts, math.sqrt(d))
+    kept = _greedy_spaced(pts, math.sqrt(d), len(pts))
     assert kept.tolist() == [0, 1, 2, 3]
 
 
@@ -329,7 +333,7 @@ def test_separated_subset_maximality():
     rng = rng_for(113)
     pts = rng.standard_normal((40, 3))
     min_dist = 1.2
-    kept = separated_subset(pts, min_dist)
+    kept = _greedy_spaced(pts, min_dist, len(pts))
     kept_pts = pts[kept]
     # pairwise separation
     for a in range(len(kept)):
@@ -344,7 +348,7 @@ def test_separated_subset_maximality():
 
 def test_separated_subset_min_dist_domain():
     with pytest.raises(ValueError):
-        separated_subset(np.zeros((3, 2)), 0.0)
+        _greedy_spaced(np.zeros((3, 2)), 0.0, 3)
 
 
 def test_select_candidates_prefers_high_counts_and_caps_at_k():
@@ -382,9 +386,9 @@ def test_select_candidates_equals_first_k_of_separated_subset(seed):
     counts = rng.integers(0, 4, size=260)  # heavy ties
     order = np.lexsort((np.arange(len(counts)), -counts))
     ordered = points[order]
-    assert np.array_equal(separated_subset(ordered, md), separated_subset_ref(ordered, md))
+    assert np.array_equal(_greedy_spaced(ordered, md, len(ordered)), separated_subset_ref(ordered, md))
     for k in (1, 3, 8, 1000):
-        expected = ordered[separated_subset(ordered, md)[:k]]
+        expected = ordered[_greedy_spaced(ordered, md, len(ordered))[:k]]
         assert np.array_equal(select_candidates(points, counts, eps_I, k), expected)
 
 
@@ -392,7 +396,7 @@ def test_separated_subset_equals_scan_reference_on_sphere_points():
     rng = rng_for(115)
     pts = 2.0 * rng.standard_normal((500, 6))
     for md in (0.5, 2.0, 4.0):
-        assert np.array_equal(separated_subset(pts, md), separated_subset_ref(pts, md))
+        assert np.array_equal(_greedy_spaced(pts, md, len(pts)), separated_subset_ref(pts, md))
 
 
 def test_select_candidates_empty_input():

@@ -2,7 +2,9 @@
 exported name has a caller outside the tests."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 from spherecodes.expcli import _KIND_KEYS, _LEARNER_KEYS
@@ -23,22 +25,24 @@ def test_readme_net_stats_learner_keys_match_the_schema():
     assert set(keys.group(1).split()) == _LEARNER_KEYS["net_stats"]
 
 
+def code_names(source: str) -> set[str]:
+    """The NAME tokens of Python source, so docstrings and comments do not
+    count, without the name each def or class statement defines."""
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline) if t.type == tokenize.NAME]
+    return {t.string for prev, t in zip([None, *tokens], tokens) if prev is None or prev.string not in ("def", "class")}
+
+
 def test_every_exported_name_has_a_caller_beyond_the_tests():
     # a public name only its own tests call is dead weight: each name the
-    # package exports must appear in src/ (its def or class line and the
-    # package's import list aside), demos/, perfbench/ or the README
+    # package exports must be used as code in src/ (the package's import
+    # list aside), demos/ or perfbench/, or be named in the README or a
+    # demo shell script
     src = ROOT / "src" / "spherecodes"
     init = ast.parse((src / "__init__.py").read_text())
     exported = {a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
-    texts = [p.read_text() for p in src.glob("*.py") if p.name != "__init__.py"]
-    texts += [p.read_text() for d in ("demos", "perfbench") for p in sorted((ROOT / d).iterdir()) if p.is_file()]
-    texts.append(README)
-    corpus = "\n".join(texts)
-
-    def used(name):
-        defined = re.compile(rf"^\s*(def|class) {name}\b")
-        return any(
-            re.search(rf"\b{name}\b", line) and not defined.match(line) for line in corpus.splitlines()
-        )
-
-    assert sorted(n for n in exported if not used(n)) == []
+    files = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    files += [p for d in ("demos", "perfbench") for p in sorted((ROOT / d).iterdir()) if p.is_file()]
+    names = set().union(*(code_names(p.read_text()) for p in files if p.suffix == ".py"))
+    prose = "\n".join([README, *(p.read_text() for p in files if p.suffix == ".sh")])
+    used = {n for n in exported if n in names or re.search(rf"\b{n}\b", prose)}
+    assert sorted(exported - used) == []
