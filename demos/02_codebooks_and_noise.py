@@ -32,9 +32,10 @@ print(f"near-orthogonal random centers would give sqrt(2d) = {math.sqrt(2 * d):.
 print("the gap is the closest pair out of k*(k-1)/2 tries")
 
 # the container round-trips bit-exactly
-tmp = os.path.join(tempfile.mkdtemp(), "cb.sphcbk")
-save_codebook(cb, tmp)
-back = load_codebook(tmp)
-print("\nsaved and reloaded:", (back.centers == cb.centers).all(),
-      f"({os.path.getsize(tmp)} bytes)")
+with tempfile.TemporaryDirectory() as tmpdir:
+    tmp = os.path.join(tmpdir, "cb.sphcbk")
+    save_codebook(cb, tmp)
+    back = load_codebook(tmp)
+    print("\nsaved and reloaded:", (back.centers == cb.centers).all(),
+          f"({os.path.getsize(tmp)} bytes)")
 print("rate of k =", k, "at d =", d, "is ln(k)/d =", math.log(k) / d)

@@ -18,7 +18,7 @@ from .bounds import (
     sc_lower_trivial,
     single_sample_mi_upper,
 )
-from .channel import GmmBatch, sample_gmm, sample_noiseless
+from .channel import GmmBatch, sample_gmm
 from .codebook import (
     ChannelParams,
     Codebook,
@@ -49,8 +49,6 @@ from .learner import (
     LearnerResult,
     MatchResult,
     genie_estimator,
-    local_test_positive_rate,
-    local_test_zero_rate,
     loss_avg,
     loss_max,
     match_centers,

@@ -37,14 +37,6 @@ class GmmBatch:
         object.__setattr__(self, "_samples", s)
         object.__setattr__(self, "_labels", l)
 
-    @property
-    def n(self) -> int:
-        return self._samples.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self._samples.shape[1]
-
     def observations(self) -> np.ndarray:
         """Read-only (n, d) view of the samples. No labels."""
         v = self._samples.view()
@@ -56,23 +48,6 @@ class GmmBatch:
         v = self._labels.view()
         v.flags.writeable = False
         return v
-
-
-def _check_batch_size(n: int, d: int) -> None:
-    """n >= 1, and the (n, d) samples plus n labels fit ARRAY_BYTES_MAX;
-    checked before anything is drawn."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    nbytes = n * (d + 1) * 8
-    check_array_bytes(nbytes, f"a batch of n={n} samples in dimension {d} needs {nbytes} bytes")
-
-
-def _draw_labels(k: int, n: int, rng: np.random.Generator, stratified: bool) -> np.ndarray:
-    if stratified:
-        if n % k != 0:
-            raise ValueError(f"stratified batch needs k | n, got n={n}, k={k}")
-        return np.repeat(np.arange(k, dtype=np.int64), n // k)
-    return rng.integers(0, k, size=n, dtype=np.int64)
 
 
 def sample_gmm(
@@ -91,23 +66,22 @@ def sample_gmm(
     Args:
         stratified: exact per-label balance, for the genie baseline.
     """
-    _check_batch_size(n, cb.d)
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    # the (n, d) samples plus n labels, refused before anything is drawn
+    nbytes = n * (cb.d + 1) * 8
+    check_array_bytes(nbytes, f"a batch of n={n} samples in dimension {cb.d} needs {nbytes} bytes")
     if sigma2 <= 0:
-        raise ValueError(
-            f"sigma2 must be > 0, got {sigma2}; use sample_noiseless for sigma=0"
-        )
-    labels = _draw_labels(cb.k, n, rng, stratified)
+        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
+    if stratified:
+        if n % cb.k != 0:
+            raise ValueError(f"stratified batch needs k | n, got n={n}, k={cb.k}")
+        labels = np.repeat(np.arange(cb.k, dtype=np.int64), n // cb.k)
+    else:
+        labels = rng.integers(0, cb.k, size=n, dtype=np.int64)
     # in place, the same bits as centers[labels] + sqrt(sigma2) * noise
     noise = rng.standard_normal((n, cb.d))
     noise *= np.sqrt(sigma2)
     noise += cb.centers[labels]
     return GmmBatch(noise, labels, float(sigma2))
 
-
-def sample_noiseless(
-    cb: Codebook, n: int, rng: np.random.Generator, stratified: bool = False
-) -> GmmBatch:
-    """Degenerate sigma = 0 batch: every sample equals its center exactly."""
-    _check_batch_size(n, cb.d)
-    labels = _draw_labels(cb.k, n, rng, stratified)
-    return GmmBatch(cb.centers[labels].copy(), labels, 0.0)

@@ -31,7 +31,7 @@ class Codebook:
             raise ValueError(f"centers must be ({self.k}, {self.d}), got {c.shape}")
         if self.k < 2:
             raise ValueError(f"codebook needs k >= 2, got {self.k}")
-        if not is_on_sphere(c, self.d):
+        if not is_on_sphere(c):
             raise ValueError("codebook centers must lie on the sphere")
 
 

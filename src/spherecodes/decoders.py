@@ -126,7 +126,7 @@ class ErrorEstimate:
             raise ValueError("Wilson interval must bracket rho_hat inside [0, 1]")
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Behaves sensibly at proportions near 0, which is exactly the
@@ -135,6 +135,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
+    z = 1.959963984540054
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom

@@ -8,9 +8,11 @@ config hash, the constants in effect, and a determinism hash over
 everything except wall-clock columns. Reruns with the same master seed
 produce identical bytes apart from timing.
 
-Exit codes: 0 success, 2 config/validation error, 3 runtime error
-(replay mismatches, and any other fault, reported with its exception type
-and the file and line that raised it).
+Exit codes: 0 success, 2 config error (a ConfigError, a missing input
+file, or a NetInfeasibleError: a row's array over the byte budget or its
+net past the dimension cap), 3 runtime error (replay mismatches, and any
+other fault, reported with its exception type and the file and line that
+raised it).
 """
 
 import csv
@@ -43,9 +45,9 @@ from .bounds import (
 )
 from .codebook import noise_for_beta, rate, sample_codebook
 from .decoders import TRIALS_MIN, DecoderSpec, MmseParams, corr_feasibility_bound, estimate_error_prob
-from .learner import NET_KNOBS, LearnerConfig, run_learner
+from .learner import NET_KNOBS, LearnerConfig, build_step2_decoder, run_learner
 from .seeds import rng_for
-from .sphere import build_net, verify_covering
+from .sphere import NetInfeasibleError, build_net, verify_covering
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,6 +119,15 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs) on config values, whose TypeError or ValueError
+    can only mean a bad value: it is raised as a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # the top-level keys each kind reads, besides kind itself; a key another
 # kind reads is still an error here, not a silently ignored setting. A
 # phase transition is a beta grid: its summary groups rows by beta
@@ -175,11 +186,20 @@ class SweepSpec:
                 raise ConfigError(f"{name} must be >= {floor}, got {v}")
         if not self.d or not self.k:
             raise ConfigError("d and k grids must be nonempty")
+        # the grid entries: their type (a bool is neither) and range
+        grids = (
+            ("d", numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
+            ("k", numbers.Integral, lambda v: v >= 2, "an integer >= 2"),
+            ("beta", numbers.Real, lambda v: 0 < v < math.inf, "a finite number > 0"),
+            ("sigma2", numbers.Real, lambda v: 0 < v < math.inf, "a finite number > 0"),
+            ("eps_I", numbers.Real, lambda v: 0 < v < 0.5, "a number in (0, 1/2)"),
+        )
+        for name, kind, ok, rule in grids:
+            for v in getattr(self, name):
+                if isinstance(v, bool) or not isinstance(v, kind) or not ok(v):
+                    raise ConfigError(f"{name} must be {rule}, got {v!r}")
         if self.beta and self.sigma2:
             raise ConfigError("give a beta grid or a sigma2 grid, not both")
-        for s2 in self.sigma2:
-            if s2 <= 0:
-                raise ConfigError(f"sigma2 must be > 0, got {s2}")
 
 
 def parse_spec(obj: dict) -> SweepSpec:
@@ -413,7 +433,12 @@ def _learn_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
 
 
 def _learn_plan(spec: SweepSpec):
-    return _cell_jobs(spec, "learn"), partial(_learn_row, spec, LearnerConfig(**spec.learner))
+    cfg = _checked(LearnerConfig, **spec.learner)
+    jobs = _cell_jobs(spec, "learn")
+    # Step II's thresholds are checked at every grid point before any row runs
+    for job in jobs:
+        _checked(build_step2_decoder, cfg, job["d"], job["k"], job["sigma2"])
+    return jobs, partial(_learn_row, spec, cfg)
 
 
 def run_learn_experiment(spec: SweepSpec) -> list[dict]:
@@ -486,7 +511,7 @@ def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
 def _net_plan(spec: SweepSpec):
     cells = [(d, eps_I) for d in spec.d for eps_I in spec.eps_I or (0.25,)]
     jobs = [{"gidx": g, "d": d, "eps_I": e, "experiment_id": f"net-{g}"} for g, (d, e) in enumerate(cells)]
-    return jobs, partial(_net_row, spec, LearnerConfig(**spec.learner))
+    return jobs, partial(_net_row, spec, _checked(LearnerConfig, **spec.learner))
 
 
 def run_net_stats(spec: SweepSpec) -> list[dict]:
@@ -568,7 +593,7 @@ def _load_spec(config, kind: str, seed, out, workers, d, k, beta) -> SweepSpec:
         with open(config) as f:
             try:
                 obj = json.load(f)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not text
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
     obj.setdefault("kind", kind)
     if obj["kind"] != kind:
@@ -579,12 +604,12 @@ def _load_spec(config, kind: str, seed, out, workers, d, k, beta) -> SweepSpec:
         obj["out"] = out
     if workers is not None:
         obj["workers"] = workers
-    if d:
-        obj["d"] = [int(x) for x in d.split(",")]
-    if k:
-        obj["k"] = [int(x) for x in k.split(",")]
-    if beta:
-        obj["beta"] = [float(x) for x in beta.split(",")]
+    for key, flag, parse in (("d", d, int), ("k", k, int), ("beta", beta, float)):
+        if flag:
+            try:
+                obj[key] = [parse(x) for x in flag.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"--{key}: {exc}") from exc
     return parse_spec(obj)
 
 
@@ -636,7 +661,7 @@ def _cli_guard(fn):
     def wrapper(*args, **kwargs):
         try:
             code = fn(*args, **kwargs)
-        except (ConfigError, ValueError, FileNotFoundError) as exc:
+        except (ConfigError, NetInfeasibleError, FileNotFoundError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
         except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
@@ -724,7 +749,7 @@ def cmd_bounds(config, out, d, k):
     nested = sorted({"d", "k"} & set(spec.bounds))
     if nested:
         raise ConfigError(f"move {', '.join(nested)} out of the bounds block to the top-level config keys")
-    rows = run_bounds_report({**spec.bounds, "d": spec.d[0], "k": spec.k[0]})
+    rows = _checked(run_bounds_report, {**spec.bounds, "d": spec.d[0], "k": spec.k[0]})
     width = max(len(r["quantity"]) for r in rows)
     for r in rows:
         suffix = f"   [{r['constants']}]" if r["constants"] else ""

@@ -15,7 +15,7 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class LearnerConfig:
             raise ValueError(f"unknown decoder_kind {self.decoder_kind!r}")
         if self.threshold_const <= 0:
             raise ValueError("threshold_const must be > 0")
+        if not self.C_net > 0:
+            raise ValueError(f"C_net must be > 0, got {self.C_net}")
         if self.net_strategy != "randomized":
             raise ValueError(f"unknown net_strategy {self.net_strategy!r}")
 
@@ -140,7 +142,6 @@ class LearnerResult:
     loss_max: float
     genie_loss: float
     screening_stats: ScreeningStats
-    candidates: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=np.float64)
@@ -165,49 +166,6 @@ class MatchResult:
 
 # ---------------------------------------------------------------------------
 # local tests
-
-
-def _local_test_threshold(test_kind: str, d: int, eps_I: float, sigma2: float) -> tuple[float, float]:
-    """(alpha, thr) of a local test in dimension d, for the scalar tests and
-    the Step-I screen alike: the zero-rate correlation bar 1 - eps_I/4
-    (alpha unused), or the positive-rate residual bar
-    sqrt(tau + alpha eps_I / 2) + sqrt(2 alpha^2 sigma2 ln 2 / d) with
-    alpha = 1/(1+sigma2) and tau = sigma2 alpha."""
-    if test_kind == "zero_rate":
-        return 1.0, 1.0 - 0.25 * eps_I
-    if test_kind == "positive_rate":
-        alpha = 1.0 / (1.0 + sigma2)
-        tau = sigma2 * alpha
-        slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
-        return alpha, math.sqrt(tau + 0.5 * alpha * eps_I) + slack
-    raise ValueError(f"unknown test_kind {test_kind!r}")
-
-
-def local_test_zero_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float) -> int:
-    """1 iff the normalized correlation clears 1 - eps_I/4.
-
-    Sharp in the low-rate regime: a point within sqrt(eps_I d) of the
-    emitting center passes with probability >= 1/2 while far points
-    almost never do.
-    """
-    d = x_hat.shape[-1]
-    _, thr = _local_test_threshold("zero_rate", d, eps_I, 0.0)
-    return int(float(np.dot(y, x_hat)) / d >= thr)
-
-
-def local_test_positive_rate(x_hat: np.ndarray, y: np.ndarray, eps_I: float, sigma2: float) -> int:
-    """1 iff the scaled residual is within the close-point envelope.
-
-    Threshold sqrt(tau + alpha eps_I / 2) plus a d-dependent slack
-    sqrt(2 alpha^2 sigma2 ln 2 / d) that makes a centered candidate pass
-    with probability >= 1/2.
-    """
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    d = x_hat.shape[-1]
-    alpha, thr = _local_test_threshold("positive_rate", d, eps_I, sigma2)
-    resid = float(np.linalg.norm(alpha * np.asarray(y) - x_hat))
-    return int(resid / math.sqrt(d) <= thr)
 
 
 # flips the 63 magnitude bits of a negative double's int64 view, so that
@@ -249,6 +207,12 @@ def _least_passing(passes, n: int) -> np.ndarray:
 def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:
     """Per-net-point counts of local-test passes over all observations.
 
+    A point p passes the zero-rate test on y when <p, y> / d >= 1 - eps_I/4,
+    and the positive-rate test when ||alpha y - p|| / sqrt(d) <=
+    sqrt(tau + alpha eps_I / 2) + sqrt(2 alpha^2 sigma2 ln 2 / d), with
+    alpha = 1/(1+sigma2) and tau = sigma2 alpha; the slack makes a point
+    near the emitting center pass with probability >= 1/2.
+
     The M x N GEMM statistic is formed a block of net points at a time in
     one preallocated buffer of about _SCREEN_BUF_BYTES. Each test is a
     monotone function of the GEMM entry x, so it equals x >= cut for an
@@ -258,16 +222,20 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     """
     M, d = net_points.shape
     n = obs.shape[0]
-    alpha, thr = _local_test_threshold(test_kind, d, eps_I, sigma2)
     if test_kind == "zero_rate":
         # normalized correlation fl(x / d) >= thr, x = <p, y>; correctly
         # rounded division by d > 0 is monotone in x
+        thr = 1.0 - 0.25 * eps_I
         rhs = obs.T
         cut = _least_passing(lambda x: x / d >= thr, 1)[0]
     else:
         # squared residual fl(fl(||v||^2 - x) + d) <= thr_sq, x = <p, 2 v>,
         # v = alpha y; both roundings are monotone in x. Doubling is exact,
         # so <p, 2 v> has the bits of <2 p, v>
+        alpha = 1.0 / (1.0 + sigma2)
+        tau = sigma2 * alpha
+        slack = math.sqrt(2.0 * alpha * alpha * sigma2 * math.log(2.0) / d)
+        thr = math.sqrt(tau + 0.5 * alpha * eps_I) + slack
         thr_sq = thr ** 2 * d
         v = alpha * obs
         v_sq = np.sum(v * v, axis=1)
@@ -560,5 +528,4 @@ def run_learner(
         loss_max=loss_max(cb, estimates),
         genie_loss=loss_avg(cb, genie),
         screening_stats=stats,
-        candidates=candidates,
     )

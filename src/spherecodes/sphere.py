@@ -29,14 +29,16 @@ _NORM_TOL = 1e-9
 
 
 class NetInfeasibleError(ValueError):
-    """Requested net exceeds the dimension cap or the memory budget."""
+    """A request refused for its size alone: any array over ARRAY_BYTES_MAX
+    (a net's, a codebook's, a batch's, a decode block's) or a net past its
+    dimension cap."""
 
 
-def check_array_bytes(nbytes: int, what: str, error: type[ValueError] = ValueError) -> None:
+def check_array_bytes(nbytes: int, what: str) -> None:
     """Refuse an array of nbytes bytes over ARRAY_BYTES_MAX before it is
     allocated. what names the array and its size, the message's opening."""
     if nbytes > ARRAY_BYTES_MAX:
-        raise error(f"{what}, over the {ARRAY_BYTES_MAX}-byte budget")
+        raise NetInfeasibleError(f"{what}, over the {ARRAY_BYTES_MAX}-byte budget")
 
 
 def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,12 +84,12 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * a, axis=1, keepdims=True) - 2.0 * a @ b.T + np.sum(b * b, axis=1)[None, :]
 
 
-def is_on_sphere(x: np.ndarray, d: int | None = None, tol: float = _NORM_TOL) -> bool:
+def is_on_sphere(x: np.ndarray) -> bool:
+    """Every row of x has squared norm d = x.shape[-1], to a relative 1e-9."""
     x = np.asarray(x, dtype=np.float64)
-    if d is None:
-        d = x.shape[-1]
+    d = x.shape[-1]
     sq = np.sum(x * x, axis=-1)
-    return bool(np.all(np.abs(sq - d) <= tol * d))
+    return bool(np.all(np.abs(sq - d) <= _NORM_TOL * d))
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class Net:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("net needs a nonempty (M, d) point array")
-        if not is_on_sphere(pts, pts.shape[1]):
+        if not is_on_sphere(pts):
             raise ValueError("net points must lie on the sphere")
         object.__setattr__(self, "points", pts)
         if self.covering_radius_sq_target == 0.0:
@@ -171,9 +173,7 @@ def build_net(
         return Net(points=pts, eps_I=eps_I)
     M = net_size(d, eps_I, C_net, c_net)
     nbytes = M * d * 8
-    check_array_bytes(
-        nbytes, f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB", NetInfeasibleError
-    )
+    check_array_bytes(nbytes, f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB")
     if rng is None:
         raise ValueError("randomized net needs an rng")
     return Net(points=sample_uniform_sphere_batch(d, M, rng), eps_I=eps_I)

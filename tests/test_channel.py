@@ -6,7 +6,6 @@ from spherecodes import (
     rng_for,
     sample_codebook,
     sample_gmm,
-    sample_noiseless,
 )
 
 
@@ -61,13 +60,6 @@ def test_stratified_divisibility_guard(cb):
         sample_gmm(cb, 1.0, 47, rng_for(36), stratified=True)
 
 
-def test_noiseless_hits_centers_exactly(cb):
-    batch = sample_noiseless(cb, 20, rng_for(37))
-    assert batch.sigma2 == 0.0
-    expect = cb.centers[batch.privileged_labels()]
-    assert np.array_equal(batch.observations(), expect)
-
-
 def test_sigma2_domain(cb):
     with pytest.raises(ValueError, match="sigma2"):
         sample_gmm(cb, 0.0, 10, rng_for(38))
@@ -75,12 +67,10 @@ def test_sigma2_domain(cb):
         sample_gmm(cb, 1.0, 0, rng_for(38))
 
 
-@pytest.mark.parametrize("draw", [sample_gmm, sample_noiseless], ids=["gmm", "noiseless"])
-def test_batch_over_the_byte_budget_raises_before_drawing(cb, draw):
+def test_batch_over_the_byte_budget_raises_before_drawing(cb):
     # 10^12 samples would need 88 TB; the check must refuse before allocating
-    args = (cb, 1.0, 10**12) if draw is sample_gmm else (cb, 10**12)
     with pytest.raises(ValueError, match=r"n=1000000000000 .* 88000000000000 bytes"):
-        draw(*args, rng_for(38))
+        sample_gmm(cb, 1.0, 10**12, rng_for(38))
 
 
 def test_determinism(cb):

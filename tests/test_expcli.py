@@ -830,6 +830,30 @@ def test_cli_stray_key_error_is_a_runtime_error(monkeypatch):
     assert "runtime error: KeyError: 'alpha' (test_expcli.py:" in res.stderr
 
 
+def test_cli_stray_value_error_is_a_runtime_error(monkeypatch):
+    # a program fault that numpy reports as a ValueError is not a config error
+    def fault(spec, job):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(expcli, "_decode_row", fault)
+    res = cli("decode-sweep", "--d", "8", "--k", "4", "--beta", "2.0")
+    assert res.exit_code == 3, res.output
+    assert "runtime error: ValueError: operands could not be broadcast together (test_expcli.py:" in res.stderr
+
+
+def test_cli_bad_step2_thresholds_exit_2_before_any_row_runs(tmp_path, monkeypatch):
+    rows = []
+    monkeypatch.setattr(expcli, "_learn_row", lambda *args: rows.append(args))
+    command, obj = KIND_CASES["learn"]
+    learner = {**obj["learner"], "decoder_kind": "mismatched_corr", "corr_eta1": 0.4, "corr_eta2": 0.3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "learn", **obj, "learner": learner}))
+    res = cli(command, "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert "need 0 < eta1 <= eta2 < 1" in res.stderr
+    assert rows == []
+
+
 def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     command, obj = KIND_CASES["learn"]
     cfg = tmp_path / "cfg.json"
@@ -843,11 +867,13 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     "kind, key, value",
     [("decode_sweep", key, value) for key, value in BAD_TYPED_VALUES if key != "probes"]
     + [("learn", key, value) for key, value in BAD_TYPED_VALUES if key == "probes"]
-    + [("learn", "N", 60.5), ("learn", "Nbar", True)],
+    + [("learn", "N", 60.5), ("learn", "Nbar", True)]
+    + [("decode_sweep", "d", 8.5), ("decode_sweep", "d", True), ("decode_sweep", "k", True)]
+    + [("decode_sweep", "beta", "2.0"), ("decode_sweep", "sigma2", True), ("net_stats", "eps_I", 0.7)],
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
     rows = []
-    for row_fn in ("_decode_row", "_learn_row"):
+    for row_fn in ("_decode_row", "_learn_row", "_net_row"):
         monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
     command, obj = KIND_CASES[kind]
     obj = {"kind": kind, **obj}
@@ -855,6 +881,8 @@ def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, 
         obj["learner"] = {**obj["learner"], key: value}
     else:
         obj[key] = value
+    if key == "sigma2":
+        del obj["beta"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(obj))
     res = cli(command, "--config", str(cfg))

@@ -13,8 +13,6 @@ from spherecodes import (
     Net,
     decode_batch,
     genie_estimator,
-    local_test_positive_rate,
-    local_test_zero_rate,
     loss_avg,
     loss_max,
     match_centers,
@@ -23,7 +21,6 @@ from spherecodes import (
     run_learner,
     sample_codebook,
     sample_gmm,
-    sample_noiseless,
     sample_uniform_sphere_batch,
     select_candidates,
     step1_screen,
@@ -54,6 +51,11 @@ def nearby_on_sphere(x: np.ndarray, frac_sq: float) -> np.ndarray:
     return math.cos(t) * x + math.sin(t) * math.sqrt(d) * u
 
 
+def local_passes(x_hat, ys, test_kind, eps_I, sigma2):
+    """Local-test passes of the one-point net {x_hat} over the rows of ys."""
+    return int(_pass_counts(x_hat[None], np.atleast_2d(ys), test_kind, eps_I, sigma2)[0])
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -74,6 +76,8 @@ def test_config_validation():
         LearnerConfig(decoder_kind="fancy")
     with pytest.raises(ValueError):
         LearnerConfig(threshold_const=0.0)
+    with pytest.raises(ValueError, match="C_net must be > 0"):
+        LearnerConfig(C_net=0.0)
 
 
 def test_config_auto_resolution_switches_on_rate():
@@ -94,8 +98,8 @@ def test_config_auto_resolution_switches_on_rate():
 
 def test_zero_rate_test_examples():
     x = sample_codebook(16, 2, rng_for(100)).centers[0]
-    assert local_test_zero_rate(x, x, 0.25) == 1
-    assert local_test_zero_rate(x, -x, 0.25) == 0
+    assert local_passes(x, x, "zero_rate", 0.25, 1.0) == 1
+    assert local_passes(x, -x, "zero_rate", 0.25, 1.0) == 0
 
 
 def test_zero_rate_test_pass_rate_near_center():
@@ -108,18 +112,15 @@ def test_zero_rate_test_pass_rate_near_center():
     center = cb.centers[0]
     x_hat = nearby_on_sphere(center, eps_I / 4.0)
     ys = center + math.sqrt(sigma2) * rng.standard_normal((10_000, d))
-    passes = np.mean([local_test_zero_rate(x_hat, y, eps_I) for y in ys])
-    assert passes >= 0.5
+    assert local_passes(x_hat, ys, "zero_rate", eps_I, sigma2) / len(ys) >= 0.5
 
 
 def test_positive_rate_test_examples():
     x = sample_codebook(16, 2, rng_for(102)).centers[0]
     sigma2 = 0.5
     alpha = 1.0 / (1.0 + sigma2)
-    assert local_test_positive_rate(x, x / alpha, 0.25, sigma2) == 1
-    assert local_test_positive_rate(x, -10.0 * x / alpha, 0.25, sigma2) == 0
-    with pytest.raises(ValueError):
-        local_test_positive_rate(x, x, 0.25, 0.0)
+    assert local_passes(x, x / alpha, "positive_rate", 0.25, sigma2) == 1
+    assert local_passes(x, -10.0 * x / alpha, "positive_rate", 0.25, sigma2) == 0
 
 
 def test_positive_rate_test_pass_rate_near_center():
@@ -129,10 +130,7 @@ def test_positive_rate_test_pass_rate_near_center():
     center = math.sqrt(d) * np.eye(d)[0]
     x_hat = nearby_on_sphere(center, eps_I / 4.0)
     ys = center + math.sqrt(sigma2) * rng.standard_normal((10_000, d))
-    passes = np.mean(
-        [local_test_positive_rate(x_hat, y, eps_I, sigma2) for y in ys]
-    )
-    assert passes >= 0.5
+    assert local_passes(x_hat, ys, "positive_rate", eps_I, sigma2) / len(ys) >= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +175,15 @@ def test_step1_requires_matching_budget():
 @pytest.mark.parametrize("d, eps_I", [(6, 0.25), (16, 0.25), (8, 0.4)])
 def test_step1_counts_the_public_local_test(test_kind, d, eps_I):
     # the net point is one of the emitting centers, so it passes on some
-    # observations and fails on others
+    # observations and fails on others, and the screen's count of a
+    # one-point net equals the reference's
     sigma2 = 1.0
     cb = sample_codebook(d, 4, rng_for(110, d))
     p = cb.centers[0]
     obs = sample_gmm(cb, sigma2, 2000, rng_for(111, d)).observations()
-    if test_kind == "zero_rate":
-        passes = sum(local_test_zero_rate(p, y, eps_I) for y in obs)
-    else:
-        passes = sum(local_test_positive_rate(p, y, eps_I, sigma2) for y in obs)
+    passes = _pass_counts(p[None], obs, test_kind, eps_I, sigma2)[0]
     assert 0 < passes < 2000
-    assert _pass_counts(p[None], obs, test_kind, eps_I, sigma2)[0] == passes
+    assert passes == pass_counts_ref(p[None], obs, test_kind, eps_I, sigma2)[0]
 
 
 def test_pass_counts_lone_last_row_equals_dense_product():
@@ -571,7 +567,8 @@ def test_loss_input_validation():
 
 def test_genie_noiseless_stratified_exact():
     cb = sample_codebook(8, 4, rng_for(137))
-    batch = sample_noiseless(cb, 40, rng_for(138), stratified=True)
+    labels = np.repeat(np.arange(4), 10)
+    batch = GmmBatch(cb.centers[labels], labels, 0.0)
     est = genie_estimator(batch, 4)
     assert np.allclose(est, cb.centers, atol=1e-12)
     assert loss_avg(cb, est) <= 1e-15
