@@ -39,8 +39,8 @@ TRIAL_BLOCK = 1024
 # the fewest trials an error estimate accepts
 TRIALS_MIN = 100
 
-# _scan post-processes its (n, k) distance matrix in row slabs of about this
-# many bytes, so each slab's in-place passes run on cached data
+# _top2 reads its (n, k) GEMM output in row slabs of about this many bytes,
+# so each slab's second pass reads cached data
 SLAB_BYTES = 256 * 1024
 
 # Decode targets may be a Codebook or a bare (m, d) array: partial center
@@ -191,68 +191,96 @@ def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
 # vectorized kernels, reached only through decode_batch
 
 
-def _scan(
-    centers: np.ndarray, a: np.ndarray, d_div: bool, with_runner_up: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Per row of sq_dists(a, centers), divided by d when d_div: the argmin
-    (lowest index on ties), the minimum and, when with_runner_up, the
-    runner-up minimum (the smallest entry at any other index; inf when
-    k = 1), else None.
+def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of g: the argmax (lowest index on ties), the maximum and the
+    largest entry at any other index (-inf when g has one column).
 
-    One GEMM for the whole block, then in-place passes over row slabs of
-    about SLAB_BYTES in sq_dists's own operation order, so every entry has
-    the same bits as sq_dists(a, centers) (/ d). The GEMM is never split
-    by rows: BLAS rounds a product computed in row pieces differently.
+    Two read-only passes over row slabs of about SLAB_BYTES, so the second
+    pass reads the slab from cache. It masks the argmax entry, which is
+    restored before the next slab: g is left as it was.
     """
-    n, d = a.shape
-    ya = np.sum(a * a, axis=1, keepdims=True)
-    xb = np.sum(centers * centers, axis=1)
-    g = 2.0 * a @ centers.T
+    n, k = g.shape
     best = np.empty(n, dtype=np.int64)
-    smin = np.empty(n)
-    runner_up = np.empty(n) if with_runner_up else None
-    rows = max(1, SLAB_BYTES // (8 * centers.shape[0]))
+    top = np.empty(n)
+    second = np.empty(n)
+    rows = max(1, SLAB_BYTES // (8 * k))
     idx = np.arange(rows)
     for lo in range(0, n, rows):
         s = g[lo : lo + rows]
         r = idx[: s.shape[0]]
-        np.subtract(ya[lo : lo + rows], s, out=s)
-        s += xb
-        if d_div:
-            s /= d
-        b = np.argmin(s, axis=1)
-        best[lo : lo + rows] = b
-        smin[lo : lo + rows] = s[r, b]
-        if with_runner_up:
-            s[r, b] = np.inf
-            np.min(s, axis=1, out=runner_up[lo : lo + rows])
-    return best, smin, runner_up
+        b = np.argmax(s, axis=1, out=best[lo : lo + rows])
+        t = top[lo : lo + rows]
+        t[:] = s[r, b]
+        s[r, b] = -np.inf
+        np.max(s, axis=1, out=second[lo : lo + rows])
+        s[r, b] = t
+    return best, top, second
+
+
+# The residual kernels read sq_dists(a, centers) = (ya - g) + xb, with
+# g = 2.0 * a @ centers.T taken whole-block (BLAS rounds a product computed
+# in row pieces differently), through g's top two entries per row. Every
+# entry but the argmax b of g is at least (ya - g2) + min(xb), and the
+# entry at g2 is at most (ya - g2) + max(xb): each operation is correctly
+# rounded, and rounding is monotone, so these bounds hold exactly, with no
+# slack. A row they leave undecided is recomputed from its g row in
+# sq_dists's operation order, so every outcome keeps its bits.
+
+
+def _residual_gemm(centers: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ya, xb and g of sq_dists(a, centers), each computed as sq_dists does."""
+    return np.sum(a * a, axis=1), np.sum(centers * centers, axis=1), 2.0 * a @ centers.T
+
+
+def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of sq_dists(a, centers), from the stored GEMM output."""
+    return (ya[rows, None] - g[rows]) + xb
 
 
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return _scan(centers, ys, d_div=False, with_runner_up=False)[0]
+    ya, xb, g = _residual_gemm(centers, ys)
+    best, gmax, g2 = _top2(g)
+    # b is the unique argmin when every other entry's bound exceeds its own
+    unsure = np.flatnonzero(~((ya - g2) + xb.min() > (ya - gmax) + xb[best]))
+    best[unsure] = np.argmin(_sq_rows(ya, g, xb, unsure), axis=1)
+    return best
 
 
 def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
     d = centers.shape[1]
-    corr = (ys @ centers.T) / d
-    best = np.argmax(corr, axis=1)
-    r = np.arange(corr.shape[0])
-    cmax = corr[r, best]
-    # the accept condition needs the maximizer to be the only index at or
+    best, hmax, h2 = _top2(ys @ centers.T)
+    # division by d is monotone, so h2 / d is the largest other correlation.
+    # The accept condition needs the maximizer to be the only index at or
     # above 1 - eta2; since 1 - eta1 >= 1 - eta2, an accepted maximizer is
-    # itself such an index, so it is the only one iff the runner-up is below
-    corr[r, best] = -np.inf
-    ok = (cmax >= 1.0 - eta1) & (np.max(corr, axis=1) < 1.0 - eta2)
-    return np.where(ok, best, ERASURE).astype(np.int64)
+    # such an index, so it is the only one iff h2 / d is below. An accepted
+    # row's maximum is then unique, so it is also the argmax of h / d
+    ok = (hmax / d >= 1.0 - eta1) & (h2 / d < 1.0 - eta2)
+    return np.where(ok, best, ERASURE)
 
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
-    # acceptance needs smin <= tau1 <= tau2, so the winner is itself at or
-    # below tau2 and is the only such index iff the runner-up exceeds tau2
-    best, smin, runner_up = _scan(centers, alpha * ys, d_div=True, with_runner_up=True)
-    ok = (smin <= tau1) & (runner_up > tau2)
-    return np.where(ok, best, ERASURE).astype(np.int64)
+    d = centers.shape[1]
+    ya, xb, g = _residual_gemm(centers, alpha * ys)
+    best, gmax, g2 = _top2(g)
+    # sb is entry b of sq_dists(alpha ys, centers) / d, bit for bit; no
+    # other entry is below low, and the one at g2 is at most high. The rule
+    # accepts an index at or below tau1 whose every rival is above tau2, so
+    # b is accepted when sb <= tau1 and low > tau2. The row erases for
+    # certain when sb <= tau2 (b is a rival at or below tau2 to every other
+    # index) and b fails, by sb > tau1 or by high <= tau2; or when sb > tau2
+    # and low > tau1 (no index is at or below tau1)
+    sb = ((ya - gmax) + xb[best]) / d
+    rest = ya - g2
+    low = (rest + xb.min()) / d
+    high = (rest + xb.max()) / d
+    accept = (sb <= tau1) & (low > tau2)
+    sure = accept | np.where(sb <= tau2, (sb > tau1) | (high <= tau2), low > tau1)
+    out = np.where(accept, best, ERASURE)
+    unsure = np.flatnonzero(~sure)
+    s = _sq_rows(ya, g, xb, unsure) / d
+    ok = (np.min(s, axis=1) <= tau1) & (np.count_nonzero(s <= tau2, axis=1) <= 1)
+    out[unsure] = np.where(ok, np.argmin(s, axis=1), ERASURE)
+    return out
 
 
 def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:

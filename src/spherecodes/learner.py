@@ -90,18 +90,24 @@ class LearnerConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_I < 0.5:
             raise ValueError(f"eps_I must be in (0, 1/2), got {self.eps_I}")
-        for name in ("N", "Nbar"):
+        for name in ("N", "Nbar", "d_max_net"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"sample budget {name} must be an integer >= 1, got {v!r}")
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.test_kind not in ("zero_rate", "positive_rate", "auto"):
             raise ValueError(f"unknown test_kind {self.test_kind!r}")
         if self.decoder_kind not in ("mismatched_corr", "mismatched_mmse", "auto"):
             raise ValueError(f"unknown decoder_kind {self.decoder_kind!r}")
+        for name in ("threshold_const", "corr_eta1", "corr_eta2", "mmse_c", "mmse_c2", "C_net", "c_net"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)) and not (name == "mmse_c2" and v is None):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         if self.threshold_const <= 0:
             raise ValueError("threshold_const must be > 0")
-        if not self.C_net > 0:
-            raise ValueError(f"C_net must be > 0, got {self.C_net}")
+        for name in ("C_net", "c_net"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be > 0 and finite, got {v!r}")
         if self.net_strategy != "randomized":
             raise ValueError(f"unknown net_strategy {self.net_strategy!r}")
 

@@ -27,10 +27,10 @@ from spherecodes import (
 )
 
 from spherecodes import decoders
-from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch, _scan
+from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
 from spherecodes.sphere import sq_dists
 
-from .oracles import corr_batch_ref, mmse_batch_ref, nn_batch_ref, scan_ref, wilson_ref
+from .oracles import corr_batch_ref, mmse_batch_ref, nn_batch_ref, wilson_ref
 
 
 def orthogonal_codebook(d: int, k: int) -> Codebook:
@@ -398,6 +398,16 @@ def test_estimator_debug_scan_runs():
     assert est.trials == 256
 
 
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_kernels_pass_the_exhaustive_scan_at_the_criterion_3_geometry(beta):
+    d, k = 16, 2981
+    cb = sample_codebook(d, k, rng_for(97))
+    sigma2 = noise_for_beta(d, k, beta).sigma2
+    for spec in (DecoderSpec.nn(), DecoderSpec.mmse(sigma2, c=1.45), DecoderSpec.corr(0.3)):
+        est = estimate_error_prob(cb, sigma2, spec, TRIAL_BLOCK, 98, seed_path=(int(4 * beta),), debug_scan=True)
+        assert est.trials == TRIAL_BLOCK
+
+
 @pytest.mark.parametrize(
     "kernel, spec",
     [
@@ -435,11 +445,13 @@ def _sigma2(d, k):
 
 
 def _assert_kernels_match(centers, ys, mmse_params, corr_params):
+    # mmse_params: MmseParams records or bare (alpha, tau1, tau2) triples
     assert np.array_equal(_nn_batch(centers, ys), nn_batch_ref(centers, ys))
     for p in mmse_params:
+        alpha, tau1, tau2 = (p.alpha, p.tau1, p.tau2) if isinstance(p, MmseParams) else p
         assert np.array_equal(
-            _mmse_batch(centers, ys, p.alpha, p.tau1, p.tau2),
-            mmse_batch_ref(centers, ys, p.alpha, p.tau1, p.tau2),
+            _mmse_batch(centers, ys, alpha, tau1, tau2),
+            mmse_batch_ref(centers, ys, alpha, tau1, tau2),
         )
     for eta1, eta2 in corr_params:
         assert np.array_equal(
@@ -453,11 +465,10 @@ def test_kernels_match_full_matrix_refs(d, k):
     sigma2 = _sigma2(d, k)
     ys = _noisy(centers, TRIAL_BLOCK, math.sqrt(sigma2), 82, d, k)
     mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.0, 1.2, 1.45, 2.0)]
+    # the unscaled residual ||y - X_i||^2 / d, which sits near sigma2
+    mmse += [(1.0, sigma2, sigma2), (1.0, 1.2 * sigma2, 1.45 * sigma2)]
     corr = [(0.2, 0.2), (0.3, 0.6), (0.5, 0.5), (0.7, 0.9)]
     _assert_kernels_match(centers, ys, mmse, corr)
-    for d_div in (False, True):
-        for got, want in zip(_scan(centers, ys, d_div), scan_ref(centers, ys, d_div)):
-            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d,k", KERNEL_SHAPES)
@@ -467,12 +478,11 @@ def test_kernels_match_refs_on_slab_edges(d, k):
     rows = max(1, SLAB_BYTES // (8 * k))
     centers = sample_uniform_sphere_batch(d, k, rng_for(83, d, k))
     sigma2 = _sigma2(d, k)
-    mmse = [MmseParams.for_noise(sigma2, c=1.45)]
+    # alpha = 0.8 scales the inputs as the former 0.8 * ys scan did
+    mmse = [MmseParams.for_noise(sigma2, c=1.45), MmseParams.for_noise(0.25, c=1.45)]
     for n in sorted({1, rows, rows + 1, 2 * rows + rows // 2 + 1}):
         ys = _noisy(centers, n, math.sqrt(sigma2), 84, d, k, n)
         _assert_kernels_match(centers, ys, mmse, [(0.4, 0.6)])
-        for got, want in zip(_scan(centers, 0.8 * ys, True), scan_ref(centers, 0.8 * ys, True)):
-            assert np.array_equal(got, want)
 
 
 def test_kernels_match_refs_on_exact_ties():
@@ -496,8 +506,9 @@ def test_kernels_match_refs_on_exact_ties():
 def test_scan_divides_before_the_argmin():
     # two off-sphere centers whose squared norms are adjacent doubles that
     # round to the same value once divided by d = 5; the larger one comes
-    # first, so the lowest-index rule picks it only when the division
-    # happens before the argmin, as in sq_dists(...) / d
+    # first. Divided, as in sq_dists(...) / d, they tie: at tau1 = tau2 =
+    # low / d both sit on the bar and the row erases. Undivided, the
+    # smaller one alone would be at or below it, and nn picks it
     d = 5
     t0 = 1.2
     while (t0 * t0) / d != np.nextafter(t0 * t0, np.inf) / d:
@@ -511,11 +522,61 @@ def test_scan_divides_before_the_argmin():
     assert np.array_equal(np.sum(centers[:2] ** 2, axis=1), [high, low])
     ys = np.zeros((3, d))
     ys[:, 4] = [0.0, 0.5, 1.0]
-    best, smin, runner_up = _scan(centers, ys, d_div=True)
-    assert best[0] == 0 and smin[0] == runner_up[0] == low / d
-    for got, want in zip((best, smin, runner_up), scan_ref(centers, ys, True)):
-        assert np.array_equal(got, want)
-    assert _scan(centers, ys, d_div=False)[0][0] == 1
+    tau = low / d
+    _assert_kernels_match(centers, ys, [(1.0, tau, tau)], [(0.2, 0.2), (0.5, 0.9)])
+    assert _mmse_batch(centers, ys, 1.0, tau, tau)[0] == ERASURE
+    assert _nn_batch(centers, ys)[0] == 1
+
+
+def test_kernels_match_refs_on_duplicated_centers():
+    # the criterion-3 shape with every fourth center copied over the next,
+    # so rows near a copied pair have top two GEMM entries that tie exactly
+    d, k = 16, 2981
+    centers = sample_uniform_sphere_batch(d, k, rng_for(94))
+    centers[1::4] = centers[0:-1:4][: len(centers[1::4])]
+    sigma2 = _sigma2(d, k)
+    ys = _noisy(centers, TRIAL_BLOCK, math.sqrt(sigma2), 95)
+    top2 = np.sort(ys @ centers.T, axis=1)[:, -2:]
+    assert np.sum(top2[:, 0] == top2[:, 1]) > 100
+    mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.2, 1.45)]
+    _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.5, 0.7)])
+    # a tied pair decodes to its lower index under nn and erases otherwise
+    assert np.all(_nn_batch(centers, ys) % 4 != 1)
+    assert np.all(_mmse_batch(centers, ys, mmse[1].alpha, mmse[1].tau1, mmse[1].tau2) % 4 != 1)
+
+
+def test_kernels_match_refs_when_rounding_merges_entries():
+    # a large component off the centers' span makes ||y||^2 = 1e18, whose
+    # spacing (128) swallows the O(1) differences between the GEMM entries:
+    # every residual rounds to the same value, so the row argmin is index 0
+    # whichever GEMM entry is largest, and at tau1 = tau2 = that value
+    # every row erases
+    d = 5
+    centers = np.vstack([2.0 * np.eye(d)[:4], -2.0 * np.eye(d)[:4]])
+    ys = np.zeros((64, d))
+    ys[:, :4] = rng_for(96).uniform(-3.0, -0.5, size=(64, 4))
+    ys[:, 4] = 1e9
+    sq = sq_dists(ys, centers) / d
+    assert np.all(sq == sq[0, 0])
+    assert np.all(np.argmax(ys @ centers.T, axis=1) != 0)
+    tau = sq[0, 0]
+    _assert_kernels_match(centers, ys, [(1.0, tau, tau), (1.0, tau, 2 * tau)], [(0.2, 0.2)])
+    assert np.all(_nn_batch(centers, ys) == 0)
+    assert np.all(_mmse_batch(centers, ys, 1.0, tau, tau) == ERASURE)
+
+
+def test_residual_kernels_when_the_largest_gemm_entry_is_not_the_nearest():
+    # off-sphere centers: y = e_1 has its larger GEMM entry at the long
+    # center 0 but its smaller residual at the short center 1. With two
+    # centers, the bound on the other entries is center 1's residual
+    # itself, so tau1 set to it sits exactly on the bound
+    centers = np.array([[3.0, 0.0], [0.5, 0.0]])
+    ys = np.array([[1.0, 0.0]])
+    s = sq_dists(ys, centers)[0] / 2
+    assert np.argmax(ys @ centers.T) == 0 and np.argmin(s) == 1
+    _assert_kernels_match(centers, ys, [(1.0, s[1], 1.0), (1.0, s[1], s[0])], [(0.2, 0.2)])
+    assert _nn_batch(centers, ys)[0] == 1
+    assert _mmse_batch(centers, ys, 1.0, s[1], 1.0)[0] == 1
 
 
 @pytest.mark.parametrize("d,k", [(16, 2981), (5, 7), (6, 4)])

@@ -869,7 +869,9 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("learn", key, value) for key, value in BAD_TYPED_VALUES if key == "probes"]
     + [("learn", "N", 60.5), ("learn", "Nbar", True)]
     + [("decode_sweep", "d", 8.5), ("decode_sweep", "d", True), ("decode_sweep", "k", True)]
-    + [("decode_sweep", "beta", "2.0"), ("decode_sweep", "sigma2", True), ("net_stats", "eps_I", 0.7)],
+    + [("decode_sweep", "beta", "2.0"), ("decode_sweep", "sigma2", True), ("net_stats", "eps_I", 0.7)]
+    + [("net_stats", "c_net", "1"), ("net_stats", "d_max_net", "12"), ("net_stats", "c_net", -1.0)]
+    + [("learn", "threshold_const", True), ("learn", "mmse_c", True), ("learn", "corr_eta1", "0.3")],
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
     rows = []
@@ -877,8 +879,8 @@ def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, 
         monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
     command, obj = KIND_CASES[kind]
     obj = {"kind": kind, **obj}
-    if key in ("N", "Nbar"):
-        obj["learner"] = {**obj["learner"], key: value}
+    if key in ("N", "Nbar", "threshold_const", "corr_eta1", "mmse_c", "c_net", "d_max_net"):
+        obj["learner"] = {**obj.get("learner", {}), key: value}
     else:
         obj[key] = value
     if key == "sigma2":
