@@ -22,6 +22,7 @@ codebooks it is the desired outcome on messages with no surviving center.
 
 import math
 import numbers
+import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, sq_dists
+from .sphere import check_array_bytes, f32_gemm_band, sq_dists
 
 ERASURE = -1
 
@@ -120,6 +121,9 @@ class ErrorEstimate:
     ci_high: float
     error_count: int = 0
     erasure_count: int = 0
+    # wall time summed over the blocks: drawing the noise, and decoding
+    noise_ms: float = field(default=0.0, compare=False)
+    decode_ms: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.ci_low <= self.rho_hat <= self.ci_high <= 1.0):
@@ -193,7 +197,8 @@ def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
 
 def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of g: the argmax (lowest index on ties), the maximum and the
-    largest entry at any other index (-inf when g has one column).
+    largest entry at any other index (-inf when g has one column), the
+    values in g's dtype.
 
     Two read-only passes over row slabs of about SLAB_BYTES, so the second
     pass reads the slab from cache. It masks the argmax entry, which is
@@ -201,9 +206,9 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     n, k = g.shape
     best = np.empty(n, dtype=np.int64)
-    top = np.empty(n)
-    second = np.empty(n)
-    rows = max(1, SLAB_BYTES // (8 * k))
+    top = np.empty(n, dtype=g.dtype)
+    second = np.empty(n, dtype=g.dtype)
+    rows = max(1, SLAB_BYTES // (g.itemsize * k))
     idx = np.arange(rows)
     for lo in range(0, n, rows):
         s = g[lo : lo + rows]
@@ -217,19 +222,49 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, top, second
 
 
-# The residual kernels read sq_dists(a, centers) = (ya - g) + xb, with
-# g = 2.0 * a @ centers.T taken whole-block (BLAS rounds a product computed
-# in row pieces differently), through g's top two entries per row. Every
-# entry but the argmax b of g is at least (ya - g2) + min(xb), and the
-# entry at g2 is at most (ya - g2) + max(xb): each operation is correctly
-# rounded, and rounding is monotone, so these bounds hold exactly, with no
-# slack. A row they leave undecided is recomputed from its g row in
-# sq_dists's operation order, so every outcome keeps its bits.
+# Every kernel decides a row from the top two entries of its GEMM output
+# g = sa @ centers.T (sa = 2 * a for the residual kernels, whose g is
+# sq_dists's cross term, taken whole-block as sq_dists takes it: BLAS
+# rounds a product computed in row pieces differently). A rule gets the
+# argmax b, its entry, the runner-up entry and a per-row band on how far
+# each entry may sit from the float64 GEMM's. Every entry but b is at
+# most runner-up + band, b's is within band of its own, and the entry at
+# the runner-up's index is at least runner-up - band. The residual
+# kernels read sq_dists(a, centers) = (ya - g) + xb, so every entry but
+# b's is at least (ya - (runner-up + band)) + min(xb): each operation is
+# correctly rounded, and rounding is monotone, so these bounds hold in
+# floating point exactly as on paper. A rule returns its outcomes and
+# the rows they decide for certain.
+#
+# The block is first decided from a float32 GEMM, which moves half the
+# bytes of the float64 one, with the band of sphere.f32_gemm_band. If that
+# leaves a row undecided, or a band is not finite, the whole block is
+# recomputed in float64 with band 0: the same bounds with no slack. The
+# residual kernels then recompute any row still undecided from its g row
+# in sq_dists's operation order. Either way every outcome is the one the
+# float64 bits give.
 
 
-def _residual_gemm(centers: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ya, xb and g of sq_dists(a, centers), each computed as sq_dists does."""
-    return np.sum(a * a, axis=1), np.sum(centers * centers, axis=1), 2.0 * a @ centers.T
+def _decide(rule, centers: np.ndarray, sa: np.ndarray, scale: float, ya: np.ndarray, xb: np.ndarray):
+    """(out, sure, g) of rule on g = sa @ centers.T, sa = scale * a and ya
+    the rows' squared norms of a. g is None when the float32 screen
+    decided every row; otherwise it is the float64 g that out and sure
+    come from."""
+    band = f32_gemm_band(ya, xb, centers.shape[1], scale)
+    if np.all(np.isfinite(band)):
+        g = sa.astype(np.float32) @ centers.astype(np.float32).T
+        out, sure = rule(*_top2(g), band)
+        if np.all(sure):
+            return out, sure, None
+        # free the float32 product before the float64 one is allocated
+        del g
+    g = sa @ centers.T
+    return (*rule(*_top2(g), 0.0), g)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Row squared norms, computed as sq_dists computes them."""
+    return np.sum(x * x, axis=1)
 
 
 def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -238,48 +273,67 @@ def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) ->
 
 
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ya, xb, g = _residual_gemm(centers, ys)
-    best, gmax, g2 = _top2(g)
-    # b is the unique argmin when every other entry's bound exceeds its own
-    unsure = np.flatnonzero(~((ya - g2) + xb.min() > (ya - gmax) + xb[best]))
-    best[unsure] = np.argmin(_sq_rows(ya, g, xb, unsure), axis=1)
+    ya, xb = _sq_norms(ys), _sq_norms(centers)
+
+    def rule(best, top, second, band):
+        # b is the unique argmin when every other entry's bound exceeds its own
+        return best, (ya - (second + band)) + xb.min() > (ya - (top - band)) + xb[best]
+
+    best, sure, g = _decide(rule, centers, 2.0 * ys, 2.0, ya, xb)
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        best[unsure] = np.argmin(_sq_rows(ya, g, xb, unsure), axis=1)
     return best
 
 
 def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
     d = centers.shape[1]
-    best, hmax, h2 = _top2(ys @ centers.T)
-    # division by d is monotone, so h2 / d is the largest other correlation.
-    # The accept condition needs the maximizer to be the only index at or
-    # above 1 - eta2; since 1 - eta1 >= 1 - eta2, an accepted maximizer is
-    # such an index, so it is the only one iff h2 / d is below. An accepted
-    # row's maximum is then unique, so it is also the argmax of h / d
-    ok = (hmax / d >= 1.0 - eta1) & (h2 / d < 1.0 - eta2)
-    return np.where(ok, best, ERASURE)
+
+    def rule(best, top, second, band):
+        # division by d is monotone, so (second + band) / d bounds every
+        # other correlation. The accept condition needs the maximizer to be
+        # the only index at or above 1 - eta2; since 1 - eta1 >= 1 - eta2, an
+        # accepted maximizer is such an index, so it is the only one iff
+        # every other is below. An accepted row's maximum is then unique, so
+        # it is also the argmax of h / d. The row erases for certain when
+        # no index reaches 1 - eta1, or when b and the runner-up's index
+        # both reach 1 - eta2. With band 0 every non-nan row is decided
+        accept = ((top - band) / d >= 1.0 - eta1) & ((second + band) / d < 1.0 - eta2)
+        erase = ((top + band) / d < 1.0 - eta1) | ((second - band) / d >= 1.0 - eta2)
+        return np.where(accept, best, ERASURE), accept | erase
+
+    return _decide(rule, centers, ys, 1.0, _sq_norms(ys), _sq_norms(centers))[0]
 
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
     d = centers.shape[1]
-    ya, xb, g = _residual_gemm(centers, alpha * ys)
-    best, gmax, g2 = _top2(g)
-    # sb is entry b of sq_dists(alpha ys, centers) / d, bit for bit; no
-    # other entry is below low, and the one at g2 is at most high. The rule
-    # accepts an index at or below tau1 whose every rival is above tau2, so
-    # b is accepted when sb <= tau1 and low > tau2. The row erases for
-    # certain when sb <= tau2 (b is a rival at or below tau2 to every other
-    # index) and b fails, by sb > tau1 or by high <= tau2; or when sb > tau2
-    # and low > tau1 (no index is at or below tau1)
-    sb = ((ya - gmax) + xb[best]) / d
-    rest = ya - g2
-    low = (rest + xb.min()) / d
-    high = (rest + xb.max()) / d
-    accept = (sb <= tau1) & (low > tau2)
-    sure = accept | np.where(sb <= tau2, (sb > tau1) | (high <= tau2), low > tau1)
-    out = np.where(accept, best, ERASURE)
+    a = alpha * ys
+    ya, xb = _sq_norms(a), _sq_norms(centers)
+
+    def rule(best, top, second, band):
+        # entry b of sq_dists(a, centers) / d lies in [sb_lo, sb_hi]; no
+        # other entry is below low, and the one at the runner-up's index is
+        # at most high. The rule accepts an index at or below tau1 whose
+        # every rival is above tau2, so b is accepted when sb <= tau1 and
+        # low > tau2. The row erases for certain when no index is at or
+        # below tau1 (sb > tau1 and low > tau1); or when b is at or below
+        # tau2, so a rival to every other index, and b fails, by sb > tau1
+        # or by high <= tau2
+        sb_lo = ((ya - (top + band)) + xb[best]) / d
+        sb_hi = ((ya - (top - band)) + xb[best]) / d
+        low = ((ya - (second + band)) + xb.min()) / d
+        high = ((ya - (second - band)) + xb.max()) / d
+        accept = (sb_hi <= tau1) & (low > tau2)
+        b_in = sb_hi <= tau2
+        erase = ((sb_lo > tau1) & ((low > tau1) | b_in)) | (b_in & (high <= tau2))
+        return np.where(accept, best, ERASURE), accept | erase
+
+    out, sure, g = _decide(rule, centers, 2.0 * a, 2.0, ya, xb)
     unsure = np.flatnonzero(~sure)
-    s = _sq_rows(ya, g, xb, unsure) / d
-    ok = (np.min(s, axis=1) <= tau1) & (np.count_nonzero(s <= tau2, axis=1) <= 1)
-    out[unsure] = np.where(ok, np.argmin(s, axis=1), ERASURE)
+    if unsure.size:
+        s = _sq_rows(ya, g, xb, unsure) / d
+        ok = (np.min(s, axis=1) <= tau1) & (np.count_nonzero(s <= tau2, axis=1) <= 1)
+        out[unsure] = np.where(ok, np.argmin(s, axis=1), ERASURE)
     return out
 
 
@@ -429,11 +483,17 @@ def estimate_error_prob(
     check_array_bytes(nbytes, f"decoding k={cb.k} centers needs a {nbytes}-byte distance matrix per block")
 
     error_count = erasure_count = 0
+    noise_s = decode_s = 0.0
     for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+        t0 = time.perf_counter()
         batch = sample_gmm(cb, sigma2, size, rng_for(master_seed, *seed_path, block))
+        t1 = time.perf_counter()
         ys, labels = batch.observations(), batch.privileged_labels()
         out = decode_batch(cb, ys, decoder_spec)
+        t2 = time.perf_counter()
+        noise_s += t1 - t0
+        decode_s += t2 - t1
         if debug_scan:
             _exhaustive_scan_check(cb.centers, ys, decoder_spec, out)
         error_count += int(np.sum(out != labels))
@@ -447,4 +507,6 @@ def estimate_error_prob(
         ci_high=hi,
         error_count=error_count,
         erasure_count=erasure_count,
+        noise_ms=noise_s * 1000.0,
+        decode_ms=decode_s * 1000.0,
     )

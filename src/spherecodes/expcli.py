@@ -4,9 +4,10 @@ Sweeps are described by a JSON config (strict keys: each kind accepts only
 the keys it reads, so typos and settings it would ignore are errors), run
 under deterministic counter-based seeding, and written as RFC-4180 CSV
 with one `#` metadata comment line carrying the package version, the
-config hash, the constants in effect, and a determinism hash over
-everything except wall-clock columns. Reruns with the same master seed
-produce identical bytes apart from timing.
+config hash, the numpy and BLAS builds and the BLAS thread setting, the
+constants in effect, and a determinism hash over everything except
+wall-clock columns. Reruns with the same master seed produce identical
+bytes apart from timing.
 
 Exit codes: 0 success, 2 config error (a ConfigError, a missing input
 file, or a NetInfeasibleError: a row's array over the byte budget or its
@@ -31,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import click
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -74,6 +76,8 @@ DECODE_FIELDS = [
     "ci_high",
     "seed",
     "wall_ms",
+    "noise_ms",
+    "decode_ms",
     "status",
 ]
 
@@ -111,8 +115,8 @@ NET_FIELDS = [
     "status",
 ]
 
-# timing column is environment noise, never part of determinism
-_TIMING_FIELDS = {"wall_ms"}
+# timing columns are environment noise, never part of determinism
+_TIMING_FIELDS = {"wall_ms", "noise_ms", "decode_ms"}
 
 
 class ConfigError(ValueError):
@@ -363,6 +367,8 @@ def _decode_row(spec: SweepSpec, job: dict) -> dict:
             ci_high=float("nan"),
             status=dec,
             wall_ms=0.0,
+            noise_ms=0.0,
+            decode_ms=0.0,
         )
         return row
     cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
@@ -376,6 +382,8 @@ def _decode_row(spec: SweepSpec, job: dict) -> dict:
         ci_low=est.ci_low,
         ci_high=est.ci_high,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
+        noise_ms=est.noise_ms,
+        decode_ms=est.decode_ms,
     )
     return row
 
@@ -551,6 +559,19 @@ def determinism_hash(rows: list[dict], fields: list[str]) -> str:
     return h.hexdigest()
 
 
+def _build_environment() -> dict:
+    """The numpy and BLAS builds and the BLAS thread setting, which the
+    timing columns depend on. Whitespace inside a value becomes "_", as
+    the metadata line is split on whitespace."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')}-{blas.get('version')}",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+    }
+    return {k: "_".join(v.split()) or "unset" for k, v in env.items()}
+
+
 def write_csv(path_or_buf, rows: list[dict], fields: list[str], spec: SweepSpec, constants: dict) -> str:
     """Write metadata comment + RFC-4180 rows; returns the determinism hash."""
     dhash = determinism_hash(rows, fields)
@@ -558,6 +579,7 @@ def write_csv(path_or_buf, rows: list[dict], fields: list[str], spec: SweepSpec,
         "version": __version__,
         "config_hash": _config_hash(spec),
         "determinism_hash": dhash,
+        **_build_environment(),
         **constants,
     }
     comment = "# " + " ".join(f"{k}={v}" for k, v in meta.items())

@@ -6,6 +6,7 @@ the finite search nets used by the screening step of the learner, together
 with an empirical covering certificate.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,43 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     last bits and can dip just below 0 for near-equal rows.
     """
     return np.sum(a * a, axis=1, keepdims=True) - 2.0 * a @ b.T + np.sum(b * b, axis=1)[None, :]
+
+
+# unit roundoffs of float32 and float64, and float32's smallest normal
+_U32, _U64, _TINY32 = 2.0**-24, 2.0**-53, 2.0**-126
+
+
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u / (1 - n u), the relative error bound of an n-term dot
+    product (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
+
+
+def f32_gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float = 1.0) -> np.ndarray:
+    """Per row i, a bound on |g32[i, j] - g64[i, j]| over every j, where
+    g64 = (scale * a) @ b.T in float64, g32 the same product of float32
+    copies of scale * a and b, scale an exact power of two, and a_sq, b_sq
+    the rows' squared norms as np.sum(x * x, axis=1) computes them.
+
+    With x = scale * a_i and y = b_j, the bound covers rounding x and y to
+    float32 (2u + u^2), the float32 dot product (gamma_d(u) on the rounded
+    inputs), and the float64 GEMM's own error (gamma_d of float64), all
+    times ||x|| * max ||y||, plus an absolute term for float32 underflow:
+    every product or partial sum that underflows, flushed or not, is off by
+    less than the smallest normal. Rows that could overflow float32
+    anywhere, and non-finite rows, get an infinite band.
+    """
+    # a_sq, b_sq are within gamma_d of float64 of the exact squared norms
+    grow = 1.0 + _gamma(d, _U64)
+    na = scale * np.sqrt(a_sq) * grow
+    nb = math.sqrt(np.max(b_sq)) * grow
+    rel = 2.0 * _U32 + _U32 * _U32 + _gamma(d, _U32) * (1.0 + _U32) ** 2 + _gamma(d, _U64)
+    band = rel * na * nb + 4.0 * _TINY32 * (math.sqrt(d) * (na + nb) + d)
+    # the float64 arithmetic above rounds a few times; the last factor
+    # covers it. Every float32 input and partial sum is at most about
+    # na * nb, so below 2^120 nothing overflows
+    fits = (np.maximum(na, nb) < 2.0**120) & (na * nb < 2.0**120)
+    return np.where(fits, band * (1.0 + 16 * _U64), np.inf)
 
 
 def is_on_sphere(x: np.ndarray) -> bool:

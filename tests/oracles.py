@@ -172,17 +172,6 @@ def mmse_batch_ref(centers, ys, alpha, tau1, tau2):
     return out.astype(np.int64)
 
 
-def scan_ref(centers, a, d_div):
-    """Row argmin, minimum and second-smallest entry of the full
-    sq_dists(a, centers) matrix (divided by d when d_div); inf when k = 1."""
-    sq = sq_dists(a, centers)
-    if d_div:
-        sq = sq / centers.shape[1]
-    best = np.argmin(sq, axis=1)
-    runner_up = np.sort(sq, axis=1)[:, 1] if sq.shape[1] > 1 else np.full(sq.shape[0], np.inf)
-    return best, sq[np.arange(sq.shape[0]), best], runner_up
-
-
 def pass_counts_ref(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:
     """Per-net-point counts of local-test passes over all observations.
 

@@ -40,6 +40,7 @@ from spherecodes import (
     step2_cluster_average,
 )
 from spherecodes.expcli import (
+    _TIMING_FIELDS,
     DECODE_FIELDS,
     determinism_hash,
     parse_spec,
@@ -383,7 +384,7 @@ def test_criterion_08_loss_identities():
 def test_criterion_09_worker_determinism():
     rows1 = _c2_rows(1)
     rows4 = _c2_rows(4)
-    keep = [f for f in DECODE_FIELDS if f != "wall_ms"]
+    keep = [f for f in DECODE_FIELDS if f not in _TIMING_FIELDS]
     rows_ok = all(
         {f: a[f] for f in keep} == {f: b[f] for f in keep}
         for a, b in zip(rows1, rows4)

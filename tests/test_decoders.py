@@ -28,7 +28,7 @@ from spherecodes import (
 
 from spherecodes import decoders
 from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
-from spherecodes.sphere import sq_dists
+from spherecodes.sphere import f32_gemm_band, sq_dists
 
 from .oracles import corr_batch_ref, mmse_batch_ref, nn_batch_ref, wilson_ref
 
@@ -471,18 +471,41 @@ def test_kernels_match_full_matrix_refs(d, k):
     _assert_kernels_match(centers, ys, mmse, corr)
 
 
+def _slab_edges(k):
+    # per slab height of a float32 and of a float64 GEMM output: a lone row,
+    # a block of whole slabs, whole slabs plus one row, and a partial last slab
+    edges = {1}
+    for itemsize in (4, 8):
+        rows = max(1, SLAB_BYTES // (itemsize * k))
+        edges |= {rows, rows + 1, 2 * rows + rows // 2 + 1}
+    return sorted(edges)
+
+
 @pytest.mark.parametrize("d,k", KERNEL_SHAPES)
 def test_kernels_match_refs_on_slab_edges(d, k):
-    # a lone row, a block of whole slabs, whole slabs plus one row, and a
-    # partial last slab
-    rows = max(1, SLAB_BYTES // (8 * k))
     centers = sample_uniform_sphere_batch(d, k, rng_for(83, d, k))
     sigma2 = _sigma2(d, k)
     # alpha = 0.8 scales the inputs as the former 0.8 * ys scan did
     mmse = [MmseParams.for_noise(sigma2, c=1.45), MmseParams.for_noise(0.25, c=1.45)]
-    for n in sorted({1, rows, rows + 1, 2 * rows + rows // 2 + 1}):
+    for n in _slab_edges(k):
         ys = _noisy(centers, n, math.sqrt(sigma2), 84, d, k, n)
         _assert_kernels_match(centers, ys, mmse, [(0.4, 0.6)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 7, 2981])
+def test_top2_in_the_dtype_of_its_input_on_slab_edges(dtype, k):
+    for n in _slab_edges(k):
+        # integer entries from a small range, so rows hold exact ties
+        g = rng_for(99, k, n).integers(-20, 20, size=(n, k)).astype(dtype)
+        before = g.copy()
+        best, top, second = decoders._top2(g)
+        assert top.dtype == second.dtype == dtype
+        assert np.array_equal(g, before)
+        assert np.array_equal(best, np.argmax(g, axis=1))
+        assert np.array_equal(top, np.max(g, axis=1))
+        ranked = np.sort(g, axis=1)
+        assert np.array_equal(second, ranked[:, -2] if k > 1 else np.full(n, -np.inf, dtype=dtype))
 
 
 def test_kernels_match_refs_on_exact_ties():
@@ -579,6 +602,12 @@ def test_residual_kernels_when_the_largest_gemm_entry_is_not_the_nearest():
     assert _mmse_batch(centers, ys, 1.0, s[1], 1.0)[0] == 1
 
 
+def _float32_neighbours(v):
+    # v and one float32 step either side of it, inside the float32 screen's band
+    step = float(np.spacing(np.float32(v)))
+    return (v - step, v, v + step)
+
+
 @pytest.mark.parametrize("d,k", [(16, 2981), (5, 7), (6, 4)])
 def test_mmse_kernel_at_thresholds_equal_to_row_statistics(d, k):
     centers = sample_uniform_sphere_batch(d, k, rng_for(85, d, k))
@@ -594,6 +623,12 @@ def test_mmse_kernel_at_thresholds_equal_to_row_statistics(d, k):
             out = _mmse_batch(centers, ys, alpha, tau1, tau2)
             assert np.array_equal(out, mmse_batch_ref(centers, ys, alpha, tau1, tau2))
             assert (out[i] != ERASURE) == accepted
+        near_min = _float32_neighbours(smin)
+        taus = [(t, t) for t in near_min] + [(t, second) for t in near_min]
+        taus += [(smin, t) for t in near_min + _float32_neighbours(second)]
+        for tau1, tau2 in taus:
+            out = _mmse_batch(centers, ys, alpha, tau1, tau2)
+            assert np.array_equal(out, mmse_batch_ref(centers, ys, alpha, tau1, tau2))
 
 
 def test_corr_kernel_at_thresholds_equal_to_row_statistics():
@@ -615,6 +650,12 @@ def test_corr_kernel_at_thresholds_equal_to_row_statistics():
             out = _corr_batch(centers, ys, eta1, eta2)
             assert np.array_equal(out, corr_batch_ref(centers, ys, eta1, eta2))
             assert (out[i] != ERASURE) == accepted
+        for t in _float32_neighbours(cmax) + _float32_neighbours(second):
+            eta = 1.0 - t
+            assert 1.0 - eta == t
+            for eta1, eta2 in ((eta, eta), (min(eta, 0.49), max(eta, 0.49))):
+                out = _corr_batch(centers, ys, eta1, eta2)
+                assert np.array_equal(out, corr_batch_ref(centers, ys, eta1, eta2))
 
 
 # per (d, k): MmseParams.for_noise(_sigma2(d, k), c=1.45) with sqrt(tau1)
@@ -659,3 +700,165 @@ def test_estimator_matches_ref_kernels(kind):
         erasures += int(np.sum(out == ERASURE))
     est = estimate_error_prob(cb, sigma2, spec, trials, seed)
     assert (est.error_count, est.erasure_count) == (errors, erasures)
+
+
+# ---------------------------------------------------------------------------
+# the float32 screen: each kernel decides a block from a float32 GEMM and
+# sphere.f32_gemm_band, and recomputes the whole block in float64 when a
+# row is left undecided or a band is not finite
+
+
+def _screen_dtypes(monkeypatch):
+    """Record the dtype of every GEMM output a kernel reads: float32 for
+    the screen, then float64 when the block falls back."""
+    seen = []
+    top2 = decoders._top2
+
+    def recording(g):
+        seen.append(g.dtype)
+        return top2(g)
+
+    monkeypatch.setattr(decoders, "_top2", recording)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 128])
+def test_f32_gemm_band_bounds_the_float32_error(d):
+    rng = rng_for(100, d)
+    # rows over six orders of magnitude, and rows in float32's subnormal range
+    a = rng.standard_normal((2048, d)) * np.exp(rng.uniform(-7.0, 7.0, size=(2048, 1)))
+    a[:64] *= 1e-40
+    b = rng.standard_normal((32, d))
+    for scale in (1.0, 2.0):
+        g64 = (scale * a) @ b.T
+        g32 = (scale * a).astype(np.float32) @ b.astype(np.float32).T
+        band = f32_gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale)
+        ratio = np.max(np.abs(g32 - g64), axis=1) / band
+        assert np.all(ratio <= 1.0)
+        if d == 1:
+            # one product: its three roundings can nearly add up, so the
+            # band is within a factor 2 of the error on some rows
+            assert np.max(ratio) > 0.5
+
+
+def test_f32_gemm_band_is_infinite_where_float32_could_overflow_or_a_value_is_not_finite():
+    b_sq = np.array([16.0, 16.0])
+    a_sq = np.array([16.0, 1e78, np.nan, np.inf, 1e-80])
+    band = f32_gemm_band(a_sq, b_sq, 16, 2.0)
+    assert np.isfinite(band[0]) and np.isfinite(band[4])
+    assert np.all(np.isinf(band[1:4]))
+    assert np.all(np.isinf(f32_gemm_band(np.array([16.0]), np.array([np.nan, 16.0]), 16)))
+
+
+def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
+    # d = 1, one input y against the centers c and -c: the float32 product
+    # 2 y c is off the float64 one by more than half its band. A threshold
+    # set on the float64 statistic, or one float64 step past it on the side
+    # the float32 error lies, leaves the row undecided in float32, and the
+    # float64 block decides it; half the band would decide it wrongly
+    rng = rng_for(101)
+    ys, cs = rng.uniform(0.7, 1.4, size=(2, 4000))
+    rows = 0
+    for y, c in zip(ys, cs):
+        centers, row = np.array([[c], [-c]]), np.array([[y]])
+        for scale, g64, g32 in (
+            (2.0, (2.0 * y) * c, float(np.float32(2.0 * y) * np.float32(c))),
+            (1.0, y * c, float(np.float32(y) * np.float32(c))),
+        ):
+            band = f32_gemm_band(np.array([y * y]), np.array([c * c]), 1, scale)[0]
+            if abs(g32 - g64) <= 0.6 * band:
+                continue
+            if scale == 2.0:
+                # the mmse kernel at alpha = 1, tau1 = tau2 on entry 0's residual
+                sb = (y * y - g64) + c * c
+                tau = np.nextafter(sb, -np.inf) if g32 > g64 else sb
+                out = _mmse_batch(centers, row, 1.0, tau, tau)
+                assert np.array_equal(out, mmse_batch_ref(centers, row, 1.0, tau, tau))
+                assert out[0] == (ERASURE if g32 > g64 else 0)
+            elif 0.5 <= g64 < 1.0:
+                # the corr kernel with 1 - eta1 = 1 - eta2 on entry 0's correlation
+                thr = np.nextafter(g64, np.inf) if g32 > g64 else g64
+                eta = 1.0 - thr
+                assert 1.0 - eta == thr
+                out = _corr_batch(centers, row, eta, eta)
+                assert np.array_equal(out, corr_batch_ref(centers, row, eta, eta))
+                assert out[0] == (ERASURE if g32 > g64 else 0)
+            else:
+                continue
+            rows += 1
+    assert rows > 20
+
+
+def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
+    # the criterion-3 shape with center pairs whose GEMM entries tie
+    # exactly (a copy), or sit one float32 or one float64 step apart, either
+    # way: inside the band, so the float32 screen leaves those rows undecided
+    d, k = 16, 2981
+    centers = sample_uniform_sphere_batch(d, k, rng_for(104))
+    c32 = centers.astype(np.float32)
+    src = centers[0 : 5 * 500 : 5]
+    step32 = np.spacing(c32[0 : 5 * 500 : 5]).astype(np.float64)
+    centers[1 : 5 * 500 : 5] = src
+    centers[2 : 5 * 500 : 5] = src + step32
+    centers[3 : 5 * 500 : 5] = src - step32
+    centers[4 : 5 * 500 : 5] = np.nextafter(src, np.inf)
+    sigma2 = _sigma2(d, k)
+    labels = 5 * rng_for(105).integers(0, 500, size=TRIAL_BLOCK)
+    ys = centers[labels] + 0.05 * rng_for(106).standard_normal((TRIAL_BLOCK, d))
+    seen = _screen_dtypes(monkeypatch)
+    mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.2, 1.45)] + [(1.0, 0.01, 0.02)]
+    _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
+    # nn, the first kernel run, fell back
+    assert seen[:2] == [np.float32, np.float64]
+
+
+def test_kernels_match_refs_on_inputs_that_overflow_float32(monkeypatch):
+    d, k = 16, 64
+    centers = sample_uniform_sphere_batch(d, k, rng_for(107))
+    ys = 1e39 * rng_for(108).standard_normal((256, d))
+    seen = _screen_dtypes(monkeypatch)
+    _assert_kernels_match(centers, ys, [(1.0, 0.5, 1.0), (1.0, 1e78, 2e78)], [(0.3, 0.3)])
+    assert np.float32 not in seen
+    # y = (1e39, 1) is inf in float32, so its float32 GEMM row is +inf at
+    # the one center with a positive first coordinate and -inf elsewhere;
+    # read as finite, that row would accept center 0 where every float64
+    # residual is about 5e77, far above tau1
+    centers = np.array([[1.0, 0.1], [-1.0, 0.1], [-0.5, 0.5]])
+    ys = np.array([[1e39, 1.0]])
+    _assert_kernels_match(centers, ys, [(1.0, 0.5, 1.0)], [(0.3, 0.3)])
+    assert _mmse_batch(centers, ys, 1.0, 0.5, 1.0)[0] == ERASURE
+
+
+def test_kernels_match_refs_on_inputs_in_float32s_subnormal_range():
+    for d, k in ((16, 64), (3, 1)):
+        centers = sample_uniform_sphere_batch(d, k, rng_for(109, d))
+        ys = 1e-40 * rng_for(110, d).standard_normal((256, d))
+        _assert_kernels_match(centers, ys, [(1.0, 0.5, 1.0), (1.0, 1.0, 1.0), (1.0, 2.0, 2.0)], [(0.3, 0.3)])
+
+
+def test_kernels_match_refs_with_a_nan_row(monkeypatch):
+    d, k = 16, 2981
+    centers = sample_uniform_sphere_batch(d, k, rng_for(111))
+    sigma2 = _sigma2(d, k)
+    ys = _noisy(centers, 64, math.sqrt(sigma2), 112)
+    ys[5, 3] = np.nan
+    seen = _screen_dtypes(monkeypatch)
+    _assert_kernels_match(centers, ys, [MmseParams.for_noise(sigma2, c=1.45)], [(0.3, 0.3)])
+    assert np.float32 not in seen
+    assert _nn_batch(centers, ys)[5] == 0
+    assert _mmse_batch(centers, ys, 1.0, 1.0, 1.0)[5] == ERASURE
+
+
+def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatch):
+    # d = 128, k = 256 above capacity: top-two gaps are small, and nn falls
+    # back to float64 on this block
+    d, k = 128, 256
+    cb = sample_codebook(d, k, rng_for(102))
+    sigma2 = noise_for_beta(d, k, 0.5).sigma2
+    seen = _screen_dtypes(monkeypatch)
+    for spec in (DecoderSpec.nn(), DecoderSpec.mmse(sigma2, c=1.45), DecoderSpec.corr(0.3)):
+        seen.clear()
+        est = estimate_error_prob(cb, sigma2, spec, TRIAL_BLOCK, 103, seed_path=(2,), debug_scan=True)
+        assert est.trials == TRIAL_BLOCK
+        if spec.family == "nn":
+            assert seen == [np.float32, np.float64]

@@ -17,6 +17,7 @@ from spherecodes.expcli import (
     NET_FIELDS,
     ConfigError,
     SweepSpec,
+    _TIMING_FIELDS,
     _grid,
     _resolve_decoder,
     determinism_hash,
@@ -320,6 +321,13 @@ def test_write_csv_layout(tmp_path):
     assert first.startswith("# version=")
     assert f"determinism_hash={dhash}" in first
     assert "config_hash=" in first
+    # the numpy and BLAS builds and the thread setting, as key=value items
+    # without spaces, so perfbench's whitespace split of the line reads them
+    meta = dict(item.partition("=")[::2] for item in first[1:].split())
+    assert meta["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == "_".join(f"{blas['name']}-{blas['version']}".split())
+    assert meta["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     assert second == ",".join(DECODE_FIELDS)
     assert b"\r\n" in raw
     back = read_csv_rows(path)
@@ -336,11 +344,22 @@ def test_determinism_hash_ignores_timing_only():
     assert determinism_hash(rows, DECODE_FIELDS) != h0
 
 
+def test_decode_rows_time_the_noise_and_the_decode_outside_the_hash():
+    rows = run_decode_sweep(small_sweep(replicates=2))
+    assert {"wall_ms", "noise_ms", "decode_ms"} <= set(DECODE_FIELDS)
+    for r in rows:
+        assert r["noise_ms"] > 0 and r["decode_ms"] > 0
+        assert r["noise_ms"] + r["decode_ms"] < r["wall_ms"]
+    bare = [{f: v for f, v in r.items() if f not in ("noise_ms", "decode_ms")} for r in rows]
+    fields = [f for f in DECODE_FIELDS if f not in ("noise_ms", "decode_ms")]
+    assert determinism_hash(rows, DECODE_FIELDS) == determinism_hash(bare, fields)
+
+
 def test_rerun_identical_apart_from_timing(tmp_path):
     spec = small_sweep(replicates=2)
     r1 = run_decode_sweep(spec)
     r2 = run_decode_sweep(spec)
-    keep = [f for f in DECODE_FIELDS if f != "wall_ms"]
+    keep = [f for f in DECODE_FIELDS if f not in _TIMING_FIELDS]
     for a, b in zip(r1, r2):
         assert {f: a[f] for f in keep} == {f: b[f] for f in keep}
 
