@@ -267,6 +267,19 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.sum(x * x, axis=1)
 
 
+def _refuse_non_finite(ys: np.ndarray, norms: np.ndarray) -> None:
+    """Raise ValueError naming the first row of ys with a nan or infinite
+    coordinate. norms are the rows' squared norms (of ys or of a positive
+    multiple of it): such a row's norm is never finite, so a finite sum of
+    the norms clears every row, and otherwise only the rows whose norm is
+    not finite (a finite row's can overflow) are read."""
+    if math.isfinite(norms.sum()):
+        return
+    for i in np.flatnonzero(~np.isfinite(norms)):
+        if not np.all(np.isfinite(ys[i])):
+            raise ValueError(f"observation row {i} has a non-finite coordinate")
+
+
 def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows `rows` of sq_dists(a, centers), from the stored GEMM output."""
     return (ya[rows, None] - g[rows]) + xb
@@ -274,6 +287,7 @@ def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) ->
 
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ya, xb = _sq_norms(ys), _sq_norms(centers)
+    _refuse_non_finite(ys, ya)
 
     def rule(best, top, second, band):
         # b is the unique argmin when every other entry's bound exceeds its own
@@ -302,13 +316,16 @@ def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -
         erase = ((top + band) / d < 1.0 - eta1) | ((second - band) / d >= 1.0 - eta2)
         return np.where(accept, best, ERASURE), accept | erase
 
-    return _decide(rule, centers, ys, 1.0, _sq_norms(ys), _sq_norms(centers))[0]
+    ya = _sq_norms(ys)
+    _refuse_non_finite(ys, ya)
+    return _decide(rule, centers, ys, 1.0, ya, _sq_norms(centers))[0]
 
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
     d = centers.shape[1]
     a = alpha * ys
     ya, xb = _sq_norms(a), _sq_norms(centers)
+    _refuse_non_finite(ys, ya)
 
     def rule(best, top, second, band):
         # entry b of sq_dists(a, centers) / d lies in [sb_lo, sb_hi]; no
@@ -338,12 +355,18 @@ def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, 
 
 
 def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:
-    """Decode an (n, d) stack under any decoder spec; returns (n,) outcomes."""
+    """Decode an (n, d) stack under any decoder spec; returns (n,) outcomes.
+
+    Raises ValueError, naming the first such row, when a row has a nan or
+    infinite coordinate: it has no nearest center, and no decoder's
+    outcome for it would mean anything.
+    """
     ys = np.asarray(ys, dtype=np.float64)
     centers = _centers_of(cb)
     if centers.shape[0] == 0:
         if spec.family == "nn":
             raise ValueError("nearest-neighbor decoding needs at least one center")
+        _refuse_non_finite(ys, _sq_norms(ys))
         return np.full(ys.shape[0], ERASURE, dtype=np.int64)
     if spec.family == "nn":
         return _nn_batch(centers, ys)

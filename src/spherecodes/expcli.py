@@ -47,7 +47,7 @@ from .bounds import (
 )
 from .codebook import noise_for_beta, rate, sample_codebook
 from .decoders import TRIALS_MIN, DecoderSpec, MmseParams, corr_feasibility_bound, estimate_error_prob
-from .learner import NET_KNOBS, LearnerConfig, build_step2_decoder, run_learner
+from .learner import NET_KNOBS, LearnerConfig, StageTimes, build_step2_decoder, run_learner
 from .seeds import rng_for
 from .sphere import NetInfeasibleError, build_net, verify_covering
 
@@ -81,6 +81,9 @@ DECODE_FIELDS = [
     "status",
 ]
 
+# a learn row's per-stage wall times, the fields of run_learner's StageTimes
+_STAGE_FIELDS = [f.name for f in dataclasses.fields(StageTimes)]
+
 LEARN_FIELDS = [
     "experiment_id",
     "d",
@@ -100,6 +103,7 @@ LEARN_FIELDS = [
     "erasure_rate_step2",
     "seed",
     "wall_ms",
+    *_STAGE_FIELDS,
     "status",
 ]
 
@@ -116,7 +120,7 @@ NET_FIELDS = [
 ]
 
 # timing columns are environment noise, never part of determinism
-_TIMING_FIELDS = {"wall_ms", "noise_ms", "decode_ms"}
+_TIMING_FIELDS = {"wall_ms", "noise_ms", "decode_ms", *_STAGE_FIELDS}
 
 
 class ConfigError(ValueError):
@@ -436,6 +440,7 @@ def _learn_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
         "erasure_rate_step2": res.screening_stats.erasure_rate_step2,
         "seed": spec.master_seed,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
+        **asdict(res.stage_times),
         "status": "ok",
     }
 

@@ -15,7 +15,8 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,6 +43,11 @@ R_SWITCH_DEFAULT = 0.2
 # (65 rows at N = 2000), small enough to stay in cache between the GEMM and
 # the compare
 _SCREEN_BUF_BYTES = 1 << 20
+
+# the first block of candidate selection's scan; each later block doubles.
+# At the criterion-6 shape the k-th keep sits within the first few
+# thousand of some 60,000 ordered points
+_SCAN_BLOCK = 256
 
 
 # the LearnerConfig fields that only build the net, each with the
@@ -135,6 +141,21 @@ class ScreeningStats:
 
 
 @dataclass(frozen=True)
+class StageTimes:
+    """Wall time of each stage of one run_learner call, in ms: the net
+    build, the covering certificate, Step I (drawing its batch and the
+    screen), candidate selection, Step II (its decoder, batch, decode and
+    averages) and the genie baseline."""
+
+    net_ms: float
+    covering_ms: float
+    step1_ms: float
+    select_ms: float
+    step2_ms: float
+    genie_ms: float
+
+
+@dataclass(frozen=True)
 class LearnerResult:
     """Estimates plus diagnostics from both steps.
 
@@ -148,6 +169,7 @@ class LearnerResult:
     loss_max: float
     genie_loss: float
     screening_stats: ScreeningStats
+    stage_times: StageTimes | None = field(default=None, compare=False)
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=np.float64)
@@ -247,6 +269,10 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         v_sq = np.sum(v * v, axis=1)
         rhs = (2.0 * v).T
         cut = _least_passing(lambda x: v_sq - x + d <= thr_sq, n)
+    # a C-contiguous copy, made once: handed a transposed view, BLAS repacks
+    # the whole operand on every block's call. Packing writes the same
+    # panels either way, so the products keep their bits
+    rhs = np.ascontiguousarray(rhs)
     rows = max(2, _SCREEN_BUF_BYTES // (8 * n))
     # numpy hands a one-row product to BLAS gemv, whose rounding differs
     # from the GEMM rows of every other block, so a lone last row joins the
@@ -298,39 +324,48 @@ def step1_screen(
     return net.points[keep], counts[keep]
 
 
+def _close(rows: np.ndarray, p: np.ndarray, md_sq: float, slack: float) -> np.ndarray:
+    """Which rows lie closer than sqrt(md_sq) to p. A squared distance
+    within slack of md_sq is decided by the scalar np.dot of the
+    difference, so the outcome does not depend on the summation order."""
+    diff = rows - p
+    sq = np.einsum("ij,ij->i", diff, diff)
+    close = sq < md_sq - slack
+    for r in np.flatnonzero(np.abs(sq - md_sq) <= slack):
+        close[r] = float(np.dot(diff[r], diff[r])) < md_sq
+    return close
+
+
 def _greedy_spaced(cands: np.ndarray, min_dist: float, limit: int) -> np.ndarray:
     """Indices of the greedy spaced subset in input order, at most limit.
 
-    Keeps the first unmasked candidate, masks every later candidate closer
-    than min_dist to it in one vectorized pass, and repeats. A candidate
-    whose squared distance lies within rounding of min_dist^2 is decided by
-    the scalar np.dot of the difference, so ties at exactly min_dist are
-    kept and the result does not depend on the summation order. With limit
-    at least the candidate count the subset is maximal: every rejected
-    candidate lies within min_dist of a kept one.
+    A candidate is kept when no candidate kept before it lies closer than
+    min_dist, so ties at exactly min_dist are kept. The candidates are
+    scanned in blocks of growing size (_SCAN_BLOCK, then doubling): a block
+    is tested against the points kept so far in one vectorized pass per
+    kept point, then its survivors are taken in order, each masking the
+    later ones close to it. The scan stops at the limit-th keep, so it
+    reads no further than the block that holds it. With limit at least
+    the candidate count the subset is maximal: every rejected candidate
+    lies within min_dist of a kept one.
     """
     if min_dist <= 0:
         raise ValueError(f"min_dist must be > 0, got {min_dist}")
     md_sq = min_dist * min_dist
     slack = 1e-9 * md_sq
-    n = cands.shape[0]
-    alive = np.ones(n, dtype=bool)
     kept: list[int] = []
-    i = 0
-    while len(kept) < limit:
-        nxt = np.flatnonzero(alive[i:])
-        if nxt.size == 0:
-            break
-        i += int(nxt[0])
-        kept.append(i)
-        rest = i + 1 + np.flatnonzero(alive[i + 1 :])
-        diff = cands[rest] - cands[i]
-        sq = np.einsum("ij,ij->i", diff, diff)
-        close = sq < md_sq - slack
-        for r in np.flatnonzero(np.abs(sq - md_sq) <= slack):
-            close[r] = float(np.dot(diff[r], diff[r])) < md_sq
-        alive[rest[close]] = False
-        i += 1
+    lo, size = 0, _SCAN_BLOCK
+    while lo < cands.shape[0] and len(kept) < limit:
+        block = cands[lo : lo + size]
+        rest = np.arange(block.shape[0])
+        for j in kept:
+            rest = rest[~_close(block[rest], cands[j], md_sq, slack)]
+        while rest.size and len(kept) < limit:
+            i, rest = rest[0], rest[1:]
+            kept.append(lo + int(i))
+            rest = rest[~_close(block[rest], block[i], md_sq, slack)]
+        lo += block.shape[0]
+        size *= 2
     return np.asarray(kept, dtype=np.int64)
 
 
@@ -339,13 +374,14 @@ def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: i
     2 sqrt(eps_I d), and keep at most k (the estimate list has k slots).
 
     The count ordering means the most confident candidates claim their
-    neighborhoods first; ties fall back to input order for determinism.
-    The greedy scan stops once k points are kept, so the result is the
-    first k of the full greedy spaced subset of the ordered points.
+    neighborhoods first; ties fall back to input order for determinism
+    (a stable sort). The greedy scan stops once k points are kept, so the
+    result is the first k of the full greedy spaced subset of the ordered
+    points.
     """
     if points.shape[0] == 0:
         return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)
-    order = np.lexsort((np.arange(len(counts)), -np.asarray(counts)))
+    order = np.argsort(-np.asarray(counts), kind="stable")
     ordered = np.asarray(points[order], dtype=np.float64)
     d = points.shape[1]
     kept = _greedy_spaced(ordered, 2.0 * math.sqrt(eps_I * d), k)
@@ -501,18 +537,26 @@ def run_learner(
     diagnostics; the other three streams are unaffected.
     """
     d, k = cb.d, cb.k
+    # one mark before the first stage and one after each, in StageTimes'
+    # field order
+    marks = [time.perf_counter()]
     if net is None:
         net = build_net(d, cfg.eps_I, rng=rng_for(master_seed, *seed_path, 0), **cfg.net_kwargs())
+    marks.append(time.perf_counter())
     covering = verify_covering(net, probes, rng_for(master_seed, *seed_path, 3))
+    marks.append(time.perf_counter())
 
     batch1 = sample_gmm(cb, sigma2, cfg.N, rng_for(master_seed, *seed_path, 1))
     points, counts = step1_screen(net, batch1, cfg, k)
+    marks.append(time.perf_counter())
     candidates = select_candidates(points, counts, cfg.eps_I, k)
     m = candidates.shape[0]
+    marks.append(time.perf_counter())
 
     decoder = build_step2_decoder(cfg, d, k, sigma2)
     batch2 = sample_gmm(cb, sigma2, cfg.Nbar, rng_for(master_seed, *seed_path, 2))
     estimates, erasure_rate = step2_cluster_average(candidates, batch2, decoder, k)
+    marks.append(time.perf_counter())
 
     pooled = GmmBatch(
         np.concatenate([batch1.observations(), batch2.observations()]),
@@ -520,6 +564,7 @@ def run_learner(
         sigma2,
     )
     genie = genie_estimator(pooled, k)
+    marks.append(time.perf_counter())
 
     stats = ScreeningStats(
         net_size=net.size,
@@ -534,4 +579,5 @@ def run_learner(
         loss_max=loss_max(cb, estimates),
         genie_loss=loss_avg(cb, genie),
         screening_stats=stats,
+        stage_times=StageTimes(*(1000.0 * (b - a) for a, b in zip(marks, marks[1:]))),
     )

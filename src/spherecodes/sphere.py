@@ -225,12 +225,14 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     was covered; the screening guarantees downstream assume this fraction
     is near 1.
 
-    The nearest net point comes from a k-d tree query bounded at the target
-    radius. A probe is decided by the tree only when its distance clears
-    the target by a margin far above rounding; probes inside that margin
-    are decided by the dense formula (d + ||t||^2) - 2 <q, t> <= target
-    over the whole net, so the fraction equals the dense computation's
-    exactly.
+    The nearest net point comes from one k-d tree query over every probe,
+    bounded at the target radius. A probe is decided by the tree only when
+    its distance clears the target by a margin far above rounding; probes
+    inside that margin are decided by the dense formula
+    (d + ||t||^2) - 2 <q, t> <= target over the whole net, so the fraction
+    equals the dense computation's exactly. The tree's shape only changes
+    which pairs it visits, not the distance of a pair, so it is built
+    unbalanced, which is faster.
     """
     from scipy.spatial import cKDTree
 
@@ -240,24 +242,21 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     d = net.d
     target = net.covering_radius_sq_target
     slack = 1e-9 * d
-    tree = cKDTree(pts)
-    covered = 0
-    # probes are drawn, and the dense formula evaluated, in chunks that
-    # bound the probe-net distance matrix to SCAN_ENTRIES entries; recheck
-    # rows come from the whole chunk's product because BLAS rounds a lone
-    # row's product differently
+    nbytes = probes * d * 8
+    check_array_bytes(nbytes, f"{probes} covering probes in dimension {d} need {nbytes} bytes")
+    q = sample_uniform_sphere_batch(d, probes, rng)
+    dist, _ = cKDTree(pts, balanced_tree=False).query(q, distance_upper_bound=np.sqrt(target + slack))
+    dist_sq = dist * dist
+    covered = int(np.count_nonzero(dist_sq < target - slack))
+    band = (dist_sq >= target - slack) & np.isfinite(dist_sq)
+    # the dense formula is evaluated for whole chunks of probes, which
+    # bound the probe-net distance matrix to SCAN_ENTRIES entries, and only
+    # for chunks that hold a band probe. A recheck row comes from its
+    # chunk's product because BLAS rounds a lone row's product differently
     chunk = max(1, SCAN_ENTRIES // pts.shape[0])
-    for lo in range(0, probes, chunk):
-        m = min(chunk, probes - lo)
-        q = sample_uniform_sphere_batch(d, m, rng)
-        dist, _ = tree.query(q, distance_upper_bound=np.sqrt(target + slack))
-        dist_sq = dist * dist
-        covered += int(np.count_nonzero(dist_sq < target - slack))
-        band = (dist_sq >= target - slack) & np.isfinite(dist_sq)
-        if band.any():
-            pts_sq = np.sum(pts * pts, axis=1)
-            # ||q - t||^2 = 2d - 2 <q, t>, both on-sphere
-            dots = q @ pts.T
-            min_sq = (d + pts_sq[None, :]) - 2.0 * dots
-            covered += int(np.sum(np.min(min_sq[band], axis=1) <= target))
+    for lo in np.unique(np.flatnonzero(band) // chunk) * chunk:
+        pts_sq = np.sum(pts * pts, axis=1)
+        # ||q - t||^2 = 2d - 2 <q, t>, both on-sphere
+        min_sq = (d + pts_sq[None, :]) - 2.0 * (q[lo : lo + chunk] @ pts.T)
+        covered += int(np.sum(np.min(min_sq[band[lo : lo + chunk]], axis=1) <= target))
     return covered / probes

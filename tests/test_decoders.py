@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -837,16 +838,39 @@ def test_kernels_match_refs_on_inputs_in_float32s_subnormal_range():
 
 
 def test_kernels_match_refs_with_a_nan_row(monkeypatch):
+    # a row with a nan or infinite coordinate has no nearest center: every
+    # family refuses the block, naming the first such row, before any GEMM
     d, k = 16, 2981
     centers = sample_uniform_sphere_batch(d, k, rng_for(111))
     sigma2 = _sigma2(d, k)
     ys = _noisy(centers, 64, math.sqrt(sigma2), 112)
-    ys[5, 3] = np.nan
+    ys[9, 0] = 1e200  # finite, though its squared norm overflows
+    ys[12, 3] = -np.inf
+    ys[40, 7] = np.nan
     seen = _screen_dtypes(monkeypatch)
-    _assert_kernels_match(centers, ys, [MmseParams.for_noise(sigma2, c=1.45)], [(0.3, 0.3)])
-    assert np.float32 not in seen
-    assert _nn_batch(centers, ys)[5] == 0
-    assert _mmse_batch(centers, ys, 1.0, 1.0, 1.0)[5] == ERASURE
+    specs = [
+        DecoderSpec.nn(),
+        DecoderSpec.mmse(sigma2, c=1.45),
+        DecoderSpec.corr(0.3),
+        DecoderSpec(kind="mismatched_mmse", params=asdict(MmseParams.for_noise(sigma2, c=1.45))),
+        DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": 0.3}),
+    ]
+    # row 9's squared norm overflows to inf, with a warning
+    with np.errstate(over="ignore"):
+        for spec in specs:
+            with pytest.raises(ValueError, match="row 12 has a non-finite"):
+                decode_batch(centers, ys, spec)
+            with pytest.raises(ValueError, match="row 27 has a non-finite"):
+                decode_batch(centers, ys[13:], spec)
+            if spec.family != "nn":
+                # an empty center list erases every row it decodes
+                with pytest.raises(ValueError, match="row 27 has a non-finite"):
+                    decode_batch(centers[:0], ys[13:], spec)
+        assert seen == []
+        # without the bad rows the block decodes, the huge finite row included
+        _assert_kernels_match(
+            centers, np.delete(ys, [12, 40], axis=0), [MmseParams.for_noise(sigma2, c=1.45)], [(0.3, 0.3)]
+        )
 
 
 def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatch):

@@ -355,6 +355,29 @@ def test_decode_rows_time_the_noise_and_the_decode_outside_the_hash():
     assert determinism_hash(rows, DECODE_FIELDS) == determinism_hash(bare, fields)
 
 
+def test_learn_rows_time_each_stage_outside_the_hash():
+    spec = parse_spec(
+        {
+            "kind": "learn",
+            "d": [6],
+            "k": [4],
+            "beta": [2.0, 0.5],
+            "master_seed": 9,
+            "probes": 500,
+            "learner": {"N": 400, "Nbar": 200, "test_kind": "zero_rate", "C_net": 4.0},
+        }
+    )
+    rows = run_learn_experiment(spec)
+    stages = ["net_ms", "covering_ms", "step1_ms", "select_ms", "step2_ms", "genie_ms"]
+    assert set(stages) <= set(LEARN_FIELDS) & _TIMING_FIELDS
+    for r in rows:
+        assert all(r[f] > 0 for f in stages)
+        assert sum(r[f] for f in stages) < r["wall_ms"]
+    bare = [{f: v for f, v in r.items() if f not in stages} for r in rows]
+    fields = [f for f in LEARN_FIELDS if f not in stages]
+    assert determinism_hash(rows, LEARN_FIELDS) == determinism_hash(bare, fields)
+
+
 def test_rerun_identical_apart_from_timing(tmp_path):
     spec = small_sweep(replicates=2)
     r1 = run_decode_sweep(spec)

@@ -395,6 +395,65 @@ def test_separated_subset_equals_scan_reference_on_sphere_points():
         assert np.array_equal(_greedy_spaced(pts, md, len(pts)), separated_subset_ref(pts, md))
 
 
+def _boundary_candidates(n: int, near_tie: bool) -> tuple[np.ndarray, list[int]]:
+    """n integer points in d=3 for min_dist 2 (so md_sq is exactly 4), and
+    the indices of a pair kept either side of each of the scan's first
+    three block boundaries (255/256, 767/768, 1791/1792). The second of a
+    pair sits exactly min_dist from the first, a tie, which is kept. Every
+    other point lies within distance sqrt(3) of the origin, the first
+    point kept; with near_tie, the point after each pair sits 2^-40 inside
+    min_dist of the pair's second (exactly representable, and within the
+    einsum's slack band), so only the scalar recheck rejects it."""
+    rng = rng_for(116)
+    pts = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+    pts[0] = 0.0
+    pairs = []
+    for axis, lo in enumerate((255, 767, 1791)):
+        first = np.zeros(3)
+        first[axis] = 10.0
+        pts[lo] = first
+        pts[lo + 1] = first + 2.0 * np.eye(3)[(axis + 1) % 3]
+        if near_tie:
+            pts[lo + 2] = pts[lo + 1] + (2.0 - 2.0**-40) * np.eye(3)[axis]
+        pairs += [lo, lo + 1]
+    return pts, pairs
+
+
+@pytest.mark.parametrize("near_tie", [False, True])
+def test_separated_subset_keeps_ties_across_scan_blocks(near_tie):
+    pts, pairs = _boundary_candidates(2000, near_tie)
+    ref = separated_subset_ref(pts, 2.0)
+    assert set(pairs) <= set(ref.tolist())
+    assert not near_tie or not {lo + 2 for lo in pairs[::2]} & set(ref.tolist())
+    for limit in (1, 2, 3, 4, 5, 6, 7, len(ref), len(pts), len(pts) + 5):
+        assert np.array_equal(_greedy_spaced(pts, 2.0, limit), ref[:limit])
+
+
+def test_separated_subset_equals_scan_reference_across_many_blocks():
+    # 3,000 points in d=4 at spacing 2 keep a few hundred, spread over
+    # every block of the scan
+    rng = rng_for(117)
+    pts = 1.5 * rng.standard_normal((3000, 4))
+    ref = separated_subset_ref(pts, 2.0)
+    assert ref[-1] > 1792
+    for limit in (1, 4, 100, len(ref) - 1, len(ref), len(pts)):
+        assert np.array_equal(_greedy_spaced(pts, 2.0, limit), ref[:limit])
+
+
+def test_select_candidates_orders_tied_counts_by_input_order():
+    # the stable descending sort gives the order of a lexsort on
+    # (-count, input index); with three count values nearly every count ties
+    rng = rng_for(118)
+    d, eps_I = 4, 0.25
+    points = 1.5 * rng.standard_normal((2500, d))
+    counts = rng.integers(0, 3, size=2500)
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    ordered = points[order]
+    ref = separated_subset_ref(ordered, 2.0 * math.sqrt(eps_I * d))
+    for k in (1, 4, 50, len(points)):
+        assert np.array_equal(select_candidates(points, counts, eps_I, k), ordered[ref[:k]])
+
+
 def test_select_candidates_empty_input():
     out = select_candidates(np.zeros((0, 4)), np.zeros(0), 0.25, k=4)
     assert out.shape[0] == 0

@@ -155,3 +155,27 @@ def test_verify_covering_target_at_a_probe_distance(d):
         net = Net(points=base.points, eps_I=0.3, covering_radius_sq_target=float(target))
         expected = int(np.sum(min_sq <= target)) / probes
         assert verify_covering(net, probes, rng_for(19, d)) == expected
+
+
+def test_verify_covering_refuses_a_probe_array_over_budget_before_drawing():
+    # the probes are drawn in one array, which the byte budget bounds
+    net = build_net(4, 0.3, rng=rng_for(22), C_net=0.05)
+    probes = ARRAY_BYTES_MAX // (8 * 4) + 1
+    with pytest.raises(NetInfeasibleError, match=f"{probes} covering probes"):
+        verify_covering(net, probes, rng_for(23))
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_verify_covering_rechecks_band_probes_in_later_chunks(d):
+    # 40,000 net points give chunks of 50 probes, so 230 probes make four
+    # whole chunks and a partial fifth. Each target is one probe's dense
+    # distance in a later chunk, to the last bit; that probe is in the
+    # band, and counts as covered only when its recheck reproduces its
+    # chunk's product
+    net = Net(points=sample_uniform_sphere_batch(d, 40_000, rng_for(20, d)), eps_I=0.3)
+    probes = 230
+    min_sq = covering_min_sq_ref(net, probes, rng_for(21, d))
+    for i in (50, 99, 131, 187, 200, 229):
+        target = float(min_sq[i])
+        sub = Net(points=net.points, eps_I=0.3, covering_radius_sq_target=target)
+        assert verify_covering(sub, probes, rng_for(21, d)) == int(np.sum(min_sq <= target)) / probes
