@@ -30,7 +30,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, f32_gemm_band, sq_dists
+from .sphere import check_array_bytes, f32_gemm_band, sq_dists, sq_norms
 
 ERASURE = -1
 
@@ -262,11 +262,6 @@ def _decide(rule, centers: np.ndarray, sa: np.ndarray, scale: float, ya: np.ndar
     return (*rule(*_top2(g), 0.0), g)
 
 
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Row squared norms, computed as sq_dists computes them."""
-    return np.sum(x * x, axis=1)
-
-
 def _refuse_non_finite(ys: np.ndarray, norms: np.ndarray) -> None:
     """Raise ValueError naming the first row of ys with a nan or infinite
     coordinate. norms are the rows' squared norms (of ys or of a positive
@@ -286,7 +281,7 @@ def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) ->
 
 
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ya, xb = _sq_norms(ys), _sq_norms(centers)
+    ya, xb = sq_norms(ys), sq_norms(centers)
     _refuse_non_finite(ys, ya)
 
     def rule(best, top, second, band):
@@ -316,15 +311,15 @@ def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -
         erase = ((top + band) / d < 1.0 - eta1) | ((second - band) / d >= 1.0 - eta2)
         return np.where(accept, best, ERASURE), accept | erase
 
-    ya = _sq_norms(ys)
+    ya = sq_norms(ys)
     _refuse_non_finite(ys, ya)
-    return _decide(rule, centers, ys, 1.0, ya, _sq_norms(centers))[0]
+    return _decide(rule, centers, ys, 1.0, ya, sq_norms(centers))[0]
 
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
     d = centers.shape[1]
     a = alpha * ys
-    ya, xb = _sq_norms(a), _sq_norms(centers)
+    ya, xb = sq_norms(a), sq_norms(centers)
     _refuse_non_finite(ys, ya)
 
     def rule(best, top, second, band):
@@ -366,7 +361,7 @@ def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:
     if centers.shape[0] == 0:
         if spec.family == "nn":
             raise ValueError("nearest-neighbor decoding needs at least one center")
-        _refuse_non_finite(ys, _sq_norms(ys))
+        _refuse_non_finite(ys, sq_norms(ys))
         return np.full(ys.shape[0], ERASURE, dtype=np.int64)
     if spec.family == "nn":
         return _nn_batch(centers, ys)
@@ -418,6 +413,7 @@ class DecoderSpec:
     params: exactly the fields of the family's record in _RECORDS, as
     numbers. Construction checks them and builds the record once; a
     missing, unknown or non-numeric field raises InvalidDecoderParams.
+    at_noise builds one from a config entry, expanding its shorthands.
     """
 
     kind: str
@@ -460,11 +456,34 @@ class DecoderSpec:
 
     @classmethod
     def corr(cls, eta1: float, eta2: float | None = None) -> "DecoderSpec":
-        return cls(kind="corr", params={"eta1": eta1, "eta2": eta1 if eta2 is None else eta2})
+        entry = {"kind": "corr", "eta1": eta1}
+        if eta2 is not None:
+            entry["eta2"] = eta2
+        return cls.at_noise(entry, None)
 
     @classmethod
     def mmse(cls, sigma2: float, c: float = 1.2, c2: float | None = None) -> "DecoderSpec":
-        return cls(kind="mmse", params=asdict(MmseParams.for_noise(sigma2, c=c, c2=c2)))
+        return cls.at_noise({"kind": "mmse", "c": c, "c2": c2}, sigma2)
+
+    @classmethod
+    def at_noise(cls, entry: dict, sigma2: float | None) -> "DecoderSpec":
+        """The decoder a {"kind": ..., **fields} entry names at noise level
+        sigma2: the fields are its family's record fields, with two
+        shorthands. {"c": c, "c2": c2} is MmseParams.for_noise(sigma2, c,
+        c2), the only use of sigma2, and a missing eta2 is eta1. A bad
+        entry raises ValueError or TypeError."""
+        params = dict(entry)
+        kind = params.pop("kind", None)
+        if kind is None:
+            raise InvalidDecoderParams("entry needs a 'kind'")
+        if "c" in params:
+            c, c2 = params.pop("c"), params.pop("c2", None)
+            if params:
+                raise InvalidDecoderParams(f"unknown {kind} decoder keys {sorted(params)} beside the shorthand c, c2")
+            params = asdict(MmseParams.for_noise(sigma2, c=c, c2=c2))
+        elif "eta1" in params:
+            params.setdefault("eta2", params["eta1"])
+        return cls(kind=kind, params=params)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ from .bounds import (
     single_sample_mi_upper,
 )
 from .codebook import noise_for_beta, rate, sample_codebook
-from .decoders import TRIALS_MIN, DecoderSpec, MmseParams, corr_feasibility_bound, estimate_error_prob
-from .learner import NET_KNOBS, LearnerConfig, StageTimes, build_step2_decoder, run_learner
+from .decoders import TRIALS_MIN, DecoderSpec, corr_feasibility_bound, estimate_error_prob
+from .learner import NET_KNOBS, LearnerConfig, ScreeningStats, StageTimes, build_step2_decoder, run_learner
 from .seeds import rng_for
 from .sphere import NetInfeasibleError, build_net, verify_covering
 
@@ -60,13 +60,11 @@ _STREAM_CODEBOOK = 0
 _STREAM_TRIALS = 1
 _STREAM_LEARNER = 2
 
+# the grid cell's columns, which lead every decode and learn row
+_CELL_FIELDS = ["experiment_id", "d", "k", "beta", "sigma2", "rate"]
+
 DECODE_FIELDS = [
-    "experiment_id",
-    "d",
-    "k",
-    "beta",
-    "sigma2",
-    "rate",
+    *_CELL_FIELDS,
     "decoder",
     "trials",
     "error_count",
@@ -81,26 +79,19 @@ DECODE_FIELDS = [
     "status",
 ]
 
-# a learn row's per-stage wall times, the fields of run_learner's StageTimes
+# a learn row's columns past the cell's: the config's sample budgets, the
+# LearnerResult scalars, and the fields of its ScreeningStats and (wall
+# times) StageTimes records, so a new record field is a new column
+_BUDGET_FIELDS = ["N", "Nbar"]
+_RESULT_FIELDS = ["m", "loss_avg", "loss_max", "genie_loss"]
+_SCREEN_FIELDS = [f.name for f in dataclasses.fields(ScreeningStats)]
 _STAGE_FIELDS = [f.name for f in dataclasses.fields(StageTimes)]
 
 LEARN_FIELDS = [
-    "experiment_id",
-    "d",
-    "k",
-    "beta",
-    "sigma2",
-    "rate",
-    "N",
-    "Nbar",
-    "m",
-    "loss_avg",
-    "loss_max",
-    "genie_loss",
-    "net_size",
-    "t_close_size",
-    "covering_fraction",
-    "erasure_rate_step2",
+    *_CELL_FIELDS,
+    *_BUDGET_FIELDS,
+    *_RESULT_FIELDS,
+    *_SCREEN_FIELDS,
     "seed",
     "wall_ms",
     *_STAGE_FIELDS,
@@ -160,9 +151,9 @@ class SweepSpec:
     """One experiment description.
 
     kind selects the experiment; the grids are lists and the sweep is
-    their cartesian product. Decoder entries are DecoderSpec JSON objects
-    or the shorthand {"kind": "mmse", "c": 1.2} resolved against each
-    grid point's noise level.
+    their cartesian product. Decoder entries are DecoderSpec.at_noise
+    entries, such as the shorthand {"kind": "mmse", "c": 1.2}, resolved at
+    each grid point's noise level.
     """
 
     kind: str
@@ -258,25 +249,10 @@ def _config_hash(spec: SweepSpec) -> str:
 
 
 def _resolve_decoder(entry: dict, sigma2: float) -> DecoderSpec:
-    """Materialize a decoder entry at a concrete noise level.
-
-    Two shorthands are expanded here: {"kind": "mmse", "c": 1.2, "c2": ...}
-    becomes the residual thresholds at sigma2, and a missing eta2 defaults
-    to eta1. DecoderSpec checks the resulting fields.
-    """
-    params = dict(entry)
-    kind = params.pop("kind", None)
-    if kind is None:
-        raise ConfigError("decoder entry needs a 'kind'")
+    """A config decoder entry at a concrete noise level (DecoderSpec.at_noise,
+    which expands its shorthands); a bad entry is a ConfigError naming it."""
     try:
-        if "c" in params:
-            c, c2 = params.pop("c"), params.pop("c2", None)
-            if params:
-                raise ConfigError(f"unknown {kind} decoder keys {sorted(params)} beside the shorthand c, c2")
-            params = asdict(MmseParams.for_noise(sigma2, c=c, c2=c2))
-        elif "eta1" in params:
-            params.setdefault("eta2", params["eta1"])
-        return DecoderSpec(kind=kind, params=params)
+        return DecoderSpec.at_noise(entry, sigma2)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"decoder entry {_decoder_label(entry)}: {exc}") from exc
 
@@ -351,12 +327,7 @@ def _decode_row(spec: SweepSpec, job: dict) -> dict:
     dec = job["decoder"]
     seed_key = (job["gidx"], job["rep"])
     row = {
-        "experiment_id": job["experiment_id"],
-        "d": d,
-        "k": k,
-        "beta": job["beta"],
-        "sigma2": sigma2,
-        "rate": job["rate"],
+        **{f: job[f] for f in _CELL_FIELDS},
         "decoder": _decoder_label(job["decoder_entry"]),
         "trials": spec.trials,
         "seed": spec.master_seed,
@@ -422,22 +393,10 @@ def _learn_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
         cb, sigma2, cfg, spec.master_seed, seed_path=(*seed_key, _STREAM_LEARNER), probes=spec.probes
     )
     return {
-        "experiment_id": job["experiment_id"],
-        "d": d,
-        "k": k,
-        "beta": job["beta"],
-        "sigma2": sigma2,
-        "rate": job["rate"],
-        "N": cfg.N,
-        "Nbar": cfg.Nbar,
-        "m": res.m,
-        "loss_avg": res.loss_avg,
-        "loss_max": res.loss_max,
-        "genie_loss": res.genie_loss,
-        "net_size": res.screening_stats.net_size,
-        "t_close_size": res.screening_stats.t_close_size,
-        "covering_fraction": res.screening_stats.covering_fraction,
-        "erasure_rate_step2": res.screening_stats.erasure_rate_step2,
+        **{f: job[f] for f in _CELL_FIELDS},
+        **{f: getattr(cfg, f) for f in _BUDGET_FIELDS},
+        **{f: getattr(res, f) for f in _RESULT_FIELDS},
+        **asdict(res.screening_stats),
         "seed": spec.master_seed,
         "wall_ms": (time.perf_counter() - t0) * 1000.0,
         **asdict(res.stage_times),
@@ -459,47 +418,53 @@ def run_learn_experiment(spec: SweepSpec) -> list[dict]:
     return _run_jobs(*_learn_plan(spec), spec.workers)
 
 
+# run_bounds_report's inputs, each with its default; a given value is cast
+# to its default's type
+_BOUNDS_INPUTS = {
+    "d": 64,
+    "k": 256,
+    "sigma2": 1.0,
+    "n": 1000.0,
+    "eps": 0.01,
+    "delta": 0.1,
+    "e_delta": 0.0,
+    "c0": 1.0,
+    "const": 1.0,
+}
+
+
 def run_bounds_report(inputs: dict) -> list[dict]:
-    """Evaluate every bound at the given inputs; pure, no randomness."""
-    allowed = {"d", "k", "sigma2", "n", "eps", "delta", "e_delta", "c0", "const"}
-    unknown = set(inputs) - allowed
+    """Evaluate every bound at the given inputs; pure, no randomness.
+
+    Raises ConfigError on a key outside _BOUNDS_INPUTS, or a value that is
+    not a finite real number (a bool is not one).
+    """
+    unknown = set(inputs) - set(_BOUNDS_INPUTS)
     if unknown:
         raise ConfigError(f"unknown bounds keys: {sorted(unknown)}")
-    d = int(inputs.get("d", 64))
-    k = int(inputs.get("k", 256))
-    sigma2 = float(inputs.get("sigma2", 1.0))
-    n = float(inputs.get("n", 1000))
-    eps = float(inputs.get("eps", 0.01))
-    delta = float(inputs.get("delta", 0.1))
-    e_delta = float(inputs.get("e_delta", 0.0))
-    c0 = float(inputs.get("c0", 1.0))
-    const = float(inputs.get("const", 1.0))
+    for key, v in inputs.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError(f"bounds {key} must be a finite number, got {v!r}")
+    x = {key: type(default)(inputs.get(key, default)) for key, default in _BOUNDS_INPUTS.items()}
+    d, k, sigma2, eps, e_delta = x["d"], x["k"], x["sigma2"], x["eps"], x["e_delta"]
+
+    def constants(*keys):
+        return ",".join(f"{key}={x[key]}" for key in keys)
+
     r = rate(d, k)
     rows = [
-        {"quantity": "capacity", "value": capacity(sigma2), "constants": ""},
-        {"quantity": "capacity_inv_of_rate", "value": capacity_inv(r), "constants": ""},
-        {"quantity": "rate", "value": r, "constants": ""},
-        {"quantity": "binary_entropy_e_delta", "value": binary_entropy(e_delta), "constants": ""},
-        {"quantity": "rdf_lower_bound", "value": rdf_lower_bound(d, k, eps, c0), "constants": f"c0={c0}"},
-        {"quantity": "labeled_mi_upper", "value": labeled_mi_upper(d, k, sigma2, n), "constants": ""},
-        {"quantity": "sc_lower_trivial", "value": sc_lower_trivial(eps, r), "constants": ""},
-        {
-            "quantity": "single_sample_mi_upper",
-            "value": single_sample_mi_upper(delta, e_delta, k),
-            "constants": f"delta={delta},e_delta={e_delta}",
-        },
-        {
-            "quantity": "quantitative_lower_positive",
-            "value": quantitative_lower_curve("positive", d, k, const),
-            "constants": f"const={const}",
-        },
-        {
-            "quantity": "quantitative_lower_zero",
-            "value": quantitative_lower_curve("zero", d, k, const),
-            "constants": f"const={const}",
-        },
+        ("capacity", capacity(sigma2), ""),
+        ("capacity_inv_of_rate", capacity_inv(r), ""),
+        ("rate", r, ""),
+        ("binary_entropy_e_delta", binary_entropy(e_delta), ""),
+        ("rdf_lower_bound", rdf_lower_bound(d, k, eps, x["c0"]), constants("c0")),
+        ("labeled_mi_upper", labeled_mi_upper(d, k, sigma2, x["n"]), ""),
+        ("sc_lower_trivial", sc_lower_trivial(eps, r), ""),
+        ("single_sample_mi_upper", single_sample_mi_upper(x["delta"], e_delta, k), constants("delta", "e_delta")),
+        ("quantitative_lower_positive", quantitative_lower_curve("positive", d, k, x["const"]), constants("const")),
+        ("quantitative_lower_zero", quantitative_lower_curve("zero", d, k, x["const"]), constants("const")),
     ]
-    return rows
+    return [{"quantity": q, "value": v, "constants": c} for q, v, c in rows]
 
 
 def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:

@@ -16,13 +16,13 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import GmmBatch, sample_gmm
 from .codebook import Codebook, rate
-from .decoders import ERASURE, DecoderSpec, MmseParams, decode_batch
+from .decoders import ERASURE, DecoderSpec, decode_batch
 from .sphere import (
     C_NET_DEFAULT,
     D_MAX_NET_DEFAULT,
@@ -106,14 +106,14 @@ class LearnerConfig:
             raise ValueError(f"unknown decoder_kind {self.decoder_kind!r}")
         for name in ("threshold_const", "corr_eta1", "corr_eta2", "mmse_c", "mmse_c2", "C_net", "c_net"):
             v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)) and not (name == "mmse_c2" and v is None):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-        if self.threshold_const <= 0:
-            raise ValueError("threshold_const must be > 0")
-        for name in ("C_net", "c_net"):
+            if name == "mmse_c2" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+        for name in ("threshold_const", "C_net", "c_net"):
             v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be > 0 and finite, got {v!r}")
+            if v <= 0:
+                raise ValueError(f"{name} must be > 0, got {v!r}")
         if self.net_strategy != "randomized":
             raise ValueError(f"unknown net_strategy {self.net_strategy!r}")
 
@@ -397,11 +397,10 @@ def build_step2_decoder(cfg: LearnerConfig, d: int, k: int, sigma2: float) -> De
     thresholds the config sets."""
     kind = cfg.resolve_decoder_kind(d, k)
     if kind == "mismatched_corr":
-        params = {"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2}
+        entry = {"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2}
     else:
-        c2 = cfg.mmse_c if cfg.mmse_c2 is None else cfg.mmse_c2
-        params = asdict(MmseParams.for_noise(sigma2, c=cfg.mmse_c, c2=c2))
-    return DecoderSpec(kind=kind, params=params)
+        entry = {"c": cfg.mmse_c, "c2": cfg.mmse_c if cfg.mmse_c2 is None else cfg.mmse_c2}
+    return DecoderSpec.at_noise({"kind": kind, **entry}, sigma2)
 
 
 def step2_cluster_average(

@@ -75,6 +75,17 @@ def project_ball(x: np.ndarray, d: int | None = None) -> np.ndarray:
     return x * scale
 
 
+def sq_norms(x: np.ndarray) -> np.ndarray:
+    """Row squared norms np.sum(x * x, axis=1), as sq_dists adds them.
+
+    A finite row whose squared norm overflows gets inf without numpy's
+    warning, which would report no fault: every caller handles an infinite
+    norm (an infinite distance or float32 band; the decoders' non-finite
+    row check reads such a row's coordinates)."""
+    with np.errstate(over="ignore"):
+        return np.sum(x * x, axis=1)
+
+
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n, m) squared distances between the rows of a (n, d) and b (m, d).
 
@@ -82,7 +93,7 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the cross term; entries can differ from the direct ||a - b||^2 in the
     last bits and can dip just below 0 for near-equal rows.
     """
-    return np.sum(a * a, axis=1, keepdims=True) - 2.0 * a @ b.T + np.sum(b * b, axis=1)[None, :]
+    return sq_norms(a)[:, None] - 2.0 * a @ b.T + sq_norms(b)[None, :]
 
 
 # unit roundoffs of float32 and float64, and float32's smallest normal
@@ -99,7 +110,7 @@ def f32_gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float = 1.0
     """Per row i, a bound on |g32[i, j] - g64[i, j]| over every j, where
     g64 = (scale * a) @ b.T in float64, g32 the same product of float32
     copies of scale * a and b, scale an exact power of two, and a_sq, b_sq
-    the rows' squared norms as np.sum(x * x, axis=1) computes them.
+    the rows' squared norms as sq_norms computes them.
 
     With x = scale * a_i and y = b_j, the bound covers rounding x and y to
     float32 (2u + u^2), the float32 dot product (gamma_d(u) on the rounded

@@ -319,6 +319,23 @@ def test_decoder_spec_validation():
         DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": "0.3"})
 
 
+def test_at_noise_expands_the_entry_shorthands():
+    # the c shorthand is MmseParams.for_noise at the entry's noise level
+    # (c2 defaults to c^2), a missing eta2 is eta1, and a full entry
+    # passes through at any noise level
+    sigma2 = 0.7
+    mmse = DecoderSpec(kind="mmse", params=asdict(MmseParams.for_noise(sigma2, c=1.3, c2=1.6)))
+    assert DecoderSpec.at_noise({"kind": "mmse", "c": 1.3, "c2": 1.6}, sigma2) == mmse
+    assert DecoderSpec.mmse(sigma2, c=1.3, c2=1.6) == mmse
+    assert DecoderSpec.at_noise({"kind": "mmse", **mmse.params}, 5.0) == mmse
+    square = DecoderSpec(kind="mmse", params=asdict(MmseParams.for_noise(sigma2, c=1.3, c2=1.3 * 1.3)))
+    assert DecoderSpec.at_noise({"kind": "mmse", "c": 1.3}, sigma2) == square == DecoderSpec.mmse(sigma2, c=1.3)
+    corr = DecoderSpec(kind="corr", params={"eta1": 0.3, "eta2": 0.3})
+    assert DecoderSpec.at_noise({"kind": "corr", "eta1": 0.3}, sigma2) == corr == DecoderSpec.corr(0.3)
+    assert DecoderSpec.at_noise({"kind": "corr", "eta1": 0.3, "eta2": 0.4}, sigma2) == DecoderSpec.corr(0.3, 0.4)
+    assert DecoderSpec.corr(0.3, 0.4).params == {"eta1": 0.3, "eta2": 0.4}
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
 
@@ -855,22 +872,22 @@ def test_kernels_match_refs_with_a_nan_row(monkeypatch):
         DecoderSpec(kind="mismatched_mmse", params=asdict(MmseParams.for_noise(sigma2, c=1.45))),
         DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": 0.3}),
     ]
-    # row 9's squared norm overflows to inf, with a warning
-    with np.errstate(over="ignore"):
-        for spec in specs:
-            with pytest.raises(ValueError, match="row 12 has a non-finite"):
-                decode_batch(centers, ys, spec)
+    # row 9's squared norm overflows to inf silently (a RuntimeWarning fails
+    # the suite)
+    for spec in specs:
+        with pytest.raises(ValueError, match="row 12 has a non-finite"):
+            decode_batch(centers, ys, spec)
+        with pytest.raises(ValueError, match="row 27 has a non-finite"):
+            decode_batch(centers, ys[13:], spec)
+        if spec.family != "nn":
+            # an empty center list erases every row it decodes
             with pytest.raises(ValueError, match="row 27 has a non-finite"):
-                decode_batch(centers, ys[13:], spec)
-            if spec.family != "nn":
-                # an empty center list erases every row it decodes
-                with pytest.raises(ValueError, match="row 27 has a non-finite"):
-                    decode_batch(centers[:0], ys[13:], spec)
-        assert seen == []
-        # without the bad rows the block decodes, the huge finite row included
-        _assert_kernels_match(
-            centers, np.delete(ys, [12, 40], axis=0), [MmseParams.for_noise(sigma2, c=1.45)], [(0.3, 0.3)]
-        )
+                decode_batch(centers[:0], ys[13:], spec)
+    assert seen == []
+    # without the bad rows the block decodes, the huge finite row included
+    _assert_kernels_match(
+        centers, np.delete(ys, [12, 40], axis=0), [MmseParams.for_noise(sigma2, c=1.45)], [(0.3, 0.3)]
+    )
 
 
 def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatch):

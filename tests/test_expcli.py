@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 import spherecodes
 from spherecodes import expcli
+from spherecodes.decoders import DecoderSpec
 from spherecodes.expcli import (
     DECODE_FIELDS,
     LEARN_FIELDS,
@@ -30,7 +32,7 @@ from spherecodes.expcli import (
     run_net_stats,
     write_csv,
 )
-from spherecodes.learner import LearnerConfig
+from spherecodes.learner import LearnerConfig, ScreeningStats, StageTimes
 
 from .oracles import sigma2_for_beta_ref
 
@@ -98,6 +100,27 @@ def test_resolve_decoder_shorthand_and_validation():
         _resolve_decoder({"kind": "corr"}, sigma2=1.0)
     with pytest.raises(ConfigError, match="unknown mmse"):
         _resolve_decoder({"kind": "mmse", "c": 1.2, "tua2": 1.0}, sigma2=1.0)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({}, "entry needs a 'kind'"),
+        ({"kind": "nn", "eta1": 0.1}, "it takes no params"),
+        ({"kind": "corr"}, "corr decoder is missing fields ['eta1', 'eta2']"),
+        ({"kind": "corr", "eta1": 0.3, "eta2": None}, "corr decoder field eta2 must be a number, got None"),
+        ({"kind": "mmse", "c": 1.2, "tua2": 1.0}, "unknown mmse decoder keys ['tua2'] beside the shorthand c, c2"),
+        ({"kind": "mmse", "c": 0.9}, "threshold factor c must be >= 1"),
+        ({"kind": "mmse", "c": "1.2"}, "not supported between instances of 'str' and 'float'"),
+    ],
+    ids=["no-kind", "nn-field", "corr-missing", "eta2-none", "beside-shorthand", "c-below-1", "c-string"],
+)
+def test_resolve_decoder_is_at_noise_naming_the_entry(entry, message):
+    with pytest.raises((TypeError, ValueError), match=re.escape(message)) as exc:
+        DecoderSpec.at_noise(entry, 1.0)
+    with pytest.raises(ConfigError) as config_exc:
+        _resolve_decoder(entry, 1.0)
+    assert str(config_exc.value) == f"decoder entry {json.dumps(entry, sort_keys=True)}: {exc.value}"
 
 
 def test_grid_order_and_noise_axes():
@@ -355,6 +378,13 @@ def test_decode_rows_time_the_noise_and_the_decode_outside_the_hash():
     assert determinism_hash(rows, DECODE_FIELDS) == determinism_hash(bare, fields)
 
 
+def test_learn_columns_are_the_learner_records_fields():
+    # a new ScreeningStats field is a new learn column, and every stage
+    # time is a timing column, outside the determinism hash
+    assert {f.name for f in dataclasses.fields(ScreeningStats)} <= set(LEARN_FIELDS)
+    assert {f.name for f in dataclasses.fields(StageTimes)} <= set(LEARN_FIELDS) & _TIMING_FIELDS
+
+
 def test_learn_rows_time_each_stage_outside_the_hash():
     spec = parse_spec(
         {
@@ -450,6 +480,18 @@ def test_cli_bounds_config_errors(tmp_path, obj, message):
     res = cli("bounds", "--config", str(cfg))
     assert res.exit_code == 2
     assert message in res.stderr
+    assert "capacity" not in res.output
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n", True), ("n", "1000"), ("delta", math.nan), ("c0", math.inf)]
+)
+def test_cli_bounds_value_must_be_a_finite_number(tmp_path, key, value):
+    cfg = tmp_path / "bounds.json"
+    cfg.write_text(json.dumps({"kind": "bounds", "d": [16], "k": [8], "bounds": {key: value}}))
+    res = cli("bounds", "--config", str(cfg))
+    assert res.exit_code == 2, res.output
+    assert f"bounds {key} must be a finite number" in res.stderr
     assert "capacity" not in res.output
 
 
@@ -913,7 +955,8 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("decode_sweep", "d", 8.5), ("decode_sweep", "d", True), ("decode_sweep", "k", True)]
     + [("decode_sweep", "beta", "2.0"), ("decode_sweep", "sigma2", True), ("net_stats", "eps_I", 0.7)]
     + [("net_stats", "c_net", "1"), ("net_stats", "d_max_net", "12"), ("net_stats", "c_net", -1.0)]
-    + [("learn", "threshold_const", True), ("learn", "mmse_c", True), ("learn", "corr_eta1", "0.3")],
+    + [("learn", "threshold_const", True), ("learn", "mmse_c", True), ("learn", "corr_eta1", "0.3")]
+    + [("learn", "threshold_const", math.nan), ("learn", "mmse_c", math.nan), ("learn", "corr_eta1", math.inf)],
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
     rows = []

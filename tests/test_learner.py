@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spherecodes import (
     GmmBatch,
     LearnerConfig,
     LearnerResult,
+    MmseParams,
     Net,
     decode_batch,
     genie_estimator,
@@ -557,6 +559,20 @@ def test_build_step2_decoder_shapes():
     cfg3 = LearnerConfig(decoder_kind="mismatched_mmse", mmse_c=1.2, mmse_c2=2.2)
     p3 = build_step2_decoder(cfg3, 8, 4, 1.0).mmse_params()
     assert p3.tau2 == pytest.approx(2.2 * p3.tau, rel=1e-12)
+
+
+@pytest.mark.parametrize("mmse_c2", [None, 2.0])
+def test_build_step2_decoder_is_the_config_entry_at_noise(mmse_c2):
+    # auto picks the correlation regime below rate R_SWITCH_DEFAULT and the
+    # residual one above; the residual c2 defaults to c, not to c^2
+    cfg = LearnerConfig(mmse_c2=mmse_c2)
+    sigma2 = 0.8
+    corr = DecoderSpec(kind="mismatched_corr", params={"eta1": cfg.corr_eta1, "eta2": cfg.corr_eta2})
+    assert build_step2_decoder(cfg, 16, 4, sigma2) == corr  # rate ln(4)/16
+    c2 = cfg.mmse_c if mmse_c2 is None else mmse_c2
+    mmse = DecoderSpec(kind="mismatched_mmse", params=asdict(MmseParams.for_noise(sigma2, c=cfg.mmse_c, c2=c2)))
+    assert build_step2_decoder(cfg, 4, 64, sigma2) == mmse  # rate ln(64)/4
+    assert DecoderSpec.at_noise({"kind": "mismatched_mmse", "c": cfg.mmse_c, "c2": c2}, sigma2) == mmse
 
 
 # ---------------------------------------------------------------------------
