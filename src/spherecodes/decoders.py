@@ -21,7 +21,6 @@ codebooks it is the desired outcome on messages with no surviving center.
 """
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -30,7 +29,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, f32_gemm_band, sq_dists, sq_norms
+from .sphere import check_array_bytes, f32_gemm_band, is_finite_real, sq_dists, sq_norms
 
 ERASURE = -1
 
@@ -99,15 +98,20 @@ class MmseParams:
 
     @classmethod
     def for_noise(cls, sigma2: float, c: float = 1.2, c2: float | None = None) -> "MmseParams":
-        """Thresholds tau1 = c * tau, tau2 = c2 * tau (default c2 = c^2, c > 1)."""
+        """Thresholds tau1 = c * tau, tau2 = c2 * tau (default c2 = c^2, c > 1).
+        c and c2 must be finite numbers, not bools."""
         if sigma2 <= 0:
             raise InvalidDecoderParams(f"sigma2 must be > 0, got {sigma2}")
+        if not is_finite_real(c):
+            raise InvalidDecoderParams(f"threshold factor c must be a finite number, got {c!r}")
         if c < 1.0:
             raise InvalidDecoderParams(f"threshold factor c must be >= 1, got {c}")
-        alpha = 1.0 / (1.0 + sigma2)
-        tau = sigma2 * alpha
         if c2 is None:
             c2 = c * c
+        if not is_finite_real(c2):
+            raise InvalidDecoderParams(f"threshold factor c2 must be a finite number, got {c2!r}")
+        alpha = 1.0 / (1.0 + sigma2)
+        tau = sigma2 * alpha
         return cls(alpha=alpha, tau=tau, tau1=c * tau, tau2=c2 * tau)
 
 
@@ -411,8 +415,9 @@ class DecoderSpec:
     the kind without its mismatched_ prefix, picks the kernel; the
     mismatched kinds run it on thresholds the caller supplies.
     params: exactly the fields of the family's record in _RECORDS, as
-    numbers. Construction checks them and builds the record once; a
-    missing, unknown or non-numeric field raises InvalidDecoderParams.
+    finite numbers. Construction checks them and builds the record once; a
+    missing or unknown field, or one that is not a finite number (a bool
+    is not one), raises InvalidDecoderParams.
     at_noise builds one from a config entry, expanding its shorthands.
     """
 
@@ -435,8 +440,8 @@ class DecoderSpec:
             raise InvalidDecoderParams(f"{self.kind} decoder is missing fields {missing}")
         for n in names:
             v = self.params[n]
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise InvalidDecoderParams(f"{self.kind} decoder field {n} must be a number, got {v!r}")
+            if not is_finite_real(v):
+                raise InvalidDecoderParams(f"{self.kind} decoder field {n} must be a finite number, got {v!r}")
         if record:
             object.__setattr__(self, "_record", record(**{n: float(self.params[n]) for n in names}))
 

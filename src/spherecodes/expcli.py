@@ -49,7 +49,7 @@ from .codebook import noise_for_beta, rate, sample_codebook
 from .decoders import TRIALS_MIN, DecoderSpec, corr_feasibility_bound, estimate_error_prob
 from .learner import NET_KNOBS, LearnerConfig, ScreeningStats, StageTimes, build_step2_decoder, run_learner
 from .seeds import rng_for
-from .sphere import NetInfeasibleError, build_net, verify_covering
+from .sphere import NetInfeasibleError, build_net, is_finite_real, verify_covering
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -189,8 +189,8 @@ class SweepSpec:
         grids = (
             ("d", numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
             ("k", numbers.Integral, lambda v: v >= 2, "an integer >= 2"),
-            ("beta", numbers.Real, lambda v: 0 < v < math.inf, "a finite number > 0"),
-            ("sigma2", numbers.Real, lambda v: 0 < v < math.inf, "a finite number > 0"),
+            ("beta", numbers.Real, lambda v: is_finite_real(v) and v > 0, "a finite number > 0"),
+            ("sigma2", numbers.Real, lambda v: is_finite_real(v) and v > 0, "a finite number > 0"),
             ("eps_I", numbers.Real, lambda v: 0 < v < 0.5, "a number in (0, 1/2)"),
         )
         for name, kind, ok, rule in grids:
@@ -443,7 +443,7 @@ def run_bounds_report(inputs: dict) -> list[dict]:
     if unknown:
         raise ConfigError(f"unknown bounds keys: {sorted(unknown)}")
     for key, v in inputs.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        if not is_finite_real(v):
             raise ConfigError(f"bounds {key} must be a finite number, got {v!r}")
     x = {key: type(default)(inputs.get(key, default)) for key, default in _BOUNDS_INPUTS.items()}
     d, k, sigma2, eps, e_delta = x["d"], x["k"], x["sigma2"], x["eps"], x["e_delta"]

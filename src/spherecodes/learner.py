@@ -29,6 +29,7 @@ from .sphere import (
     Net,
     build_net,
     c_NET_DEFAULT,
+    is_finite_real,
     project_ball,
     sq_dists,
     verify_covering,
@@ -44,9 +45,10 @@ R_SWITCH_DEFAULT = 0.2
 # the compare
 _SCREEN_BUF_BYTES = 1 << 20
 
-# the first block of candidate selection's scan; each later block doubles.
-# At the criterion-6 shape the k-th keep sits within the first few
-# thousand of some 60,000 ordered points
+# the first block of candidate selection's scan; each later block doubles,
+# and a block is ordered only when the scan reaches it. At the criterion-6
+# shape the k-th keep sits within the first few thousand of some 60,000
+# ordered points
 _SCAN_BLOCK = 256
 
 
@@ -108,7 +110,7 @@ class LearnerConfig:
             v = getattr(self, name)
             if name == "mmse_c2" and v is None:
                 continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not is_finite_real(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         for name in ("threshold_const", "C_net", "c_net"):
             v = getattr(self, name)
@@ -246,7 +248,7 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     monotone function of the GEMM entry x, so it equals x >= cut for an
     exact cutoff found once per call: one for the zero-rate test, one per
     observation for the positive-rate test. A block is then one GEMM, one
-    compare and one count.
+    compare and one sum of the flag words per 255-word group.
     """
     M, d = net_points.shape
     n = obs.shape[0]
@@ -284,24 +286,17 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     buf = np.empty((rows + 1, n))
     # pass flags, rows padded with zero bytes to whole uint64 words
     flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
-    counts = np.zeros(M, dtype=np.int64)
+    words = flags.view(np.uint64)
+    # each row's words added in byte lanes, at most 255 words to a group so
+    # that no lane carries; the lanes are folded into counts once, at the end
+    groups = range(0, words.shape[1], 255)
+    lanes = np.empty((len(groups), M), dtype=np.uint64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
         np.greater_equal(out, cut, out=flags[: hi - lo, :n])
-        counts[lo:hi] = _row_counts(flags[: hi - lo])
-    return counts
-
-
-def _row_counts(flags: np.ndarray) -> np.ndarray:
-    """True entries per row of a C-contiguous bool array whose row length is
-    a multiple of 8: the rows' uint64 words are added in byte lanes, at most
-    255 words at a time so that no lane carries, and the 8 lanes summed."""
-    words = flags.view(np.uint64)
-    total = np.zeros(flags.shape[0], dtype=np.int64)
-    for g in range(0, words.shape[1], 255):
-        lanes = words[:, g : g + 255].sum(axis=1, dtype=np.uint64)
-        total += lanes.view(np.uint8).reshape(-1, 8).sum(axis=1, dtype=np.int64)
-    return total
+        for j, g in enumerate(groups):
+            np.add.reduce(words[: hi - lo, g : g + 255], axis=1, out=lanes[j, lo:hi])
+    return lanes.view(np.uint8).reshape(len(groups), M, 8).sum(axis=(0, 2), dtype=np.int64)
 
 
 def step1_screen(
@@ -336,36 +331,60 @@ def _close(rows: np.ndarray, p: np.ndarray, md_sq: float, slack: float) -> np.nd
     return close
 
 
-def _greedy_spaced(cands: np.ndarray, min_dist: float, limit: int) -> np.ndarray:
-    """Indices of the greedy spaced subset in input order, at most limit.
+def _ranked_blocks(counts: np.ndarray):
+    """Index arrays of the consecutive blocks of the stable descending order
+    of counts (count first, then input index), sized _SCAN_BLOCK and then
+    doubling: the order's prefix, found and sorted one block at a time as
+    the scan asks for it. Each point gets a distinct integer key in that
+    order, so a block is the points between two order statistics of the
+    keys, and every point of a block outranks every later point. The keys
+    count * n + (n - 1 - index) stay far inside int64 for pass counts,
+    which are at most N."""
+    n = counts.shape[0]
+    key = counts.astype(np.int64) * n + np.arange(n - 1, -1, -1)
+    hi, done, size = None, 0, _SCAN_BLOCK
+    while done < n:
+        done = min(n, done + size)
+        edge = np.partition(key, n - done)[n - done]
+        block = np.flatnonzero(key >= edge if hi is None else (key >= edge) & (key < hi))
+        yield block[np.argsort(-key[block])]
+        hi, size = edge, 2 * size
+
+
+def _greedy_spaced(cands: np.ndarray, min_dist: float, limit: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """Input indices of the greedy spaced subset, at most limit, of the
+    rows of cands taken in descending order of counts, ties in input order
+    (input order when counts is None).
 
     A candidate is kept when no candidate kept before it lies closer than
     min_dist, so ties at exactly min_dist are kept. The candidates are
-    scanned in blocks of growing size (_SCAN_BLOCK, then doubling): a block
-    is tested against the points kept so far in one vectorized pass per
-    kept point, then its survivors are taken in order, each masking the
-    later ones close to it. The scan stops at the limit-th keep, so it
-    reads no further than the block that holds it. With limit at least
-    the candidate count the subset is maximal: every rejected candidate
-    lies within min_dist of a kept one.
+    scanned in the blocks of _ranked_blocks: a block is tested against the
+    points kept so far in one vectorized pass per kept point, then its
+    survivors are taken in order, each masking the later ones close to it.
+    The scan stops at the limit-th keep, so it orders and reads no further
+    than the block that holds it. With limit at least the candidate count
+    the subset is maximal: every rejected candidate lies within min_dist of
+    a kept one.
     """
     if min_dist <= 0:
         raise ValueError(f"min_dist must be > 0, got {min_dist}")
     md_sq = min_dist * min_dist
     slack = 1e-9 * md_sq
+    if counts is None:
+        counts = np.zeros(cands.shape[0], dtype=np.int64)
     kept: list[int] = []
-    lo, size = 0, _SCAN_BLOCK
-    while lo < cands.shape[0] and len(kept) < limit:
-        block = cands[lo : lo + size]
+    for idx in _ranked_blocks(np.asarray(counts)):
+        block = cands[idx]
         rest = np.arange(block.shape[0])
         for j in kept:
             rest = rest[~_close(block[rest], cands[j], md_sq, slack)]
         while rest.size and len(kept) < limit:
             i, rest = rest[0], rest[1:]
-            kept.append(lo + int(i))
+            kept.append(int(idx[i]))
             rest = rest[~_close(block[rest], block[i], md_sq, slack)]
-        lo += block.shape[0]
-        size *= 2
+        # checked before the next block is asked for, so it is never ordered
+        if len(kept) >= limit:
+            break
     return np.asarray(kept, dtype=np.int64)
 
 
@@ -374,18 +393,19 @@ def select_candidates(points: np.ndarray, counts: np.ndarray, eps_I: float, k: i
     2 sqrt(eps_I d), and keep at most k (the estimate list has k slots).
 
     The count ordering means the most confident candidates claim their
-    neighborhoods first; ties fall back to input order for determinism
-    (a stable sort). The greedy scan stops once k points are kept, so the
-    result is the first k of the full greedy spaced subset of the ordered
-    points.
+    neighborhoods first; ties fall back to input order for determinism.
+    The greedy scan stops once k points are kept, so the result is the
+    first k of the full greedy spaced subset of the ordered points, and
+    only the blocks of the order it read are sorted.
     """
     if points.shape[0] == 0:
         return points.reshape(0, points.shape[1] if points.ndim == 2 else 0)
-    order = np.argsort(-np.asarray(counts), kind="stable")
-    ordered = np.asarray(points[order], dtype=np.float64)
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"pass counts must be integers, got dtype {counts.dtype}")
+    points = np.asarray(points, dtype=np.float64)
     d = points.shape[1]
-    kept = _greedy_spaced(ordered, 2.0 * math.sqrt(eps_I * d), k)
-    return ordered[kept]
+    return points[_greedy_spaced(points, 2.0 * math.sqrt(eps_I * d), k, counts)]
 
 
 # ---------------------------------------------------------------------------

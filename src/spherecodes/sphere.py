@@ -7,6 +7,7 @@ with an empirical covering certificate.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,16 @@ ARRAY_BYTES_MAX = 1 << 29
 # the distance scans (verify_covering's probe chunks, codebook.min_distance's
 # row chunks) bound each distance matrix to this many entries
 SCAN_ENTRIES = 2_000_000
+# verify_covering's first k-d tree holds this share of the net. Net points
+# are i.i.d. uniform, so a prefix of the net is itself a uniform net: at
+# the acceptance configs' C_net = 16, its first eighth (a C_net = 2 net)
+# leaves one or two of 2,000 probes open, and its tree costs a tenth of
+# the whole net's
+_HEAD_SHARE = 8
+# at most this many probes the head leaves open are resolved against the
+# rest of the net densely; from about 50 on, a k-d tree on the rest is
+# cheaper, at every net size measured (M = 1,024 to 65,536)
+_DENSE_OPEN = 32
 # net_size's constants; C_net = 16 is the value the acceptance configs,
 # demos and benchmark use
 C_NET_DEFAULT = 16.0
@@ -40,6 +51,17 @@ def check_array_bytes(nbytes: int, what: str) -> None:
     allocated. what names the array and its size, the message's opening."""
     if nbytes > ARRAY_BYTES_MAX:
         raise NetInfeasibleError(f"{what}, over the {ARRAY_BYTES_MAX}-byte budget")
+
+
+def is_finite_real(v) -> bool:
+    """v is a real number, not a bool, with a finite float value: an integer
+    too large for a float, like an infinite value, is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,14 +258,18 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     was covered; the screening guarantees downstream assume this fraction
     is near 1.
 
-    The nearest net point comes from one k-d tree query over every probe,
-    bounded at the target radius. A probe is decided by the tree only when
-    its distance clears the target by a margin far above rounding; probes
+    A probe is decided by an approximate nearest distance only when that
+    distance clears the target by a margin far above rounding; probes
     inside that margin are decided by the dense formula
     (d + ||t||^2) - 2 <q, t> <= target over the whole net, so the fraction
-    equals the dense computation's exactly. The tree's shape only changes
-    which pairs it visits, not the distance of a pair, so it is built
-    unbalanced, which is faster.
+    equals the dense computation's exactly. The nearest distance comes in
+    two passes. A k-d tree on the net's first 1/_HEAD_SHARE points, queried
+    with every probe bounded at the target radius, covers most probes: the
+    whole net's nearest point can only be closer. The probes it leaves
+    open are resolved against the rest of the net, densely when they are
+    few and by a k-d tree on the rest otherwise. A tree's shape only
+    changes which pairs it visits, not the distance of a pair, so each is
+    built unbalanced, which is faster.
     """
     from scipy.spatial import cKDTree
 
@@ -253,13 +279,27 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     d = net.d
     target = net.covering_radius_sq_target
     slack = 1e-9 * d
+    bound = np.sqrt(target + slack)
     nbytes = probes * d * 8
     check_array_bytes(nbytes, f"{probes} covering probes in dimension {d} need {nbytes} bytes")
     q = sample_uniform_sphere_batch(d, probes, rng)
-    dist, _ = cKDTree(pts, balanced_tree=False).query(q, distance_upper_bound=np.sqrt(target + slack))
-    dist_sq = dist * dist
-    covered = int(np.count_nonzero(dist_sq < target - slack))
-    band = (dist_sq >= target - slack) & np.isfinite(dist_sq)
+    head = max(1, pts.shape[0] // _HEAD_SHARE)
+    dist, _ = cKDTree(pts[:head], balanced_tree=False).query(q, distance_upper_bound=bound)
+    # squared distance to the nearest net point found; inf when none lies
+    # within the bound
+    near = dist * dist
+    rest = pts[head:]
+    open_ = np.flatnonzero(near >= target - slack)
+    if open_.size and rest.shape[0]:
+        if open_.size <= _DENSE_OPEN:
+            # the dense formula, its summation order aside
+            rest_sq = np.min((d + np.einsum("ij,ij->i", rest, rest)) - 2.0 * (q[open_] @ rest.T), axis=1)
+        else:
+            dist, _ = cKDTree(rest, balanced_tree=False).query(q[open_], distance_upper_bound=bound)
+            rest_sq = dist * dist
+        near[open_] = np.minimum(near[open_], rest_sq)
+    covered = int(np.count_nonzero(near < target - slack))
+    band = (near >= target - slack) & (near <= target + slack)
     # the dense formula is evaluated for whole chunks of probes, which
     # bound the probe-net distance matrix to SCAN_ENTRIES entries, and only
     # for chunks that hold a band probe. A recheck row comes from its

@@ -94,12 +94,15 @@ def covering_ref(net, probes, rng):
     return int(np.sum(min_sq <= net.covering_radius_sq_target)) / probes
 
 
-def separated_subset_ref(candidates, min_dist):
-    """Greedy spaced subset by a scan of every kept point per candidate."""
+def separated_subset_ref(candidates, min_dist, limit=None):
+    """Greedy spaced subset by a scan of every kept point per candidate,
+    stopping at the limit-th keep when a limit is given."""
     cands = np.asarray(candidates, dtype=np.float64)
     kept = []
     md_sq = min_dist * min_dist
     for i in range(cands.shape[0]):
+        if limit is not None and len(kept) >= limit:
+            break
         x = cands[i]
         ok = True
         for j in kept:

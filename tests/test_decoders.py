@@ -315,7 +315,7 @@ def test_decoder_spec_validation():
         DecoderSpec(kind="nn", params={"eta1": 0.3})
     with pytest.raises(InvalidDecoderParams, match=r"unknown corr decoder fields \['bogus'\]"):
         DecoderSpec(kind="corr", params={"eta1": 0.3, "eta2": 0.3, "bogus": 1})
-    with pytest.raises(InvalidDecoderParams, match="mismatched_corr decoder field eta2 must be a number"):
+    with pytest.raises(InvalidDecoderParams, match="mismatched_corr decoder field eta2 must be a finite number"):
         DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": "0.3"})
 
 

@@ -53,6 +53,14 @@ def test_parse_spec_rejects_unknown_keys():
         parse_spec({"kind": "learn", "d": [8], "k": [4], "learner": {"epsI": 0.2}})
 
 
+# an integer too large for a float, named by its size in test ids
+HUGE = 10**400
+
+
+def huge_id(v):
+    return {HUGE: "HUGE", -HUGE: "-HUGE"}.get(v) if isinstance(v, int) else None
+
+
 # integer keys given a non-integer (a bool is not one here), and probes
 # below its floor of 1
 BAD_TYPED_VALUES = [
@@ -108,10 +116,10 @@ def test_resolve_decoder_shorthand_and_validation():
         ({}, "entry needs a 'kind'"),
         ({"kind": "nn", "eta1": 0.1}, "it takes no params"),
         ({"kind": "corr"}, "corr decoder is missing fields ['eta1', 'eta2']"),
-        ({"kind": "corr", "eta1": 0.3, "eta2": None}, "corr decoder field eta2 must be a number, got None"),
+        ({"kind": "corr", "eta1": 0.3, "eta2": None}, "corr decoder field eta2 must be a finite number, got None"),
         ({"kind": "mmse", "c": 1.2, "tua2": 1.0}, "unknown mmse decoder keys ['tua2'] beside the shorthand c, c2"),
         ({"kind": "mmse", "c": 0.9}, "threshold factor c must be >= 1"),
-        ({"kind": "mmse", "c": "1.2"}, "not supported between instances of 'str' and 'float'"),
+        ({"kind": "mmse", "c": "1.2"}, "threshold factor c must be a finite number, got '1.2'"),
     ],
     ids=["no-kind", "nn-field", "corr-missing", "eta2-none", "beside-shorthand", "c-below-1", "c-string"],
 )
@@ -484,7 +492,7 @@ def test_cli_bounds_config_errors(tmp_path, obj, message):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("n", True), ("n", "1000"), ("delta", math.nan), ("c0", math.inf)]
+    "key, value", [("n", True), ("n", "1000"), ("delta", math.nan), ("c0", math.inf), ("n", HUGE)], ids=huge_id
 )
 def test_cli_bounds_value_must_be_a_finite_number(tmp_path, key, value):
     cfg = tmp_path / "bounds.json"
@@ -872,7 +880,7 @@ def test_cli_decoders_must_be_a_list_of_objects(tmp_path, decoders, message):
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"kind": "corr", "eta1": 0.3, "eta2": None}, "corr decoder field eta2 must be a number, got None"),
+        ({"kind": "corr", "eta1": 0.3, "eta2": None}, "corr decoder field eta2 must be a finite number, got None"),
         ({"kind": "mmse"}, "mmse decoder is missing fields ['alpha', 'tau', 'tau1', 'tau2']"),
         ({"kind": "mismatched_corr", "eta1": 0.3, "eta3": 0.3}, "unknown mismatched_corr decoder fields ['eta3']"),
     ],
@@ -956,7 +964,11 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("decode_sweep", "beta", "2.0"), ("decode_sweep", "sigma2", True), ("net_stats", "eps_I", 0.7)]
     + [("net_stats", "c_net", "1"), ("net_stats", "d_max_net", "12"), ("net_stats", "c_net", -1.0)]
     + [("learn", "threshold_const", True), ("learn", "mmse_c", True), ("learn", "corr_eta1", "0.3")]
-    + [("learn", "threshold_const", math.nan), ("learn", "mmse_c", math.nan), ("learn", "corr_eta1", math.inf)],
+    + [("learn", "threshold_const", math.nan), ("learn", "mmse_c", math.nan), ("learn", "corr_eta1", math.inf)]
+    + [("learn", "threshold_const", HUGE), ("learn", "mmse_c", -HUGE), ("decode_sweep", "beta", HUGE)]
+    + [("decode_sweep", "c", math.inf), ("decode_sweep", "c", True), ("decode_sweep", "c2", math.nan)]
+    + [("decode_sweep", "c2", False), ("decode_sweep", "c", HUGE), ("decode_sweep", "eta1", math.inf)],
+    ids=huge_id,
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
     rows = []
@@ -964,8 +976,12 @@ def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, 
         monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
     command, obj = KIND_CASES[kind]
     obj = {"kind": kind, **obj}
+    # a decoder entry's fields, each in an entry whose other fields are valid
+    entries = {"c": {"kind": "mmse"}, "c2": {"kind": "mmse", "c": 1.4}, "eta1": {"kind": "corr"}}
     if key in ("N", "Nbar", "threshold_const", "corr_eta1", "mmse_c", "c_net", "d_max_net"):
         obj["learner"] = {**obj.get("learner", {}), key: value}
+    elif key in entries:
+        obj["decoders"] = [{**entries[key], key: value}]
     else:
         obj[key] = value
     if key == "sigma2":

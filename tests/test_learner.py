@@ -34,6 +34,7 @@ from spherecodes.learner import (
     _greedy_spaced,
     _least_passing,
     _pass_counts,
+    _ranked_blocks,
     build_step2_decoder,
 )
 
@@ -454,6 +455,67 @@ def test_select_candidates_orders_tied_counts_by_input_order():
     ref = separated_subset_ref(ordered, 2.0 * math.sqrt(eps_I * d))
     for k in (1, 4, 50, len(points)):
         assert np.array_equal(select_candidates(points, counts, eps_I, k), ordered[ref[:k]])
+
+
+def test_ranked_blocks_split_tied_counts_at_the_block_edges():
+    # 200 points at each of three counts: the first block edge (256) and the
+    # second (768) fall inside runs of tied counts. The blocks are exactly
+    # 256, 512, ... long, and together they are the stable descending order
+    rng = rng_for(119)
+    counts = rng.permutation(np.repeat([5, 4, 3], 200))
+    blocks = list(_ranked_blocks(counts))
+    assert [b.size for b in blocks] == [256, 344]
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    assert np.array_equal(np.concatenate(blocks), order)
+    assert counts[blocks[0][-1]] == counts[blocks[1][0]] == 4
+
+
+def test_select_candidates_with_tied_counts_across_a_block_edge():
+    # ties at the first block edge among points closer than the spacing:
+    # which of them is kept depends on the tie order across the edge
+    rng = rng_for(120)
+    d, eps_I = 4, 0.25
+    points = 1.5 * rng.standard_normal((600, d))
+    counts = rng.permutation(np.repeat([5, 4, 3], 200))
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    ordered = points[order]
+    ref = separated_subset_ref(ordered, 2.0 * math.sqrt(eps_I * d))
+    assert np.any(ref >= 256)
+    for k in (1, 4, len(ref) - 1, len(ref), 600):
+        assert np.array_equal(select_candidates(points, counts, eps_I, k), ordered[ref[:k]])
+
+
+def test_select_candidates_reads_past_a_first_block_of_fewer_than_k_spaced_points():
+    # the 300 highest counts sit in one ball narrower than the spacing, so
+    # the first block keeps one point and the other k - 1 come from later
+    rng = rng_for(121)
+    d, eps_I, k = 4, 0.25, 4
+    points = 3.0 * rng.standard_normal((2000, d))
+    counts = rng.integers(0, 50, size=2000)
+    top = np.argsort(-counts, kind="stable")[:300]
+    points[top] = 0.2 * rng.standard_normal((300, d))
+    counts[top] += 100
+    order = np.lexsort((np.arange(len(counts)), -counts))
+    ordered = points[order]
+    ref = separated_subset_ref(ordered, 2.0 * math.sqrt(eps_I * d), limit=k)
+    assert ref[0] < 256 <= ref[1]
+    assert np.array_equal(select_candidates(points, counts, eps_I, k), ordered[ref])
+
+
+@pytest.mark.parametrize("beta", [2.0, 0.5])
+@pytest.mark.parametrize("seed", range(3))
+def test_select_candidates_equals_the_full_sort_on_screened_nets(beta, seed):
+    # a screened d=6, k=4 net, below and above capacity: the blocks the
+    # scan reads give the first k of the greedy subset of the whole order
+    d, k = 6, 4
+    cfg = LearnerConfig(N=1000, C_net=4.0)
+    cb = sample_codebook(d, k, rng_for(122, seed))
+    sigma2 = noise_for_beta(d, k, beta).sigma2
+    net = Net(points=sample_uniform_sphere_batch(d, 16_384, rng_for(123, seed)), eps_I=cfg.eps_I)
+    points, counts = step1_screen(net, sample_gmm(cb, sigma2, cfg.N, rng_for(124, seed)), cfg, k)
+    ordered = points[np.argsort(-counts, kind="stable")]
+    ref = separated_subset_ref(ordered, 2.0 * math.sqrt(cfg.eps_I * d), limit=k)
+    assert np.array_equal(select_candidates(points, counts, cfg.eps_I, k), ordered[ref])
 
 
 def test_select_candidates_empty_input():
