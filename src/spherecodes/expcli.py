@@ -185,10 +185,11 @@ class SweepSpec:
                 raise ConfigError(f"{name} must be >= {floor}, got {v}")
         if not self.d or not self.k:
             raise ConfigError("d and k grids must be nonempty")
-        # the grid entries: their type (a bool is neither) and range
+        # the grid entries: their type (a bool is neither) and range; an
+        # integer too large for a float is out of range
         grids = (
-            ("d", numbers.Integral, lambda v: v >= 1, "an integer >= 1"),
-            ("k", numbers.Integral, lambda v: v >= 2, "an integer >= 2"),
+            ("d", numbers.Integral, lambda v: is_finite_real(v) and v >= 1, "an integer >= 1"),
+            ("k", numbers.Integral, lambda v: is_finite_real(v) and v >= 2, "an integer >= 2"),
             ("beta", numbers.Real, lambda v: is_finite_real(v) and v > 0, "a finite number > 0"),
             ("sigma2", numbers.Real, lambda v: is_finite_real(v) and v > 0, "a finite number > 0"),
             ("eps_I", numbers.Real, lambda v: 0 < v < 0.5, "a number in (0, 1/2)"),

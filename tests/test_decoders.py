@@ -489,41 +489,50 @@ def test_kernels_match_full_matrix_refs(d, k):
     _assert_kernels_match(centers, ys, mmse, corr)
 
 
-def _slab_edges(k):
+# slab budgets below, at and above the one _top2 uses: no outcome may
+# depend on the slab height
+SLAB_BUDGETS = (64 * 1024, SLAB_BYTES, 4 * 1024 * 1024)
+
+
+def _slab_edges(k, budget):
     # per slab height of a float32 and of a float64 GEMM output: a lone row,
     # a block of whole slabs, whole slabs plus one row, and a partial last slab
     edges = {1}
     for itemsize in (4, 8):
-        rows = max(1, SLAB_BYTES // (itemsize * k))
+        rows = max(1, budget // (itemsize * k))
         edges |= {rows, rows + 1, 2 * rows + rows // 2 + 1}
     return sorted(edges)
 
 
 @pytest.mark.parametrize("d,k", KERNEL_SHAPES)
-def test_kernels_match_refs_on_slab_edges(d, k):
+def test_kernels_match_refs_on_slab_edges(monkeypatch, d, k):
     centers = sample_uniform_sphere_batch(d, k, rng_for(83, d, k))
     sigma2 = _sigma2(d, k)
     # alpha = 0.8 scales the inputs as the former 0.8 * ys scan did
     mmse = [MmseParams.for_noise(sigma2, c=1.45), MmseParams.for_noise(0.25, c=1.45)]
-    for n in _slab_edges(k):
-        ys = _noisy(centers, n, math.sqrt(sigma2), 84, d, k, n)
-        _assert_kernels_match(centers, ys, mmse, [(0.4, 0.6)])
+    for budget in SLAB_BUDGETS:
+        monkeypatch.setattr(decoders, "SLAB_BYTES", budget)
+        for n in _slab_edges(k, budget):
+            ys = _noisy(centers, n, math.sqrt(sigma2), 84, d, k, n)
+            _assert_kernels_match(centers, ys, mmse, [(0.4, 0.6)])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [1, 7, 2981])
-def test_top2_in_the_dtype_of_its_input_on_slab_edges(dtype, k):
-    for n in _slab_edges(k):
-        # integer entries from a small range, so rows hold exact ties
-        g = rng_for(99, k, n).integers(-20, 20, size=(n, k)).astype(dtype)
-        before = g.copy()
-        best, top, second = decoders._top2(g)
-        assert top.dtype == second.dtype == dtype
-        assert np.array_equal(g, before)
-        assert np.array_equal(best, np.argmax(g, axis=1))
-        assert np.array_equal(top, np.max(g, axis=1))
-        ranked = np.sort(g, axis=1)
-        assert np.array_equal(second, ranked[:, -2] if k > 1 else np.full(n, -np.inf, dtype=dtype))
+def test_top2_in_the_dtype_of_its_input_on_slab_edges(monkeypatch, dtype, k):
+    for budget in SLAB_BUDGETS:
+        monkeypatch.setattr(decoders, "SLAB_BYTES", budget)
+        for n in _slab_edges(k, budget):
+            # integer entries from a small range, so rows hold exact ties
+            g = rng_for(99, k, n).integers(-20, 20, size=(n, k)).astype(dtype)
+            before = g.copy()
+            best, top, second = decoders._top2(g)
+            assert top.dtype == second.dtype == dtype
+            assert np.array_equal(g, before)
+            assert np.array_equal(best, np.argmax(g, axis=1))
+            assert np.array_equal(top, np.max(g, axis=1))
+            ranked = np.sort(g, axis=1)
+            assert np.array_equal(second, ranked[:, -2] if k > 1 else np.full(n, -np.inf, dtype=dtype))
 
 
 def test_kernels_match_refs_on_exact_ties():

@@ -58,6 +58,8 @@ HUGE = 10**400
 
 
 def huge_id(v):
+    if v == [HUGE]:
+        return "[HUGE]"
     return {HUGE: "HUGE", -HUGE: "-HUGE"}.get(v) if isinstance(v, int) else None
 
 
@@ -967,7 +969,8 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("learn", "threshold_const", math.nan), ("learn", "mmse_c", math.nan), ("learn", "corr_eta1", math.inf)]
     + [("learn", "threshold_const", HUGE), ("learn", "mmse_c", -HUGE), ("decode_sweep", "beta", HUGE)]
     + [("decode_sweep", "c", math.inf), ("decode_sweep", "c", True), ("decode_sweep", "c2", math.nan)]
-    + [("decode_sweep", "c2", False), ("decode_sweep", "c", HUGE), ("decode_sweep", "eta1", math.inf)],
+    + [("decode_sweep", "c2", False), ("decode_sweep", "c", HUGE), ("decode_sweep", "eta1", math.inf)]
+    + [("decode_sweep", "d", [HUGE]), ("learn", "k", [HUGE])],
     ids=huge_id,
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
