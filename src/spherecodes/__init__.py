@@ -38,9 +38,6 @@ from .decoders import (
     MmseParams,
     corr_feasibility_bound,
     decode_batch,
-    decode_corr,
-    decode_mmse,
-    decode_nn,
     estimate_error_prob,
     wilson_interval,
 )

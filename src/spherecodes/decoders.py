@@ -29,7 +29,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, f32_gemm_band, is_finite_real, sq_dists, sq_norms
+from .sphere import check_array_bytes, f32_gemm_band, is_finite_real, sq_norms
 
 ERASURE = -1
 
@@ -157,26 +157,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     hi = min(1.0, center + half)
     # clamp against floating slop so the bracket invariant is exact
     return min(lo, p), max(hi, p)
-
-
-# ---------------------------------------------------------------------------
-# single-input decoders: one row of decode_batch, which holds the kernel
-# choice and the empty-list policy
-
-
-def decode_nn(cb, y: np.ndarray) -> int:
-    """Nearest center index; ties broken toward the lowest index."""
-    return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec.nn())[0])
-
-
-def decode_corr(cb, y: np.ndarray, p: CorrParams) -> int:
-    """Correlation threshold decoding; ERASURE when no index qualifies."""
-    return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec.corr(p.eta1, p.eta2))[0])
-
-
-def decode_mmse(cb, y: np.ndarray, p: MmseParams) -> int:
-    """Scaled-residual threshold decoding; ERASURE when no index qualifies."""
-    return int(decode_batch(cb, np.asarray(y)[None, :], DecoderSpec(kind="mmse", params=asdict(p)))[0])
 
 
 def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
@@ -376,36 +356,10 @@ def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:
         return np.full(ys.shape[0], ERASURE, dtype=np.int64)
     if spec.family == "nn":
         return _nn_batch(centers, ys)
+    p = spec.record
     if spec.family == "corr":
-        p = spec.corr_params()
         return _corr_batch(centers, ys, p.eta1, p.eta2)
-    p = spec.mmse_params()
     return _mmse_batch(centers, ys, p.alpha, p.tau1, p.tau2)
-
-
-def _exhaustive_scan_check(centers: np.ndarray, ys: np.ndarray, spec: "DecoderSpec", out: np.ndarray) -> None:
-    """Debug mode: raise AssertionError unless the kernel's outcomes equal
-    the rule counted over every index. nn: the row argmin of sq_dists;
-    corr, mmse: the index that clears the accept bar while no other index
-    clears the reject bar, else ERASURE."""
-    d = centers.shape[1]
-    if spec.family == "nn":
-        expected = np.argmin(sq_dists(ys, centers), axis=1)
-    else:
-        if spec.family == "corr":
-            p = spec.corr_params()
-            corr = (ys @ centers.T) / d
-            accept, reject_bar = corr >= 1.0 - p.eta1, corr >= 1.0 - p.eta2
-        else:
-            p = spec.mmse_params()
-            sq = sq_dists(p.alpha * ys, centers) / d
-            accept, reject_bar = sq <= p.tau1, sq <= p.tau2
-        others = np.sum(reject_bar, axis=1, keepdims=True) - reject_bar
-        accept &= others == 0
-        expected = np.where(accept.any(axis=1), np.argmax(accept, axis=1), ERASURE)
-    wrong = int(np.count_nonzero(out != expected))
-    if wrong:
-        raise AssertionError(f"{spec.kind} kernel disagrees with the exhaustive rule on {wrong} of {len(out)} trials")
 
 
 # the threshold record each kernel family reads (nn reads none); a
@@ -425,18 +379,20 @@ class DecoderSpec:
     finite numbers. Construction checks them and builds the record once; a
     missing or unknown field, or one that is not a finite number (a bool
     is not one), raises InvalidDecoderParams.
+    record: that CorrParams or MmseParams, the thresholds the kernel
+    reads; None for nn.
     at_noise builds one from a config entry, expanding its shorthands.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
-    _record: CorrParams | MmseParams | None = field(init=False, default=None, repr=False, compare=False)
+    record: CorrParams | MmseParams | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown decoder kind {self.kind!r}")
-        record = _RECORDS[self.family]
-        names = [f.name for f in fields(record)] if record else []
+        rtype = _RECORDS[self.family]
+        names = [f.name for f in fields(rtype)] if rtype else []
         unknown = sorted(set(self.params) - set(names))
         if unknown:
             raise InvalidDecoderParams(
@@ -449,18 +405,12 @@ class DecoderSpec:
             v = self.params[n]
             if not is_finite_real(v):
                 raise InvalidDecoderParams(f"{self.kind} decoder field {n} must be a finite number, got {v!r}")
-        if record:
-            object.__setattr__(self, "_record", record(**{n: float(self.params[n]) for n in names}))
+        if rtype:
+            object.__setattr__(self, "record", rtype(**{n: float(self.params[n]) for n in names}))
 
     @property
     def family(self) -> str:
         return _FAMILIES[self.kind]
-
-    def corr_params(self) -> CorrParams:
-        return self._record
-
-    def mmse_params(self) -> MmseParams:
-        return self._record
 
     @classmethod
     def nn(cls) -> "DecoderSpec":
@@ -510,7 +460,6 @@ def estimate_error_prob(
     master_seed: int,
     *,
     seed_path: tuple[int, ...] = (),
-    debug_scan: bool = False,
 ) -> ErrorEstimate:
     """Average decoding error over uniform messages, with a Wilson 95% CI.
 
@@ -522,9 +471,6 @@ def estimate_error_prob(
     Args:
         seed_path: extra stream-key components (grid index, replicate, ...)
             so sweeps can give every cell an independent stream.
-        debug_scan: recompute every block's outcomes by the decoding rule
-            over all indices (see _exhaustive_scan_check) and raise
-            AssertionError on any trial where the kernel differs.
 
     Raises ValueError, before the first block, when a block's
     TRIAL_BLOCK x k distance matrix would exceed ARRAY_BYTES_MAX bytes.
@@ -548,8 +494,6 @@ def estimate_error_prob(
         t2 = time.perf_counter()
         noise_s += t1 - t0
         decode_s += t2 - t1
-        if debug_scan:
-            _exhaustive_scan_check(cb.centers, ys, decoder_spec, out)
         error_count += int(np.sum(out != labels))
         erasure_count += int(np.sum(out == ERASURE))
     rho = error_count / trials

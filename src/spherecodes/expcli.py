@@ -315,7 +315,7 @@ def _cell_decoder(cell: dict) -> DecoderSpec | str:
     correlation thresholds are infeasible there."""
     dec = _resolve_decoder(cell["decoder_entry"], cell["sigma2"])
     if dec.family == "corr":
-        p = dec.corr_params()
+        p = dec.record
         bound = corr_feasibility_bound(cell["d"], cell["k"], cell["sigma2"], p.eta1)
         if not p.eta2 < bound:
             return f"infeasible eta2>={bound:.6f}"
@@ -598,12 +598,16 @@ def _load_spec(config, kind: str, seed, out, workers, d, k, beta) -> SweepSpec:
     if workers is not None:
         obj["workers"] = workers
     for key, flag, parse in (("d", d, int), ("k", k, int), ("beta", beta, float)):
-        if flag:
+        if flag is not None:
             try:
                 obj[key] = [parse(x) for x in flag.split(",")]
             except ValueError as exc:
                 raise ConfigError(f"--{key}: {exc}") from exc
-    return parse_spec(obj)
+    spec = parse_spec(obj)
+    # an out no file can be written to is refused before any row runs
+    if spec.out and not (isinstance(spec.out, str) and os.path.isdir(os.path.dirname(spec.out) or ".")):
+        raise ConfigError(f"out must be a path in an existing directory, got {spec.out!r}")
+    return spec
 
 
 def _emit(rows, fields, spec, constants, default_out=None):
@@ -735,8 +739,10 @@ def cmd_learn(config, seed, out, workers, replay_id, d, k, beta):
 def cmd_bounds(config, out, d, k):
     """Print (and optionally CSV) the closed-form bound table."""
     # --d and --k write into the spec, the table's one source of d and k,
-    # so the CSV's config hash records them
-    spec = _load_spec(config, "bounds", None, out, None, d and str(d), k and str(k), None)
+    # so the CSV's config hash records them; a 0 is a value the spec
+    # refuses, not an unset flag
+    flags = [None if v is None else str(v) for v in (d, k)]
+    spec = _load_spec(config, "bounds", None, out, None, *flags, None)
     if len(spec.d) > 1 or len(spec.k) > 1:
         raise ConfigError(f"bounds takes one d and one k, got d={list(spec.d)} k={list(spec.k)}")
     nested = sorted({"d", "k"} & set(spec.bounds))
@@ -787,13 +793,18 @@ def cmd_phase_transition(config, seed, out, workers, replay_id, d, k, beta):
         if len(by_decoder) > 1:
             click.echo(f"decoder {label}")
         click.echo("beta  rho_hat(aggregated)")
+        # only rows that ran are pooled: a beta with none, its thresholds
+        # infeasible, prints its status and is left out of the verdict
         agg = []
         for b in sorted(by_beta):
-            errs = sum(r["error_count"] for r in by_beta[b])
-            tot = sum(r["trials"] for r in by_beta[b])
-            agg.append((b, errs / tot))
-            click.echo(f"{b:<5g} {errs / tot:.6f}")
-        decreasing = all(agg[i][1] > agg[i + 1][1] for i in range(len(agg) - 1))
+            ran = [r for r in by_beta[b] if r["status"] == "ok"]
+            if not ran:
+                click.echo(f"{b:<5g} {by_beta[b][0]['status']}")
+                continue
+            rho = sum(r["error_count"] for r in ran) / sum(r["trials"] for r in ran)
+            agg.append(rho)
+            click.echo(f"{b:<5g} {rho:.6f}")
+        decreasing = all(a > b for a, b in zip(agg, agg[1:]))
         click.echo(f"strictly decreasing in beta: {decreasing}")
     return EXIT_OK
 

@@ -5,14 +5,16 @@ std-lib math only, kept deliberately separate from the package's own
 formula code so the two paths cannot share a bug. The covering, spacing,
 minimum-distance, cluster-mean, batch-decoder and Step-I pass-count
 references are the package's former implementations, kept as the exact
-definitions its fast paths must reproduce.
+definitions its fast paths must reproduce; decode_ref is the one reference
+every decode_batch outcome is checked against.
 """
 
 import math
 
 import numpy as np
 
-from spherecodes import ERASURE, project_ball, sample_uniform_sphere_batch
+from spherecodes import ERASURE, project_ball, rng_for, sample_gmm, sample_uniform_sphere_batch
+from spherecodes.decoders import TRIAL_BLOCK
 from spherecodes.learner import _SCREEN_BUF_BYTES
 from spherecodes.sphere import sq_dists
 
@@ -173,6 +175,27 @@ def mmse_batch_ref(centers, ys, alpha, tau1, tau2):
     ok = (smin <= tau1) & (n_low <= 1)
     out = np.where(ok, best, ERASURE)
     return out.astype(np.int64)
+
+
+def decode_ref(targets, ys, spec):
+    """The full-matrix reference outcomes of a DecoderSpec's family on ys,
+    for a Codebook or a bare (m, d) center array."""
+    centers = np.asarray(getattr(targets, "centers", targets), dtype=np.float64)
+    p = spec.record
+    if spec.family == "nn":
+        return nn_batch_ref(centers, ys)
+    if spec.family == "corr":
+        return corr_batch_ref(centers, ys, p.eta1, p.eta2)
+    return mmse_batch_ref(centers, ys, p.alpha, p.tau1, p.tau2)
+
+
+def estimator_blocks(cb, sigma2, trials, master_seed, seed_path=()):
+    """The (observations, labels) of each block estimate_error_prob draws
+    for these arguments, in order."""
+    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
+        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+        batch = sample_gmm(cb, sigma2, size, rng_for(master_seed, *seed_path, block))
+        yield batch.observations(), batch.privileged_labels()
 
 
 def pass_counts_ref(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:

@@ -19,16 +19,10 @@ import pytest
 from spherecodes import (
     ERASURE,
     Codebook,
-    CorrParams,
     DecoderSpec,
-    MmseParams,
     capacity,
     capacity_inv,
     decode_batch,
-    decode_corr,
-    decode_mmse,
-    decode_nn,
-    estimate_error_prob,
     genie_estimator,
     loss_avg,
     loss_max,
@@ -287,12 +281,16 @@ def test_criterion_07_decoder_invariants():
     sigma2 = noise_for_beta(d, k, 2.0).sigma2
     cb = sample_codebook(d, k, rng_for(0, 7, 0))
 
-    # 1. accept-uniqueness re-verified exhaustively on 10^4 decodes each
+    # 1. accept-uniqueness re-verified exhaustively on 10^4 decodes each:
+    # decode_batch against the full-matrix references on the blocks the
+    # estimator draws
     corr_spec = DecoderSpec(kind="corr", params={"eta1": 0.3, "eta2": 0.3})
     mmse_spec = DecoderSpec.mmse(sigma2, c=1.2)
-    estimate_error_prob(cb, sigma2, corr_spec, 10_000, 0, seed_path=(7, 1), debug_scan=True)
-    estimate_error_prob(cb, sigma2, mmse_spec, 10_000, 0, seed_path=(7, 2), debug_scan=True)
-    uniq_ok = True  # the scans raise on violation
+    uniq_ok = all(
+        np.array_equal(decode_batch(cb, ys, spec), oracles.decode_ref(cb, ys, spec))
+        for spec, stream in ((corr_spec, (7, 1)), (mmse_spec, (7, 2)))
+        for ys, _ in oracles.estimator_blocks(cb, sigma2, 10_000, 0, seed_path=stream)
+    )
 
     # 2. zero-corruption reduction, bit-identical on 10^4 shared inputs
     rng = rng_for(0, 7, 3)
@@ -314,16 +312,16 @@ def test_criterion_07_decoder_invariants():
     r2 = math.sqrt(2.0)
     tie_cb = Codebook(centers=np.array([[r2, 0.0], [0.0, r2]]), d=2, k=2)
     ortho = Codebook(centers=2.0 * np.eye(4), d=4, k=4)
-    cp = CorrParams(eta1=0.1, eta2=0.2)
-    mp = MmseParams(alpha=0.5, tau=0.5, tau1=0.6, tau2=1.5)
+    o, zero = ortho.centers, np.zeros((1, 4))
+    cp = DecoderSpec.corr(0.1, 0.2)
+    mp = DecoderSpec(kind="mmse", params={"alpha": 0.5, "tau": 0.5, "tau1": 0.6, "tau2": 1.5})
     examples_ok = (
-        decode_nn(tie_cb, np.array([1.0, 1.0])) == 0
-        and decode_corr(ortho, ortho.centers[0], cp) == 0
-        and decode_corr(ortho, np.zeros(4), cp) == ERASURE
-        and decode_corr(ortho, ortho.centers[0] + ortho.centers[1], CorrParams(0.5, 0.5))
-        == ERASURE
-        and decode_mmse(ortho, 2.0 * ortho.centers[0], mp) == 0
-        and decode_mmse(ortho, np.zeros(4), mp) == ERASURE
+        decode_batch(tie_cb, np.array([[1.0, 1.0]]), DecoderSpec.nn())[0] == 0
+        and decode_batch(ortho, o[:1], cp)[0] == 0
+        and decode_batch(ortho, zero, cp)[0] == ERASURE
+        and decode_batch(ortho, o[:1] + o[1:2], DecoderSpec.corr(0.5))[0] == ERASURE
+        and decode_batch(ortho, 2.0 * o[:1], mp)[0] == 0
+        and decode_batch(ortho, zero, mp)[0] == ERASURE
     )
 
     elapsed = time.perf_counter() - t0

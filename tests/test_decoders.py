@@ -16,9 +16,6 @@ from spherecodes import (
     MmseParams,
     corr_feasibility_bound,
     decode_batch,
-    decode_corr,
-    decode_mmse,
-    decode_nn,
     estimate_error_prob,
     noise_for_beta,
     rng_for,
@@ -31,7 +28,7 @@ from spherecodes import decoders
 from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
 from spherecodes.sphere import f32_gemm_band, sq_dists
 
-from .oracles import corr_batch_ref, mmse_batch_ref, nn_batch_ref, wilson_ref
+from .oracles import corr_batch_ref, decode_ref, estimator_blocks, mmse_batch_ref, nn_batch_ref, wilson_ref
 
 
 def orthogonal_codebook(d: int, k: int) -> Codebook:
@@ -111,51 +108,48 @@ def test_error_estimate_bracket_invariant():
 # ---------------------------------------------------------------------------
 # operation-table examples (indices 0-based here)
 
+# sigma2 = 1: alpha = tau = 1/2
+MMSE_EXAMPLE = DecoderSpec(kind="mmse", params={"alpha": 0.5, "tau": 0.5, "tau1": 0.6, "tau2": 1.5})
+
 
 def test_nn_exact_center():
     cb = sample_codebook(10, 6, rng_for(50))
-    for i in range(6):
-        assert decode_nn(cb, cb.centers[i]) == i
+    assert np.array_equal(decode_batch(cb, cb.centers, DecoderSpec.nn()), np.arange(6))
 
 
 def test_nn_tie_breaks_lowest_index():
     r = math.sqrt(2.0)
     cb = Codebook(centers=np.array([[r, 0.0], [0.0, r]]), d=2, k=2)
-    assert decode_nn(cb, np.array([1.0, 1.0])) == 0
+    assert decode_batch(cb, np.array([[1.0, 1.0]]), DecoderSpec.nn())[0] == 0
 
 
 def test_corr_accept_example():
     cb = orthogonal_codebook(4, 4)
-    p = CorrParams(eta1=0.1, eta2=0.2)
-    y = cb.centers[0]  # correlation 1 with index 0, 0 elsewhere
-    assert decode_corr(cb, y, p) == 0
+    y = cb.centers[:1]  # correlation 1 with index 0, 0 elsewhere
+    assert decode_batch(cb, y, DecoderSpec.corr(0.1, 0.2))[0] == 0
 
 
 def test_corr_erases_on_zero_input():
     cb = orthogonal_codebook(4, 4)
-    p = CorrParams(eta1=0.1, eta2=0.2)
-    assert decode_corr(cb, np.zeros(4), p) == ERASURE
+    assert decode_batch(cb, np.zeros((1, 4)), DecoderSpec.corr(0.1, 0.2))[0] == ERASURE
 
 
 def test_corr_erases_on_ambiguity():
     cb = orthogonal_codebook(4, 4)
-    p = CorrParams(eta1=0.5, eta2=0.5)
-    y = cb.centers[0] + cb.centers[1]  # correlation 1 with both
-    assert decode_corr(cb, y, p) == ERASURE
+    y = cb.centers[:1] + cb.centers[1:2]  # correlation 1 with both
+    assert decode_batch(cb, y, DecoderSpec.corr(0.5, 0.5))[0] == ERASURE
 
 
 def test_mmse_accept_example():
-    # sigma2=1: alpha=tau=1/2; alpha*(2 X_0) lands exactly on X_0
+    # alpha * (2 X_0) lands exactly on X_0
     cb = orthogonal_codebook(4, 4)
-    p = MmseParams(alpha=0.5, tau=0.5, tau1=0.6, tau2=1.5)
-    assert decode_mmse(cb, 2.0 * cb.centers[0], p) == 0
+    assert decode_batch(cb, 2.0 * cb.centers[:1], MMSE_EXAMPLE)[0] == 0
 
 
 def test_mmse_erases_on_zero_input():
     cb = orthogonal_codebook(4, 4)
-    p = MmseParams(alpha=0.5, tau=0.5, tau1=0.6, tau2=1.5)
     # residual to every center is exactly 1 > tau1
-    assert decode_mmse(cb, np.zeros(4), p) == ERASURE
+    assert decode_batch(cb, np.zeros((1, 4)), MMSE_EXAMPLE)[0] == ERASURE
 
 
 def test_mismatched_corr_zero_corruption_reduction():
@@ -173,8 +167,8 @@ def test_mismatched_corr_zero_corruption_reduction():
 def test_mismatched_corr_erases_on_missing_center():
     cb = orthogonal_codebook(8, 8)
     partial = cb.centers[:4]
-    y = cb.centers[7]  # orthogonal to every retained center
-    assert decode_corr(partial, y, CorrParams(0.3, 0.3)) == ERASURE
+    y = cb.centers[7:]  # orthogonal to every retained center
+    assert decode_batch(partial, y, DecoderSpec.corr(0.3))[0] == ERASURE
 
 
 def test_mismatched_mmse_zero_corruption_is_identity():
@@ -212,41 +206,30 @@ def test_corr_feasibility_k2_uses_zero_log():
 
 
 def test_batch_matches_scalar_paths():
+    # a row decodes alike alone and inside a 300-row block
     cb = sample_codebook(12, 9, rng_for(54))
     ys = cb.centers[rng_for(55).integers(0, 9, 300)] + 0.8 * rng_for(56).standard_normal(
         (300, 12)
     )
-    cp = CorrParams(0.4, 0.4)
-    mp = MmseParams.for_noise(0.64, c=1.3)
-    nn = decode_batch(cb, ys, DecoderSpec.nn())
-    co = decode_batch(cb, ys, DecoderSpec(kind="corr", params={"eta1": 0.4, "eta2": 0.4}))
-    mm = decode_batch(
-        cb,
-        ys,
-        DecoderSpec(
-            kind="mmse",
-            params={"alpha": mp.alpha, "tau": mp.tau, "tau1": mp.tau1, "tau2": mp.tau2},
-        ),
-    )
-    for i in (0, 17, 299):
-        assert nn[i] == decode_nn(cb, ys[i])
-        assert co[i] == decode_corr(cb, ys[i], cp)
-        assert mm[i] == decode_mmse(cb, ys[i], mp)
+    for spec in (DecoderSpec.nn(), DecoderSpec.corr(0.4), DecoderSpec.mmse(0.64, c=1.3)):
+        out = decode_batch(cb, ys, spec)
+        for i in (0, 17, 299):
+            assert decode_batch(cb, ys[i : i + 1], spec)[0] == out[i]
 
 
 def test_empty_targets():
     empty = np.empty((0, 4))
-    y = np.ones(4)
-    assert decode_corr(empty, y, CorrParams(0.3, 0.3)) == ERASURE
-    assert decode_mmse(empty, y, MmseParams.for_noise(1.0)) == ERASURE
+    y = np.ones((1, 4))
+    assert decode_batch(empty, y, DecoderSpec.corr(0.3))[0] == ERASURE
+    assert decode_batch(empty, y, DecoderSpec.mmse(1.0))[0] == ERASURE
     with pytest.raises(ValueError):
-        decode_nn(empty, y)
+        decode_batch(empty, y, DecoderSpec.nn())
 
 
 def test_bare_array_targets_match_codebook():
     cb = sample_codebook(6, 5, rng_for(57))
-    y = cb.centers[2] + 0.1 * rng_for(58).standard_normal(6)
-    assert decode_nn(cb, y) == decode_nn(cb.centers, y)
+    y = cb.centers[2] + 0.1 * rng_for(58).standard_normal((1, 6))
+    assert decode_batch(cb, y, DecoderSpec.nn())[0] == decode_batch(cb.centers, y, DecoderSpec.nn())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +241,9 @@ def test_bare_array_targets_match_codebook():
 def test_threshold_monotonicity_corr(seed):
     # relaxing the accept bar can only turn Erasure into a Message
     cb = sample_codebook(8, 6, rng_for(59, seed))
-    y = cb.centers[0] + rng_for(60, seed).standard_normal(8)
-    tight = decode_corr(cb, y, CorrParams(0.2, 0.6))
-    loose = decode_corr(cb, y, CorrParams(0.5, 0.6))
+    y = cb.centers[:1] + rng_for(60, seed).standard_normal(8)
+    tight = decode_batch(cb, y, DecoderSpec.corr(0.2, 0.6))[0]
+    loose = decode_batch(cb, y, DecoderSpec.corr(0.5, 0.6))[0]
     if tight != ERASURE:
         assert loose == tight
 
@@ -269,24 +252,21 @@ def test_threshold_monotonicity_corr(seed):
 @settings(max_examples=25, deadline=None)
 def test_threshold_monotonicity_mmse(seed):
     cb = sample_codebook(8, 6, rng_for(61, seed))
-    y = cb.centers[0] + rng_for(62, seed).standard_normal(8)
-    base = MmseParams.for_noise(1.0, c=1.0, c2=2.9)
-    loose = MmseParams(alpha=base.alpha, tau=base.tau, tau1=1.3 * base.tau, tau2=base.tau2)
-    a = decode_mmse(cb, y, base)
-    b = decode_mmse(cb, y, loose)
+    y = cb.centers[:1] + rng_for(62, seed).standard_normal(8)
+    base = DecoderSpec.mmse(1.0, c=1.0, c2=2.9)
+    loose = DecoderSpec(kind="mmse", params={**base.params, "tau1": 1.3 * base.record.tau})
+    a = decode_batch(cb, y, base)[0]
+    b = decode_batch(cb, y, loose)[0]
     if a != ERASURE:
         assert b == a
 
 
 def test_matched_decoders_on_noiseless_orthogonal():
     cb = orthogonal_codebook(16, 10)
-    p_corr = CorrParams(0.3, 0.9)
-    p_mmse = MmseParams.for_noise(1.0, c=1.2)  # tau2 = 0.72 < cross residual 1.25
-    for i in range(10):
-        y = cb.centers[i]
-        assert decode_nn(cb, y) == i
-        assert decode_corr(cb, y, p_corr) == i
-        assert decode_mmse(cb, y, p_mmse) == i
+    # mmse: tau2 = 0.72 < cross residual 1.25
+    for spec in (DecoderSpec.nn(), DecoderSpec.corr(0.3, 0.9), DecoderSpec.mmse(1.0, c=1.2)):
+        for i in range(10):
+            assert decode_batch(cb, cb.centers[i : i + 1], spec)[0] == i
 
 
 def test_nn_error_monotone_in_noise():
@@ -409,38 +389,16 @@ def test_estimator_self_consistency_below_capacity():
     assert a.ci_low <= b.rho_hat <= a.ci_high
 
 
-def test_estimator_debug_scan_runs():
-    cb = sample_codebook(8, 6, rng_for(79))
-    spec = DecoderSpec.mmse(1.0, c=1.2)
-    est = estimate_error_prob(cb, 1.0, spec, 256, 80, debug_scan=True)
-    assert est.trials == 256
-
-
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_kernels_pass_the_exhaustive_scan_at_the_criterion_3_geometry(beta):
+    # decode_batch against the full-matrix references on the block the
+    # estimator draws
     d, k = 16, 2981
     cb = sample_codebook(d, k, rng_for(97))
     sigma2 = noise_for_beta(d, k, beta).sigma2
     for spec in (DecoderSpec.nn(), DecoderSpec.mmse(sigma2, c=1.45), DecoderSpec.corr(0.3)):
-        est = estimate_error_prob(cb, sigma2, spec, TRIAL_BLOCK, 98, seed_path=(int(4 * beta),), debug_scan=True)
-        assert est.trials == TRIAL_BLOCK
-
-
-@pytest.mark.parametrize(
-    "kernel, spec",
-    [
-        ("_nn_batch", DecoderSpec.nn()),
-        ("_corr_batch", DecoderSpec.corr(0.3)),
-        ("_mmse_batch", DecoderSpec.mmse(1.0, c=1.2)),
-    ],
-    ids=["nn", "corr", "mmse"],
-)
-def test_estimator_debug_scan_catches_a_broken_kernel(monkeypatch, kernel, spec):
-    # a kernel that decodes every trial to index 0 must not pass the scan
-    monkeypatch.setattr(decoders, kernel, lambda centers, ys, *args: np.zeros(len(ys), dtype=np.int64))
-    cb = sample_codebook(8, 6, rng_for(79))
-    with pytest.raises(AssertionError, match="disagrees with the exhaustive rule"):
-        estimate_error_prob(cb, 1.0, spec, 256, 80, debug_scan=True)
+        for ys, _ in estimator_blocks(cb, sigma2, TRIAL_BLOCK, 98, seed_path=(int(4 * beta),)):
+            assert np.array_equal(decode_batch(cb, ys, spec), decode_ref(cb, ys, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +420,16 @@ def _sigma2(d, k):
     return noise_for_beta(d, k, 2.0).sigma2 if k > 1 else 0.5
 
 
-def _assert_kernels_match(centers, ys, mmse_params, corr_params):
-    # mmse_params: MmseParams records or bare (alpha, tau1, tau2) triples
+def _assert_kernels_match(centers, ys, mmse_sets, corr_pairs):
+    # mmse_sets: MmseParams records or bare (alpha, tau1, tau2) triples
     assert np.array_equal(_nn_batch(centers, ys), nn_batch_ref(centers, ys))
-    for p in mmse_params:
+    for p in mmse_sets:
         alpha, tau1, tau2 = (p.alpha, p.tau1, p.tau2) if isinstance(p, MmseParams) else p
         assert np.array_equal(
             _mmse_batch(centers, ys, alpha, tau1, tau2),
             mmse_batch_ref(centers, ys, alpha, tau1, tau2),
         )
-    for eta1, eta2 in corr_params:
+    for eta1, eta2 in corr_pairs:
         assert np.array_equal(
             _corr_batch(centers, ys, eta1, eta2), corr_batch_ref(centers, ys, eta1, eta2)
         )
@@ -705,24 +663,21 @@ def test_kernels_match_refs_on_off_sphere_centers(d, k):
     _assert_kernels_match(mismatched, ys, [p, WIDENED_MMSE[d, k]], [(0.3, 0.5)])
 
 
-@pytest.mark.parametrize("kind", ["nn", "mmse"])
+@pytest.mark.parametrize("kind", ["nn", "mmse", "corr"])
 def test_estimator_matches_ref_kernels(kind):
-    # the criterion-3 geometry, with a partial last block
+    # the criterion-3 geometry, with a partial last block; the blocks are
+    # drawn here as the channel defines them, not by sample_gmm
     d, k, trials, seed = 16, 2981, 2 * TRIAL_BLOCK + 300, 92
     cb = sample_codebook(d, k, rng_for(93))
     sigma2 = noise_for_beta(d, k, 2.0).sigma2
-    spec = DecoderSpec.nn() if kind == "nn" else DecoderSpec.mmse(sigma2, c=1.45)
+    spec = {"nn": DecoderSpec.nn(), "mmse": DecoderSpec.mmse(sigma2, c=1.45), "corr": DecoderSpec.corr(0.3)}[kind]
     errors = erasures = 0
     for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
         rng = rng_for(seed, block)
         labels = rng.integers(0, k, size=size)
         ys = cb.centers[labels] + math.sqrt(sigma2) * rng.standard_normal((size, d))
-        if kind == "nn":
-            out = nn_batch_ref(cb.centers, ys)
-        else:
-            p = spec.mmse_params()
-            out = mmse_batch_ref(cb.centers, ys, p.alpha, p.tau1, p.tau2)
+        out = decode_ref(cb, ys, spec)
         errors += int(np.sum(out != labels))
         erasures += int(np.sum(out == ERASURE))
     est = estimate_error_prob(cb, sigma2, spec, trials, seed)
@@ -901,14 +856,14 @@ def test_kernels_match_refs_with_a_nan_row(monkeypatch):
 
 def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatch):
     # d = 128, k = 256 above capacity: top-two gaps are small, and nn falls
-    # back to float64 on this block
+    # back to float64 on the block the estimator draws
     d, k = 128, 256
     cb = sample_codebook(d, k, rng_for(102))
     sigma2 = noise_for_beta(d, k, 0.5).sigma2
     seen = _screen_dtypes(monkeypatch)
+    [(ys, _)] = estimator_blocks(cb, sigma2, TRIAL_BLOCK, 103, seed_path=(2,))
     for spec in (DecoderSpec.nn(), DecoderSpec.mmse(sigma2, c=1.45), DecoderSpec.corr(0.3)):
         seen.clear()
-        est = estimate_error_prob(cb, sigma2, spec, TRIAL_BLOCK, 103, seed_path=(2,), debug_scan=True)
-        assert est.trials == TRIAL_BLOCK
+        assert np.array_equal(decode_batch(cb, ys, spec), decode_ref(cb, ys, spec))
         if spec.family == "nn":
             assert seen == [np.float32, np.float64]

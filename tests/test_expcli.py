@@ -93,7 +93,7 @@ def test_parse_spec_rejects_bad_values():
 
 def test_resolve_decoder_shorthand_and_validation():
     spec = _resolve_decoder({"kind": "mmse", "c": 1.3}, sigma2=1.0)
-    p = spec.mmse_params()
+    p = spec.record
     assert p.tau1 == pytest.approx(1.3 * 0.5, rel=1e-12)
     assert p.tau2 == pytest.approx(1.3 * 1.3 * 0.5, rel=1e-12)
     full = _resolve_decoder(
@@ -101,7 +101,7 @@ def test_resolve_decoder_shorthand_and_validation():
     )
     assert full.kind == "mmse"
     corr = _resolve_decoder({"kind": "corr", "eta1": 0.3}, sigma2=1.0)
-    assert corr.corr_params().eta2 == 0.3
+    assert corr.record.eta2 == 0.3
     with pytest.raises(ConfigError, match="kind"):
         _resolve_decoder({}, sigma2=1.0)
     with pytest.raises(ConfigError, match="no params"):
@@ -521,6 +521,30 @@ def test_cli_bounds_rejects_a_grid(flag):
     assert res.exit_code == 2
     assert flag in res.output
     assert "capacity" not in res.output
+
+
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("bounds", ["--d", "0", "--k", "0"], "d must be an integer >= 1, got 0"),
+        ("bounds", ["--k", "0"], "k must be an integer >= 2, got 0"),
+        ("decode-sweep", ["--d", ""], "--d: "),
+        ("phase-transition", ["--k", ""], "--k: "),
+        ("learn", ["--beta", ""], "--beta: "),
+        ("net-stats", ["--d", ""], "--d: "),
+    ],
+    ids=["bounds-d0-k0", "bounds-k0", "decode-sweep-d", "phase-transition-k", "learn-beta", "net-stats-d"],
+)
+def test_cli_a_zero_or_empty_flag_is_refused_not_ignored(monkeypatch, command, args, message):
+    # only an absent flag leaves the config's value, or the default, in place
+    rows = []
+    for row_fn in ("_decode_row", "_learn_row", "_net_row"):
+        monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
+    res = cli(command, *args)
+    assert res.exit_code == 2, res.output
+    assert message in res.stderr
+    assert "capacity" not in res.output
+    assert rows == []
 
 
 def test_cli_decode_sweep_hash_is_pinned(tmp_path):
@@ -970,7 +994,8 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("learn", "threshold_const", HUGE), ("learn", "mmse_c", -HUGE), ("decode_sweep", "beta", HUGE)]
     + [("decode_sweep", "c", math.inf), ("decode_sweep", "c", True), ("decode_sweep", "c2", math.nan)]
     + [("decode_sweep", "c2", False), ("decode_sweep", "c", HUGE), ("decode_sweep", "eta1", math.inf)]
-    + [("decode_sweep", "d", [HUGE]), ("learn", "k", [HUGE])],
+    + [("decode_sweep", "d", [HUGE]), ("learn", "k", [HUGE])]
+    + [("decode_sweep", "out", "/no/such/dir/x.csv"), ("learn", "out", 5)],
     ids=huge_id,
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
@@ -1068,6 +1093,28 @@ def test_cli_phase_transition_summary_per_decoder(tmp_path):
             rho = sum(int(r["error_count"]) for r in own) / sum(int(r["trials"]) for r in own)
             assert line == f"{beta:<5g} {rho:.6f}"
         assert block[4].startswith("strictly decreasing in beta: ")
+
+
+def test_cli_phase_transition_summary_pools_only_the_rows_that_ran(tmp_path):
+    # at d = 1024, k = 16 the correlation thresholds are infeasible at
+    # beta = 1, so its row runs no trial: the summary prints the row's
+    # status in place of a rate and judges monotonicity on beta = 8 alone
+    out = tmp_path / "pt.csv"
+    cfg = tmp_path / "pt.json"
+    obj = {"kind": "phase_transition", "d": [1024], "k": [16], "beta": [1.0, 8.0], "trials": 200}
+    cfg.write_text(json.dumps({**obj, "decoders": [{"kind": "corr", "eta1": 0.3}]}))
+    res = cli("phase-transition", "--config", str(cfg), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = read_csv_rows(str(out))
+    assert [r["status"] for r in rows] == ["infeasible eta2>=-0.062967", "ok"]
+    assert rows[0]["trials"] == "200" and rows[0]["error_count"] == "0"
+    rho = int(rows[1]["error_count"]) / 200
+    assert res.output.splitlines()[1:] == [
+        "beta  rho_hat(aggregated)",
+        "1     infeasible eta2>=-0.062967",
+        f"8     {rho:.6f}",
+        "strictly decreasing in beta: True",
+    ]
 
 
 def test_cli_net_stats(tmp_path):

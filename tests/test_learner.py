@@ -614,12 +614,12 @@ def test_build_step2_decoder_shapes():
     assert spec.params == {"eta1": 0.2, "eta2": 0.4}
     cfg2 = LearnerConfig(decoder_kind="mismatched_mmse", mmse_c=1.4)
     spec2 = build_step2_decoder(cfg2, 8, 4, 1.0)
-    p = spec2.mmse_params()
+    p = spec2.record
     # c2 defaults to c: accept and reject bars coincide
     assert p.tau1 == pytest.approx(1.4 * p.tau, rel=1e-12)
     assert p.tau2 == pytest.approx(1.4 * p.tau, rel=1e-12)
     cfg3 = LearnerConfig(decoder_kind="mismatched_mmse", mmse_c=1.2, mmse_c2=2.2)
-    p3 = build_step2_decoder(cfg3, 8, 4, 1.0).mmse_params()
+    p3 = build_step2_decoder(cfg3, 8, 4, 1.0).record
     assert p3.tau2 == pytest.approx(2.2 * p3.tau, rel=1e-12)
 
 
