@@ -784,14 +784,18 @@ def cmd_phase_transition(config, seed, out, workers, replay_id, d, k, beta):
         return _replay(spec, replay_id, _decode_plan, DECODE_FIELDS)
     rows = run_decode_sweep(spec)
     _emit(rows, DECODE_FIELDS, spec, {})
-    # aggregate across replicates per (decoder, beta); each decoder is
-    # judged on its own rows, and named when the sweep has several
-    by_decoder: dict[str, dict[float, list[dict]]] = {}
+    # aggregate across replicates per (decoder, d, k, beta); each decoder
+    # and geometry is judged on its own rows, and named when the sweep has
+    # several
+    blocks: dict[tuple, dict[float, list[dict]]] = {}
     for r in rows:
-        by_decoder.setdefault(r["decoder"], {}).setdefault(r["beta"], []).append(r)
-    for label, by_beta in by_decoder.items():
-        if len(by_decoder) > 1:
+        blocks.setdefault((r["decoder"], r["d"], r["k"]), {}).setdefault(r["beta"], []).append(r)
+    decoders, geometries = {key[0] for key in blocks}, {key[1:] for key in blocks}
+    for (label, d_, k_), by_beta in blocks.items():
+        if len(decoders) > 1:
             click.echo(f"decoder {label}")
+        if len(geometries) > 1:
+            click.echo(f"d={d_} k={k_}")
         click.echo("beta  rho_hat(aggregated)")
         # only rows that ran are pooled: a beta with none, its thresholds
         # infeasible, prints its status and is left out of the verdict

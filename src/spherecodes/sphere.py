@@ -19,19 +19,14 @@ D_MAX_NET_DEFAULT = 12
 # (k, d) centers, a decode block's TRIAL_BLOCK x k distances), checked
 # before it is allocated; building a net briefly holds a few of this size
 ARRAY_BYTES_MAX = 1 << 29
-# the distance scans (verify_covering's probe chunks, codebook.min_distance's
+# the distance scans (verify_covering's band recheck, codebook.min_distance's
 # row chunks) bound each distance matrix to this many entries
 SCAN_ENTRIES = 2_000_000
-# verify_covering's first k-d tree holds this share of the net. Net points
-# are i.i.d. uniform, so a prefix of the net is itself a uniform net: at
-# the acceptance configs' C_net = 16, its first eighth (a C_net = 2 net)
-# leaves one or two of 2,000 probes open, and its tree costs a tenth of
-# the whole net's
-_HEAD_SHARE = 8
-# at most this many probes the head leaves open are resolved against the
-# rest of the net densely; from about 50 on, a k-d tree on the rest is
-# cheaper, at every net size measured (M = 1,024 to 65,536)
-_DENSE_OPEN = 32
+# verify_covering's slice scan bounds each probe-by-slice product to this
+# many entries (2 MiB). Needing no scipy, the scan saves about 30 MiB of
+# a learner run's peak RSS; a product of SCAN_ENTRIES (16 MiB, with its
+# temporaries more) would spend much of it again
+_SLICE_ENTRIES = 1 << 18
 # net_size's constants; C_net = 16 is the value the acceptance configs,
 # demos and benchmark use
 C_NET_DEFAULT = 16.0
@@ -258,56 +253,54 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     was covered; the screening guarantees downstream assume this fraction
     is near 1.
 
-    A probe is decided by an approximate nearest distance only when that
-    distance clears the target by a margin far above rounding; probes
-    inside that margin are decided by the dense formula
-    (d + ||t||^2) - 2 <q, t> <= target over the whole net, so the fraction
-    equals the dense computation's exactly. The nearest distance comes in
-    two passes. A k-d tree on the net's first 1/_HEAD_SHARE points, queried
-    with every probe bounded at the target radius, covers most probes: the
-    whole net's nearest point can only be closer. The probes it leaves
-    open are resolved against the rest of the net, densely when they are
-    few and by a k-d tree on the rest otherwise. A tree's shape only
-    changes which pairs it visits, not the distance of a pair, so each is
-    built unbalanced, which is faster.
+    The fraction equals the dense computation's exactly: a probe q counts
+    as covered when (d + ||t||^2) - 2 <q, t> <= target for some net point
+    t. Net holds every ||t||^2 within slack = 1e-9 d of d, so that formula
+    and 2d - 2 <q, t> differ by at most slack plus rounding, about
+    d^2 2^-53, which stays below slack for d under about 10^6. A scan
+    keeps each probe's largest <q, t>: it walks the net in slices that
+    double in size from 512 points, with one GEMM per slice of the probes
+    still open, in row chunks of about _SLICE_ENTRIES entries. A probe
+    whose maximum exceeds cut_in = (2d - target + 4 slack) / 2 is
+    certainly covered and leaves the scan; one whose maximum over the
+    whole net stays below cut_out = (2d - target - 4 slack) / 2 is
+    certainly not. The probes in between are rechecked with the dense
+    formula over the whole net, each from the product of its whole chunk
+    of probes (chunks bound that matrix to SCAN_ENTRIES entries, and BLAS
+    rounds a lone row's product differently); only chunks that hold such
+    a probe are formed. The early exit relies on net points being i.i.d.
+    uniform, so that each slice is itself a uniform net: at C_net = 16 the
+    first 7,680 points leave a few of 2,000 probes open. A net in another
+    order is certified as exactly, only more slowly.
     """
-    from scipy.spatial import cKDTree
-
     if probes < 1:
         raise ValueError("probes must be >= 1")
     pts = net.points
     d = net.d
     target = net.covering_radius_sq_target
     slack = 1e-9 * d
-    bound = np.sqrt(target + slack)
     nbytes = probes * d * 8
     check_array_bytes(nbytes, f"{probes} covering probes in dimension {d} need {nbytes} bytes")
     q = sample_uniform_sphere_batch(d, probes, rng)
-    head = max(1, pts.shape[0] // _HEAD_SHARE)
-    dist, _ = cKDTree(pts[:head], balanced_tree=False).query(q, distance_upper_bound=bound)
-    # squared distance to the nearest net point found; inf when none lies
-    # within the bound
-    near = dist * dist
-    rest = pts[head:]
-    open_ = np.flatnonzero(near >= target - slack)
-    if open_.size and rest.shape[0]:
-        if open_.size <= _DENSE_OPEN:
-            # the dense formula, its summation order aside
-            rest_sq = np.min((d + np.einsum("ij,ij->i", rest, rest)) - 2.0 * (q[open_] @ rest.T), axis=1)
-        else:
-            dist, _ = cKDTree(rest, balanced_tree=False).query(q[open_], distance_upper_bound=bound)
-            rest_sq = dist * dist
-        near[open_] = np.minimum(near[open_], rest_sq)
-    covered = int(np.count_nonzero(near < target - slack))
-    band = (near >= target - slack) & (near <= target + slack)
-    # the dense formula is evaluated for whole chunks of probes, which
-    # bound the probe-net distance matrix to SCAN_ENTRIES entries, and only
-    # for chunks that hold a band probe. A recheck row comes from its
-    # chunk's product because BLAS rounds a lone row's product differently
+    cut_in, cut_out = (2 * d - target + 4 * slack) / 2, (2 * d - target - 4 * slack) / 2
+    best = np.full(probes, -np.inf)
+    open_ = np.arange(probes)
+    start, width = 0, 512
+    while open_.size and start < pts.shape[0]:
+        part = pts[start : start + width]
+        rows = max(1, _SLICE_ENTRIES // part.shape[0])
+        for r in range(0, open_.size, rows):
+            idx = open_[r : r + rows]
+            best[idx] = np.maximum(best[idx], np.max(q[idx] @ part.T, axis=1))
+        open_ = open_[best[open_] <= cut_in]
+        start, width = start + width, 2 * width
+    covered = probes - open_.size
+    band = np.zeros(probes, dtype=bool)
+    band[open_[best[open_] >= cut_out]] = True
     chunk = max(1, SCAN_ENTRIES // pts.shape[0])
-    for lo in np.unique(np.flatnonzero(band) // chunk) * chunk:
-        pts_sq = np.sum(pts * pts, axis=1)
-        # ||q - t||^2 = 2d - 2 <q, t>, both on-sphere
+    starts = np.unique(np.flatnonzero(band) // chunk) * chunk
+    pts_sq = np.sum(pts * pts, axis=1) if starts.size else None
+    for lo in starts:
         min_sq = (d + pts_sq[None, :]) - 2.0 * (q[lo : lo + chunk] @ pts.T)
         covered += int(np.sum(np.min(min_sq[band[lo : lo + chunk]], axis=1) <= target))
     return covered / probes

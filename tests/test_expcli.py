@@ -458,6 +458,32 @@ def test_cli_rejects_a_flag_the_subcommand_ignores(command, flag):
     assert "No such option" in res.output
 
 
+def test_learner_path_loads_no_scipy(tmp_path):
+    # the covering certificate runs on numpy alone, so a learn row and a
+    # net-stats row leave scipy unloaded: match_centers, which no row
+    # calls, is its one user
+    src = os.path.dirname(os.path.dirname(spherecodes.__file__))
+    learn = {"kind": "learn", "d": [3], "k": [2], "beta": [2.0], "probes": 200, "learner": {"N": 200, "Nbar": 100, "C_net": 2.0}}
+    runs = [(learn, "learn"), ({"kind": "net_stats", "d": [3], "eps_I": [0.3], "probes": 200}, "net-stats")]
+    argv = []
+    for i, (obj, command) in enumerate(runs):
+        cfg = tmp_path / f"{i}.json"
+        cfg.write_text(json.dumps(obj))
+        argv.append(json.dumps([command, "--config", str(cfg), "--out", str(tmp_path / f"{i}.csv")]))
+    code = (
+        "import json, sys\nfrom spherecodes.expcli import main\n"
+        "for args in sys.argv[1:]:\n"
+        "    try:\n        main(json.loads(args))\n"
+        "    except SystemExit as exc:\n        assert exc.code == 0, exc.code\n"
+        "print('scipy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert all((tmp_path / f"{i}.csv").exists() for i in range(2))
+
+
 def test_package_import_loads_neither_scipy_nor_click():
     src = os.path.dirname(os.path.dirname(spherecodes.__file__))
     code = "import sys, spherecodes; print(sorted({'scipy', 'click'} & {m.split('.')[0] for m in sys.modules}))"
@@ -1090,6 +1116,27 @@ def test_cli_phase_transition_summary_per_decoder(tmp_path):
         assert block[1] == "beta  rho_hat(aggregated)"
         for line, beta in zip(block[2:4], (0.5, 2.0)):
             own = [r for r in rows if r["decoder"] == label and float(r["beta"]) == beta]
+            rho = sum(int(r["error_count"]) for r in own) / sum(int(r["trials"]) for r in own)
+            assert line == f"{beta:<5g} {rho:.6f}"
+        assert block[4].startswith("strictly decreasing in beta: ")
+
+
+def test_cli_phase_transition_summary_per_geometry(tmp_path):
+    # two dimensions: each (d, k) gets its own rho per beta and its own
+    # verdict, from its own rows only, not one rho pooled over both
+    out = tmp_path / "pt.csv"
+    cfg = tmp_path / "pt.json"
+    cfg.write_text(json.dumps({"kind": "phase_transition", "d": [8, 64], "k": [16], "beta": [0.5, 2.0], "trials": 200}))
+    res = cli("phase-transition", "--config", str(cfg), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = read_csv_rows(str(out))
+    summary = res.output.splitlines()[1:]
+    assert len(summary) == 2 * 5
+    for i, d in enumerate((8, 64)):
+        block = summary[5 * i : 5 * i + 5]
+        assert block[:2] == [f"d={d} k=16", "beta  rho_hat(aggregated)"]
+        for line, beta in zip(block[2:4], (0.5, 2.0)):
+            own = [r for r in rows if int(r["d"]) == d and float(r["beta"]) == beta]
             rho = sum(int(r["error_count"]) for r in own) / sum(int(r["trials"]) for r in own)
             assert line == f"{beta:<5g} {rho:.6f}"
         assert block[4].startswith("strictly decreasing in beta: ")

@@ -12,7 +12,7 @@ from spherecodes import (
     sample_uniform_sphere_batch,
     verify_covering,
 )
-from spherecodes.sphere import _DENSE_OPEN, _HEAD_SHARE, ARRAY_BYTES_MAX, net_size
+from spherecodes.sphere import _NORM_TOL, ARRAY_BYTES_MAX, net_size
 
 from .oracles import covering_min_sq_ref, covering_ref
 
@@ -181,52 +181,74 @@ def test_verify_covering_rechecks_band_probes_in_later_chunks(d):
         assert verify_covering(sub, probes, rng_for(21, d)) == int(np.sum(min_sq <= target)) / probes
 
 
-def head_open_count(net, probes, rng):
-    """Probes the net's head (its first 1/_HEAD_SHARE points) leaves open:
-    no head point clearly inside the target. Probes are drawn as
-    verify_covering draws them."""
+def open_after(net, probes, rng, n):
+    """Probes the net's first n points leave open: none of them clearly
+    inside the target. Probes are drawn as verify_covering draws them."""
     q = sample_uniform_sphere_batch(net.d, probes, rng)
-    head = net.points[: max(1, net.size // _HEAD_SHARE)]
-    near = np.min((net.d + np.sum(head * head, axis=1)) - 2.0 * (q @ head.T), axis=1)
+    part = net.points[:n]
+    near = np.min((net.d + np.sum(part * part, axis=1)) - 2.0 * (q @ part.T), axis=1)
     return int(np.sum(near >= net.covering_radius_sq_target - 1e-9 * net.d))
 
 
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("probes", [40, 2_000])
 def test_verify_covering_with_a_head_in_one_hemisphere(d, probes):
-    # the net's first eighth lies in the half x_0 > 0, so the rest of the
-    # net must cover the probes of the other half: a few of them (40
-    # probes, resolved densely) or many (2,000, by a tree on the rest)
-    pts = sample_uniform_sphere_batch(d, 8_000, rng_for(24, d))
-    pts[: 8_000 // _HEAD_SHARE, 0] = np.abs(pts[: 8_000 // _HEAD_SHARE, 0])
+    # the net's head, the scan's first three slices (3,584 points), lies in
+    # the half x_0 > 0, so the probes of the other half leave the scan only
+    # in its last slices, and the few points there leave some open to the
+    # net's end
+    M = {3: 3_600, 5: 4_000}[d]
+    pts = sample_uniform_sphere_batch(d, M, rng_for(24, d))
+    pts[:3_584, 0] = np.abs(pts[:3_584, 0])
     net = Net(points=pts, eps_I=0.3)
-    n_open = head_open_count(net, probes, rng_for(25, d))
-    assert (n_open <= _DENSE_OPEN) == (probes == 40) and n_open > 0
+    n_open = open_after(net, probes, rng_for(25, d), 3_584)
     frac = verify_covering(net, probes, rng_for(25, d))
     assert frac == covering_ref(net, probes, rng_for(25, d))
-    assert frac > 1.0 - n_open / probes
+    assert 1.0 - n_open / probes < frac < 1.0
+    assert open_after(net, probes, rng_for(25, d), M) > 0
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_verify_covering_target_at_a_probe_nearest_outside_the_head(d):
     # the target equals, to the last bit, the dense distance of a probe
-    # whose nearest net point lies past the head, so that probe reaches
-    # the band through the rest of the net and counts as covered (<=)
-    net = build_net(d, 0.3, rng=rng_for(26, d), C_net=0.5)
+    # whose nearest net point lies past the head, here the scan's first
+    # slice (512 points), so that probe reaches the band only later and
+    # counts as covered (<=)
+    net = Net(points=sample_uniform_sphere_batch(d, 3_000, rng_for(26, d)), eps_I=0.3)
     probes = 300
     q = sample_uniform_sphere_batch(d, probes, rng_for(27, d))
     dense = (d + np.sum(net.points**2, axis=1)[None, :]) - 2.0 * (q @ net.points.T)
     min_sq = covering_min_sq_ref(net, probes, rng_for(27, d))
-    past_head = np.flatnonzero(np.argmin(dense, axis=1) >= max(1, net.size // _HEAD_SHARE))
-    assert past_head.size > 0
-    for i in past_head[:: max(1, past_head.size // 4)]:
+    past_first = np.flatnonzero(np.argmin(dense, axis=1) >= 512)
+    assert past_first.size > 0
+    for i in past_first[:: max(1, past_first.size // 4)]:
         target = float(min_sq[i])
         sub = Net(points=net.points, eps_I=0.3, covering_radius_sq_target=target)
         assert verify_covering(sub, probes, rng_for(27, d)) == int(np.sum(min_sq <= target)) / probes
 
 
+@pytest.mark.parametrize("d", [3, 6])
+def test_verify_covering_with_norms_off_by_most_of_the_tolerance(d):
+    # net points scaled to ||t||^2 = d (1 +- 0.9 _NORM_TOL), which Net
+    # accepts: there the scan's 2d - 2 <q, t> is furthest from the dense
+    # formula. Each target is one probe's dense distance, to the last bit,
+    # from a point of either sign
+    pts = sample_uniform_sphere_batch(d, 3_000, rng_for(29, d))
+    sign = np.where(np.arange(3_000) % 2 == 0, 1.0, -1.0)
+    base = Net(points=pts * np.sqrt(1.0 + 0.9 * _NORM_TOL * sign)[:, None], eps_I=0.3)
+    probes = 400
+    q = sample_uniform_sphere_batch(d, probes, rng_for(30, d))
+    dense = (d + np.sum(base.points**2, axis=1)[None, :]) - 2.0 * (q @ base.points.T)
+    min_sq = covering_min_sq_ref(base, probes, rng_for(30, d))
+    parity = np.argmin(dense, axis=1) % 2
+    for i in (*np.flatnonzero(parity == 0)[:3], *np.flatnonzero(parity == 1)[:3]):
+        target = float(min_sq[i])
+        net = Net(points=base.points, eps_I=0.3, covering_radius_sq_target=target)
+        assert verify_covering(net, probes, rng_for(30, d)) == int(np.sum(min_sq <= target)) / probes
+
+
 @pytest.mark.parametrize("pts", [[[2.0**0.5, 0.0]], [[1.0], [-1.0]], [[-1.0], [1.0]]], ids=["M1", "M2", "M2-flipped"])
 def test_verify_covering_tiny_nets(pts):
-    # a one-point net has an empty rest; a two-point net a one-point head
+    # one- and two-point nets: the first slice is the whole net
     net = Net(points=np.array(pts), eps_I=0.3)
     assert verify_covering(net, 500, rng_for(28)) == covering_ref(net, 500, rng_for(28))
