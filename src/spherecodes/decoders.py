@@ -39,13 +39,14 @@ TRIAL_BLOCK = 1024
 # the fewest trials an error estimate accepts
 TRIALS_MIN = 100
 
-# _top2 reads its (n, k) GEMM output in row slabs of about this many bytes,
+# the decoders read their GEMM output in row slabs of about this many bytes,
 # so each slab's second pass reads cached data. 1 MiB is half a 2 MiB
-# per-core L2, leaving room for the rest of the working set: 87 float32 or
-# 43 float64 rows at k = 2981, and the whole 1,024 x 256 float32 block at
-# d = 128. Smaller slabs pay numpy's per-call cost on more slices: in the
-# criterion-3 sweep 256 KiB ran about 9% slower, while 512 KiB to 2 MiB
-# read within 1% of each other. No outcome depends on the value
+# per-core L2, leaving room for the rest of the working set: _top2 reads 87
+# float32 rows at k = 2981, and the whole 1,024 x 256 float32 block at
+# d = 128; the exact rule reads 43 or 512 float64 rows. Smaller slabs pay
+# numpy's per-call cost on more slices: in the criterion-3 sweep 256 KiB
+# ran about 9% slower, while 512 KiB to 2 MiB read within 1% of each other.
+# No outcome depends on the value
 SLAB_BYTES = 1024 * 1024
 
 # Decode targets may be a Codebook or a bare (m, d) array: partial center
@@ -186,15 +187,11 @@ def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
 
 def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of g: the argmax (lowest index on ties), the maximum and the
-    largest entry at any other index (-inf when g has one column), the
-    values in g's dtype.
-
-    Two read-only passes over row slabs of about SLAB_BYTES, half a
-    per-core L2, so the second pass reads the slab from cache. It masks the
-    argmax entry, which is restored before the next slab: g is left as it
-    was. Each row's three values are exact, so they do not depend on the
-    slab height.
-    """
+    largest entry at any other index (-inf when g has one column), in g's
+    dtype. Two read-only passes over row slabs of about SLAB_BYTES, so the
+    second reads the slab from cache. It masks the argmax entry and
+    restores it before the next slab: g is left as it was. Each row's three
+    values are exact, so they do not depend on the slab height."""
     n, k = g.shape
     best = np.empty(n, dtype=np.int64)
     top = np.empty(n, dtype=g.dtype)
@@ -213,44 +210,27 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, top, second
 
 
-# Every kernel decides a row from the top two entries of its GEMM output
-# g = sa @ centers.T (sa = 2 * a for the residual kernels, whose g is
-# sq_dists's cross term, taken whole-block as sq_dists takes it: BLAS
-# rounds a product computed in row pieces differently). A rule gets the
-# argmax b, its entry, the runner-up entry and a per-row band on how far
-# each entry may sit from the float64 GEMM's. Every entry but b is at
+# Each family is a band rule and an exact rule on its GEMM output
+# g = sa @ centers.T, where sa = 2 * a for the residual families, whose g
+# is sq_dists's cross term. _decide runs them in two tiers.
+#
+# The screen takes a float32 GEMM, which moves half the bytes of the
+# float64 one, and sphere.f32_gemm_band, a per-row bound on how far each
+# entry may sit from the float64 GEMM's. The band rule gets the argmax b,
+# its entry, the runner-up entry and that band. Every entry but b is at
 # most runner-up + band, b's is within band of its own, and the entry at
 # the runner-up's index is at least runner-up - band. The residual
-# kernels read sq_dists(a, centers) = (ya - g) + xb, so every entry but
+# families read sq_dists(a, centers) = (ya - g) + xb, so every entry but
 # b's is at least (ya - (runner-up + band)) + min(xb): each operation is
 # correctly rounded, and rounding is monotone, so these bounds hold in
-# floating point exactly as on paper. A rule returns its outcomes and
-# the rows they decide for certain.
+# floating point exactly as on paper. The band rule returns its outcomes
+# and the rows they decide for certain.
 #
-# The block is first decided from a float32 GEMM, which moves half the
-# bytes of the float64 one, with the band of sphere.f32_gemm_band. If that
-# leaves a row undecided, or a band is not finite, the whole block is
-# recomputed in float64 with band 0: the same bounds with no slack. The
-# residual kernels then recompute any row still undecided from its g row
-# in sq_dists's operation order. Either way every outcome is the one the
-# float64 bits give.
-
-
-def _decide(rule, centers: np.ndarray, sa: np.ndarray, scale: float, ya: np.ndarray, xb: np.ndarray):
-    """(out, sure, g) of rule on g = sa @ centers.T, sa = scale * a and ya
-    the rows' squared norms of a. g is None when the float32 screen
-    decided every row; otherwise it is the float64 g that out and sure
-    come from."""
-    band = f32_gemm_band(ya, xb, centers.shape[1], scale)
-    if np.all(np.isfinite(band)):
-        g = sa.astype(np.float32) @ centers.astype(np.float32).T
-        out, sure = rule(*_top2(g), band)
-        if np.all(sure):
-            return out, sure, None
-        # free the float32 product before the float64 one is allocated
-        del g
-    g = sa @ centers.T
-    return (*rule(*_top2(g), 0.0), g)
+# The rows it leaves undecided, or every row when a band is not finite,
+# go to the exact rule: the full-matrix rule on those rows of the float64
+# g, in sq_dists's operation order. That g is taken for the whole block,
+# as sq_dists takes it: BLAS rounds a product computed in row pieces
+# differently. Either way every outcome is the one the float64 bits give.
 
 
 def _refuse_non_finite(ys: np.ndarray, norms: np.ndarray) -> None:
@@ -266,54 +246,73 @@ def _refuse_non_finite(ys: np.ndarray, norms: np.ndarray) -> None:
             raise ValueError(f"observation row {i} has a non-finite coordinate")
 
 
-def _sq_rows(ya: np.ndarray, g: np.ndarray, xb: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` of sq_dists(a, centers), from the stored GEMM output."""
-    return (ya[rows, None] - g[rows]) + xb
+def _decide(band_rule, exact_rule, centers: np.ndarray, ys: np.ndarray, a: np.ndarray, scale: float) -> np.ndarray:
+    """A family's outcomes on the rows of ys from g = (scale * a) @
+    centers.T, a = ys or a positive multiple of it, scale 1 or 2. Both rules
+    see ya and xb, the squared norms of a's rows and of the centers:
+    band_rule(best, top, second, band, ya, xb) on the float32 screen, and
+    exact_rule(g, ya, xb) on a slab of float64 g rows and their ya."""
+    (n, d), k = ys.shape, centers.shape[0]
+    ya, xb = sq_norms(a), sq_norms(centers)
+    _refuse_non_finite(ys, ya)
+    sa = a if scale == 1.0 else scale * a
+    band = f32_gemm_band(ya, xb, d, scale)
+    if np.all(np.isfinite(band)):
+        g = sa.astype(np.float32) @ centers.astype(np.float32).T
+        out, sure = band_rule(*_top2(g), band, ya, xb)
+        # free the float32 product before the float64 one is allocated
+        del g
+        rows = np.flatnonzero(~sure)
+    else:
+        out, rows = np.empty(n, dtype=np.int64), np.arange(n)
+    if rows.size:
+        g = sa @ centers.T
+        step = max(1, SLAB_BYTES // (g.itemsize * k))
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            out[r] = exact_rule(g[r], ya[r], xb)
+    return out
 
 
 def _nn_batch(centers: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    ya, xb = sq_norms(ys), sq_norms(centers)
-    _refuse_non_finite(ys, ya)
-
-    def rule(best, top, second, band):
+    def band_rule(best, top, second, band, ya, xb):
         # b is the unique argmin when every other entry's bound exceeds its own
         return best, (ya - (second + band)) + xb.min() > (ya - (top - band)) + xb[best]
 
-    best, sure, g = _decide(rule, centers, 2.0 * ys, 2.0, ya, xb)
-    unsure = np.flatnonzero(~sure)
-    if unsure.size:
-        best[unsure] = np.argmin(_sq_rows(ya, g, xb, unsure), axis=1)
-    return best
+    def exact_rule(g, ya, xb):
+        return np.argmin((ya[:, None] - g) + xb, axis=1)
+
+    return _decide(band_rule, exact_rule, centers, ys, ys, 2.0)
 
 
 def _corr_batch(centers: np.ndarray, ys: np.ndarray, eta1: float, eta2: float) -> np.ndarray:
     d = centers.shape[1]
 
-    def rule(best, top, second, band):
+    def band_rule(best, top, second, band, ya, xb):
         # division by d is monotone, so (second + band) / d bounds every
         # other correlation. The accept condition needs the maximizer to be
         # the only index at or above 1 - eta2; since 1 - eta1 >= 1 - eta2, an
         # accepted maximizer is such an index, so it is the only one iff
         # every other is below. An accepted row's maximum is then unique, so
-        # it is also the argmax of h / d. The row erases for certain when
+        # it is also the argmax of g / d. The row erases for certain when
         # no index reaches 1 - eta1, or when b and the runner-up's index
-        # both reach 1 - eta2. With band 0 every non-nan row is decided
+        # both reach 1 - eta2
         accept = ((top - band) / d >= 1.0 - eta1) & ((second + band) / d < 1.0 - eta2)
         erase = ((top + band) / d < 1.0 - eta1) | ((second - band) / d >= 1.0 - eta2)
         return np.where(accept, best, ERASURE), accept | erase
 
-    ya = sq_norms(ys)
-    _refuse_non_finite(ys, ya)
-    return _decide(rule, centers, ys, 1.0, ya, sq_norms(centers))[0]
+    def exact_rule(g, ya, xb):
+        c = g / d
+        ok = (np.max(c, axis=1) >= 1.0 - eta1) & (np.count_nonzero(c >= 1.0 - eta2, axis=1) <= 1)
+        return np.where(ok, np.argmax(c, axis=1), ERASURE)
+
+    return _decide(band_rule, exact_rule, centers, ys, ys, 1.0)
 
 
 def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, tau2: float) -> np.ndarray:
     d = centers.shape[1]
-    a = alpha * ys
-    ya, xb = sq_norms(a), sq_norms(centers)
-    _refuse_non_finite(ys, ya)
 
-    def rule(best, top, second, band):
+    def band_rule(best, top, second, band, ya, xb):
         # entry b of sq_dists(a, centers) / d lies in [sb_lo, sb_hi]; no
         # other entry is below low, and the one at the runner-up's index is
         # at most high. The rule accepts an index at or below tau1 whose
@@ -331,13 +330,12 @@ def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, 
         erase = ((sb_lo > tau1) & ((low > tau1) | b_in)) | (b_in & (high <= tau2))
         return np.where(accept, best, ERASURE), accept | erase
 
-    out, sure, g = _decide(rule, centers, 2.0 * a, 2.0, ya, xb)
-    unsure = np.flatnonzero(~sure)
-    if unsure.size:
-        s = _sq_rows(ya, g, xb, unsure) / d
+    def exact_rule(g, ya, xb):
+        s = ((ya[:, None] - g) + xb) / d
         ok = (np.min(s, axis=1) <= tau1) & (np.count_nonzero(s <= tau2, axis=1) <= 1)
-        out[unsure] = np.where(ok, np.argmin(s, axis=1), ERASURE)
-    return out
+        return np.where(ok, np.argmin(s, axis=1), ERASURE)
+
+    return _decide(band_rule, exact_rule, centers, ys, alpha * ys, 2.0)
 
 
 def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:

@@ -175,12 +175,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        # the integer keys, each with its floor (master_seed has none)
+        # the integer keys, each with its floor (master_seed has none); an
+        # integer too large for a float is refused, as in the d and k grids
         floors = {"trials": TRIALS_MIN, "replicates": 1, "workers": 1, "probes": 1, "master_seed": None}
         for name, floor in floors.items():
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
+            if not isinstance(v, numbers.Integral) or not is_finite_real(v):
+                raise ConfigError(f"{name} must be an integer that fits a float, got {v!r}")
             if floor is not None and v < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {v}")
         if not self.d or not self.k:
@@ -610,11 +611,10 @@ def _load_spec(config, kind: str, seed, out, workers, d, k, beta) -> SweepSpec:
     return spec
 
 
-def _emit(rows, fields, spec, constants, default_out=None):
-    out = spec.out or default_out
-    if out:
-        dhash = write_csv(out, rows, fields, spec, constants)
-        click.echo(f"wrote {len(rows)} rows to {out} (determinism_hash={dhash})")
+def _emit(rows, fields, spec, constants):
+    if spec.out:
+        dhash = write_csv(spec.out, rows, fields, spec, constants)
+        click.echo(f"wrote {len(rows)} rows to {spec.out} (determinism_hash={dhash})")
     else:
         buf = io.StringIO()
         write_csv(buf, rows, fields, spec, constants)

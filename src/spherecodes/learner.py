@@ -100,8 +100,8 @@ class LearnerConfig:
             raise ValueError(f"eps_I must be in (0, 1/2), got {self.eps_I}")
         for name in ("N", "Nbar", "d_max_net"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            if not isinstance(v, numbers.Integral) or not is_finite_real(v) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1 that fits a float, got {v!r}")
         if self.test_kind not in ("zero_rate", "positive_rate", "auto"):
             raise ValueError(f"unknown test_kind {self.test_kind!r}")
         if self.decoder_kind not in ("mismatched_corr", "mismatched_mmse", "auto"):

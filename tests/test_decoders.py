@@ -447,8 +447,8 @@ def test_kernels_match_full_matrix_refs(d, k):
     _assert_kernels_match(centers, ys, mmse, corr)
 
 
-# slab budgets below, at and above the one _top2 uses: no outcome may
-# depend on the slab height
+# slab budgets below, at and above the one the decoders use: no outcome
+# may depend on the slab height
 SLAB_BUDGETS = (64 * 1024, SLAB_BYTES, 4 * 1024 * 1024)
 
 
@@ -685,22 +685,38 @@ def test_estimator_matches_ref_kernels(kind):
 
 
 # ---------------------------------------------------------------------------
-# the float32 screen: each kernel decides a block from a float32 GEMM and
-# sphere.f32_gemm_band, and recomputes the whole block in float64 when a
-# row is left undecided or a band is not finite
+# the two tiers: each kernel screens a block in float32 with
+# sphere.f32_gemm_band, and hands the rows the screen leaves undecided, or
+# every row when a band is not finite, to its family's exact rule on the
+# whole-block float64 GEMM
 
 
-def _screen_dtypes(monkeypatch):
-    """Record the dtype of every GEMM output a kernel reads: float32 for
-    the screen, then float64 when the block falls back."""
-    seen = []
-    top2 = decoders._top2
+def _tiers(monkeypatch):
+    """Record what each tier of decoders._decide reads, in call order: the
+    dtype of every GEMM output _top2 screens ("top2"), the rows each band
+    rule decides for certain ("sure"), and the GEMM rows each call of an
+    exact rule reads ("exact")."""
+    seen = {"top2": [], "sure": [], "exact": []}
+    top2, decide = decoders._top2, decoders._decide
 
-    def recording(g):
-        seen.append(g.dtype)
+    def top2_recording(g):
+        seen["top2"].append(g.dtype)
         return top2(g)
 
-    monkeypatch.setattr(decoders, "_top2", recording)
+    def decide_recording(band_rule, exact_rule, *args):
+        def band_recording(*a):
+            out, sure = band_rule(*a)
+            seen["sure"].append(sure)
+            return out, sure
+
+        def exact_recording(g, ya, xb):
+            seen["exact"].append(g)
+            return exact_rule(g, ya, xb)
+
+        return decide(band_recording, exact_recording, *args)
+
+    monkeypatch.setattr(decoders, "_top2", top2_recording)
+    monkeypatch.setattr(decoders, "_decide", decide_recording)
     return seen
 
 
@@ -787,20 +803,31 @@ def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
     sigma2 = _sigma2(d, k)
     labels = 5 * rng_for(105).integers(0, 500, size=TRIAL_BLOCK)
     ys = centers[labels] + 0.05 * rng_for(106).standard_normal((TRIAL_BLOCK, d))
-    seen = _screen_dtypes(monkeypatch)
+    seen = _tiers(monkeypatch)
     mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.2, 1.45)] + [(1.0, 0.01, 0.02)]
     _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
-    # nn, the first kernel run, fell back
-    assert seen[:2] == [np.float32, np.float64]
+    # _top2 screens in float32 only; nn, the first kernel run, left rows
+    # undecided, and the exact rule read them in float64
+    assert set(seen["top2"]) == {np.dtype(np.float32)}
+    assert not np.all(seen["sure"][0])
+    assert seen["exact"] and {g.dtype for g in seen["exact"]} == {np.dtype(np.float64)}
 
 
 def test_kernels_match_refs_on_inputs_that_overflow_float32(monkeypatch):
     d, k = 16, 64
     centers = sample_uniform_sphere_batch(d, k, rng_for(107))
-    ys = 1e39 * rng_for(108).standard_normal((256, d))
-    seen = _screen_dtypes(monkeypatch)
-    _assert_kernels_match(centers, ys, [(1.0, 0.5, 1.0), (1.0, 1e78, 2e78)], [(0.3, 0.3)])
-    assert np.float32 not in seen
+    seen = _tiers(monkeypatch)
+    mmse, corr = [(1.0, 0.5, 1.0), (1.0, 1e78, 2e78)], [(0.3, 0.3)]
+    # a block within one exact slab, and one over two slabs, of 2,048 rows
+    # at k = 64: no band is finite, so the exact rule reads every row
+    step = SLAB_BYTES // (8 * k)
+    for n in (256, 2 * step + 7):
+        seen["exact"].clear()
+        ys = 1e39 * rng_for(108, n).standard_normal((n, d))
+        _assert_kernels_match(centers, ys, mmse, corr)
+        slabs = [256] if n == 256 else [step, step, 7]
+        assert [g.shape[0] for g in seen["exact"]] == 4 * slabs
+    assert seen["top2"] == seen["sure"] == []
     # y = (1e39, 1) is inf in float32, so its float32 GEMM row is +inf at
     # the one center with a positive first coordinate and -inf elsewhere;
     # read as finite, that row would accept center 0 where every float64
@@ -828,7 +855,7 @@ def test_kernels_match_refs_with_a_nan_row(monkeypatch):
     ys[9, 0] = 1e200  # finite, though its squared norm overflows
     ys[12, 3] = -np.inf
     ys[40, 7] = np.nan
-    seen = _screen_dtypes(monkeypatch)
+    seen = _tiers(monkeypatch)
     specs = [
         DecoderSpec.nn(),
         DecoderSpec.mmse(sigma2, c=1.45),
@@ -847,7 +874,7 @@ def test_kernels_match_refs_with_a_nan_row(monkeypatch):
             # an empty center list erases every row it decodes
             with pytest.raises(ValueError, match="row 27 has a non-finite"):
                 decode_batch(centers[:0], ys[13:], spec)
-    assert seen == []
+    assert seen["top2"] == seen["exact"] == []
     # without the bad rows the block decodes, the huge finite row included
     _assert_kernels_match(
         centers, np.delete(ys, [12, 40], axis=0), [MmseParams.for_noise(sigma2, c=1.45)], [(0.3, 0.3)]
@@ -855,15 +882,24 @@ def test_kernels_match_refs_with_a_nan_row(monkeypatch):
 
 
 def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatch):
-    # d = 128, k = 256 above capacity: top-two gaps are small, and nn falls
-    # back to float64 on the block the estimator draws
+    # d = 128, k = 256 above capacity: top-two gaps are small, and nn leaves
+    # rows of the block the estimator draws to the float64 exact rule
     d, k = 128, 256
     cb = sample_codebook(d, k, rng_for(102))
     sigma2 = noise_for_beta(d, k, 0.5).sigma2
-    seen = _screen_dtypes(monkeypatch)
+    seen = _tiers(monkeypatch)
     [(ys, _)] = estimator_blocks(cb, sigma2, TRIAL_BLOCK, 103, seed_path=(2,))
     for spec in (DecoderSpec.nn(), DecoderSpec.mmse(sigma2, c=1.45), DecoderSpec.corr(0.3)):
-        seen.clear()
+        for rows in seen.values():
+            rows.clear()
         assert np.array_equal(decode_batch(cb, ys, spec), decode_ref(cb, ys, spec))
+        assert seen["top2"] == [np.float32]
+        # the exact rule reads exactly the rows the screen left undecided,
+        # in order, from the float64 GEMM of the whole block
+        a = spec.record.alpha * ys if spec.family == "mmse" else ys
+        sa = a if spec.family == "corr" else 2.0 * a
+        undecided = ~seen["sure"][0]
+        read = np.concatenate(seen["exact"]) if seen["exact"] else np.empty((0, k))
+        assert np.array_equal(read, (sa @ cb.centers.T)[undecided])
         if spec.family == "nn":
-            assert seen == [np.float32, np.float64]
+            assert np.any(undecided)

@@ -1021,6 +1021,8 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("decode_sweep", "c", math.inf), ("decode_sweep", "c", True), ("decode_sweep", "c2", math.nan)]
     + [("decode_sweep", "c2", False), ("decode_sweep", "c", HUGE), ("decode_sweep", "eta1", math.inf)]
     + [("decode_sweep", "d", [HUGE]), ("learn", "k", [HUGE])]
+    + [("decode_sweep", key, HUGE) for key in ("trials", "replicates", "workers", "master_seed")]
+    + [("learn", key, HUGE) for key in ("probes", "N", "Nbar")] + [("net_stats", "d_max_net", HUGE)]
     + [("decode_sweep", "out", "/no/such/dir/x.csv"), ("learn", "out", 5)],
     ids=huge_id,
 )
