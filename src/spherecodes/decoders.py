@@ -29,7 +29,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, f32_gemm_band, is_finite_real, sq_norms
+from .sphere import check_array_bytes, gemm_band, is_finite_real, sq_norms
 
 ERASURE = -1
 
@@ -41,12 +41,14 @@ TRIALS_MIN = 100
 
 # the decoders read their GEMM output in row slabs of about this many bytes,
 # so each slab's second pass reads cached data. 1 MiB is half a 2 MiB
-# per-core L2, leaving room for the rest of the working set: _top2 reads 87
-# float32 rows at k = 2981, and the whole 1,024 x 256 float32 block at
-# d = 128; the exact rule reads 43 or 512 float64 rows. Smaller slabs pay
-# numpy's per-call cost on more slices: in the criterion-3 sweep 256 KiB
-# ran about 9% slower, while 512 KiB to 2 MiB read within 1% of each other.
-# No outcome depends on the value
+# per-core L2, leaving room for the rest of the working set: the screen's
+# _top2 reads 87 float32 rows at k = 2981, and the whole 1,024 x 256
+# float32 block at d = 128; the row tier's _top2 reads the float64 product
+# of the rows the screen leaves, one or two at d = 128, in one slab; the
+# exact rule, if a row gets that far, reads 43 or 512 float64 rows.
+# Smaller slabs pay numpy's per-call cost on more slices: in the
+# criterion-3 sweep 256 KiB ran about 9% slower, while 512 KiB to 2 MiB
+# read within 1% of each other. No outcome depends on the value
 SLAB_BYTES = 1024 * 1024
 
 # Decode targets may be a Codebook or a bare (m, d) array: partial center
@@ -212,57 +214,70 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # Each family is a band rule and an exact rule on its GEMM output
 # g = sa @ centers.T, where sa = 2 * a for the residual families, whose g
-# is sq_dists's cross term. _decide runs them in two tiers.
+# is sq_dists's cross term. _decide runs them in three tiers.
 #
 # The screen takes a float32 GEMM, which moves half the bytes of the
-# float64 one, and sphere.f32_gemm_band, a per-row bound on how far each
-# entry may sit from the float64 GEMM's. The band rule gets the argmax b,
-# its entry, the runner-up entry and that band. Every entry but b is at
-# most runner-up + band, b's is within band of its own, and the entry at
-# the runner-up's index is at least runner-up - band. The residual
-# families read sq_dists(a, centers) = (ya - g) + xb, so every entry but
-# b's is at least (ya - (runner-up + band)) + min(xb): each operation is
-# correctly rounded, and rounding is monotone, so these bounds hold in
-# floating point exactly as on paper. The band rule returns its outcomes
-# and the rows they decide for certain.
+# float64 one, and sphere.gemm_band, a per-row bound on how far each entry
+# may sit from the whole-block float64 GEMM's. The band rule gets the
+# argmax b, its entry, the runner-up entry and that band. Every entry but
+# b is at most runner-up + band, b's is within band of its own, and the
+# entry at the runner-up's index is at least runner-up - band. The
+# residual families read sq_dists(a, centers) = (ya - g) + xb, so every
+# entry but b's is at least (ya - (runner-up + band)) + min(xb): each
+# operation is correctly rounded, and rounding is monotone, so these
+# bounds hold in floating point exactly as on paper. The band rule
+# returns its outcomes and the rows they decide for certain.
 #
-# The rows it leaves undecided, or every row when a band is not finite,
-# go to the exact rule: the full-matrix rule on those rows of the float64
-# g, in sq_dists's operation order. That g is taken for the whole block,
-# as sq_dists takes it: BLAS rounds a product computed in row pieces
-# differently. Either way every outcome is the one the float64 bits give.
+# The row tier takes the float64 product of the rows the screen leaves
+# undecided, alone, and the same band rule with gemm_band at float64: BLAS
+# rounds a product of some rows differently from the whole block's, but
+# both are d-term float64 dot products of the same inputs, so they differ
+# by at most 2 gamma_d of float64 times the norms, plus underflow. Only
+# rows that band cannot decide either (exact ties, centers a float64 step
+# apart), or every row when a screen band is not finite, go to the exact
+# rule: the full-matrix rule on those rows of the whole-block float64 g,
+# taken as sq_dists takes it, in sq_dists's operation order. Every outcome
+# is the one the whole block's float64 bits give.
 
 
-def _refuse_non_finite(ys: np.ndarray, norms: np.ndarray) -> None:
-    """Raise ValueError naming the first row of ys with a nan or infinite
-    coordinate. norms are the rows' squared norms (of ys or of a positive
-    multiple of it): such a row's norm is never finite, so a finite sum of
-    the norms clears every row, and otherwise only the rows whose norm is
-    not finite (a finite row's can overflow) are read."""
+def _refuse_non_finite(x: np.ndarray, norms: np.ndarray, what: str) -> None:
+    """Raise ValueError naming (as what, "observation row" or "center") the
+    first row of x with a nan or infinite coordinate. norms are the rows'
+    squared norms (of x or of a positive multiple of it): such a row's norm
+    is never finite, so a finite sum of the norms clears every row, and
+    otherwise only the rows whose norm is not finite (a finite row's can
+    overflow) are read."""
     if math.isfinite(norms.sum()):
         return
     for i in np.flatnonzero(~np.isfinite(norms)):
-        if not np.all(np.isfinite(ys[i])):
-            raise ValueError(f"observation row {i} has a non-finite coordinate")
+        if not np.all(np.isfinite(x[i])):
+            raise ValueError(f"{what} {i} has a non-finite coordinate")
 
 
 def _decide(band_rule, exact_rule, centers: np.ndarray, ys: np.ndarray, a: np.ndarray, scale: float) -> np.ndarray:
     """A family's outcomes on the rows of ys from g = (scale * a) @
     centers.T, a = ys or a positive multiple of it, scale 1 or 2. Both rules
     see ya and xb, the squared norms of a's rows and of the centers:
-    band_rule(best, top, second, band, ya, xb) on the float32 screen, and
-    exact_rule(g, ya, xb) on a slab of float64 g rows and their ya."""
+    band_rule(best, top, second, band, ya, xb) on the float32 screen and on
+    the row tier's float64 product, and exact_rule(g, ya, xb) on a slab of
+    whole-block float64 g rows and their ya."""
     (n, d), k = ys.shape, centers.shape[0]
     ya, xb = sq_norms(a), sq_norms(centers)
-    _refuse_non_finite(ys, ya)
+    _refuse_non_finite(ys, ya, "observation row")
+    _refuse_non_finite(centers, xb, "center")
     sa = a if scale == 1.0 else scale * a
-    band = f32_gemm_band(ya, xb, d, scale)
+    band = gemm_band(ya, xb, d, scale, np.float32)
     if np.all(np.isfinite(band)):
         g = sa.astype(np.float32) @ centers.astype(np.float32).T
         out, sure = band_rule(*_top2(g), band, ya, xb)
-        # free the float32 product before the float64 one is allocated
+        # free the float32 product before a float64 one is allocated
         del g
         rows = np.flatnonzero(~sure)
+        if rows.size:
+            yr = ya[rows]
+            band = gemm_band(yr, xb, d, scale, np.float64)
+            out[rows], sure = band_rule(*_top2(sa[rows] @ centers.T), band, yr, xb)
+            rows = rows[~sure]
     else:
         out, rows = np.empty(n, dtype=np.int64), np.arange(n)
     if rows.size:
@@ -341,16 +356,16 @@ def _mmse_batch(centers: np.ndarray, ys: np.ndarray, alpha: float, tau1: float, 
 def decode_batch(cb, ys: np.ndarray, spec: "DecoderSpec") -> np.ndarray:
     """Decode an (n, d) stack under any decoder spec; returns (n,) outcomes.
 
-    Raises ValueError, naming the first such row, when a row has a nan or
-    infinite coordinate: it has no nearest center, and no decoder's
-    outcome for it would mean anything.
+    Raises ValueError, naming the first such row, when a row of ys or of
+    the centers has a nan or infinite coordinate: such a row has no nearest
+    center, or is no center, and no decoder's outcome would mean anything.
     """
     ys = np.asarray(ys, dtype=np.float64)
     centers = _centers_of(cb)
     if centers.shape[0] == 0:
         if spec.family == "nn":
             raise ValueError("nearest-neighbor decoding needs at least one center")
-        _refuse_non_finite(ys, sq_norms(ys))
+        _refuse_non_finite(ys, sq_norms(ys), "observation row")
         return np.full(ys.shape[0], ERASURE, dtype=np.int64)
     if spec.family == "nn":
         return _nn_batch(centers, ys)

@@ -113,8 +113,8 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq_norms(a)[:, None] - 2.0 * a @ b.T + sq_norms(b)[None, :]
 
 
-# unit roundoffs of float32 and float64, and float32's smallest normal
-_U32, _U64, _TINY32 = 2.0**-24, 2.0**-53, 2.0**-126
+# unit roundoff of float64
+_U64 = 2.0**-53
 
 
 def _gamma(n: int, u: float) -> float:
@@ -123,29 +123,35 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
 
 
-def f32_gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float = 1.0) -> np.ndarray:
-    """Per row i, a bound on |g32[i, j] - g64[i, j]| over every j, where
-    g64 = (scale * a) @ b.T in float64, g32 the same product of float32
-    copies of scale * a and b, scale an exact power of two, and a_sq, b_sq
+def gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float, dtype) -> np.ndarray:
+    """Per row i, a bound on |g[i, j] - g64[i, j]| over every j, where g64 =
+    (scale * a) @ b.T in float64, g the same product of dtype (float32 or
+    float64) copies of scale * a and b, of any subset of the rows, in any
+    order and by any kernel, scale an exact power of two, and a_sq, b_sq
     the rows' squared norms as sq_norms computes them.
 
-    With x = scale * a_i and y = b_j, the bound covers rounding x and y to
-    float32 (2u + u^2), the float32 dot product (gamma_d(u) on the rounded
-    inputs), and the float64 GEMM's own error (gamma_d of float64), all
-    times ||x|| * max ||y||, plus an absolute term for float32 underflow:
-    every product or partial sum that underflows, flushed or not, is off by
-    less than the smallest normal. Rows that could overflow float32
-    anywhere, and non-finite rows, get an infinite band.
+    With x = scale * a_i, y = b_j, u dtype's unit roundoff and tiny its
+    smallest normal, the bound covers rounding x and y to dtype (2u + u^2;
+    float64 copies are exact, so there it is slack), the dtype dot product
+    (gamma_d(u) on the rounded inputs), and g64's own error (gamma_d of
+    float64), all times ||x|| * max ||y||, plus an absolute term for
+    underflow: every input, product or partial sum that underflows, flushed
+    or not, is off by less than tiny. So for dtype float64 it bounds how far
+    a float64 product of some rows alone sits from the whole one's. Rows
+    that could overflow float32 anywhere, and non-finite rows, get an
+    infinite band at either dtype.
     """
+    info = np.finfo(dtype)
+    u, tiny = float(info.eps) / 2.0, float(info.tiny)
     # a_sq, b_sq are within gamma_d of float64 of the exact squared norms
     grow = 1.0 + _gamma(d, _U64)
     na = scale * np.sqrt(a_sq) * grow
     nb = math.sqrt(np.max(b_sq)) * grow
-    rel = 2.0 * _U32 + _U32 * _U32 + _gamma(d, _U32) * (1.0 + _U32) ** 2 + _gamma(d, _U64)
-    band = rel * na * nb + 4.0 * _TINY32 * (math.sqrt(d) * (na + nb) + d)
+    rel = 2.0 * u + u * u + _gamma(d, u) * (1.0 + u) ** 2 + _gamma(d, _U64)
+    band = rel * na * nb + 4.0 * tiny * (math.sqrt(d) * (na + nb) + d)
     # the float64 arithmetic above rounds a few times; the last factor
-    # covers it. Every float32 input and partial sum is at most about
-    # na * nb, so below 2^120 nothing overflows
+    # covers it. Every input and partial sum is at most about na * nb, so
+    # below 2^120 nothing overflows
     fits = (np.maximum(na, nb) < 2.0**120) & (na * nb < 2.0**120)
     return np.where(fits, band * (1.0 + 16 * _U64), np.inf)
 

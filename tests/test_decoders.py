@@ -26,7 +26,7 @@ from spherecodes import (
 
 from spherecodes import decoders
 from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
-from spherecodes.sphere import f32_gemm_band, sq_dists
+from spherecodes.sphere import gemm_band, sq_dists
 
 from .oracles import corr_batch_ref, decode_ref, estimator_blocks, mmse_batch_ref, nn_batch_ref, wilson_ref
 
@@ -685,17 +685,20 @@ def test_estimator_matches_ref_kernels(kind):
 
 
 # ---------------------------------------------------------------------------
-# the two tiers: each kernel screens a block in float32 with
-# sphere.f32_gemm_band, and hands the rows the screen leaves undecided, or
-# every row when a band is not finite, to its family's exact rule on the
-# whole-block float64 GEMM
+# the three tiers: each kernel screens a block in float32 with
+# sphere.gemm_band, rechecks the rows the screen leaves undecided with a
+# float64 product of those rows alone and gemm_band at float64, and hands
+# the rows that leaves, or every row when a screen band is not finite, to
+# its family's exact rule on the whole-block float64 GEMM
 
 
 def _tiers(monkeypatch):
     """Record what each tier of decoders._decide reads, in call order: the
-    dtype of every GEMM output _top2 screens ("top2"), the rows each band
-    rule decides for certain ("sure"), and the GEMM rows each call of an
-    exact rule reads ("exact")."""
+    dtype of every GEMM output _top2 reads ("top2": float32 in the screen,
+    float64 in the row tier), the rows each band rule decides for certain
+    ("sure", one entry per _top2 call: the screen's over the block, the row
+    tier's over the rows the screen left), and the GEMM rows each call of
+    an exact rule reads ("exact")."""
     seen = {"top2": [], "sure": [], "exact": []}
     top2, decide = decoders._top2, decoders._decide
 
@@ -730,7 +733,7 @@ def test_f32_gemm_band_bounds_the_float32_error(d):
     for scale in (1.0, 2.0):
         g64 = (scale * a) @ b.T
         g32 = (scale * a).astype(np.float32) @ b.astype(np.float32).T
-        band = f32_gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale)
+        band = gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale, np.float32)
         ratio = np.max(np.abs(g32 - g64), axis=1) / band
         assert np.all(ratio <= 1.0)
         if d == 1:
@@ -739,13 +742,41 @@ def test_f32_gemm_band_bounds_the_float32_error(d):
             assert np.max(ratio) > 0.5
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 128])
+def test_gemm_band_at_float64_bounds_a_product_of_rows_alone(d):
+    rng = rng_for(121, d)
+    # rows over fourteen orders of magnitude, and rows in float64's subnormal range
+    a = rng.standard_normal((2048, d)) * np.exp(rng.uniform(-16.0, 16.0, size=(2048, 1)))
+    a[:64] = 1e-310 * rng.standard_normal((64, d))
+    b = rng.standard_normal((32, d))
+    # the subnormal rows one at a time (numpy may hand a lone row to gemv),
+    # then the rest in subsets of a few sizes
+    rest = 64 + rng.permutation(2048 - 64)
+    cuts = np.cumsum([1, 1, 2, 3, 5, 8, 64, 257] * 8)
+    subsets = [[i] for i in range(64)] + [r for r in np.split(rest, cuts[cuts < rest.size]) if r.size]
+    moved = 0
+    for scale in (1.0, 2.0):
+        sa = scale * a
+        g64 = sa @ b.T
+        band = gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale, np.float64)
+        for rows in subsets:
+            g = sa[rows] @ b.T
+            assert np.all(np.abs(g - g64[rows]) <= band[rows, None])
+            moved += np.count_nonzero(g != g64[rows])
+    if d == 128:
+        # the check is not vacuous: products of rows alone round differently
+        assert moved > 0
+
+
 def test_f32_gemm_band_is_infinite_where_float32_could_overflow_or_a_value_is_not_finite():
+    # at either dtype: the row tier sees only rows with a finite screen band
     b_sq = np.array([16.0, 16.0])
     a_sq = np.array([16.0, 1e78, np.nan, np.inf, 1e-80])
-    band = f32_gemm_band(a_sq, b_sq, 16, 2.0)
-    assert np.isfinite(band[0]) and np.isfinite(band[4])
-    assert np.all(np.isinf(band[1:4]))
-    assert np.all(np.isinf(f32_gemm_band(np.array([16.0]), np.array([np.nan, 16.0]), 16)))
+    for dtype in (np.float32, np.float64):
+        band = gemm_band(a_sq, b_sq, 16, 2.0, dtype)
+        assert np.isfinite(band[0]) and np.isfinite(band[4])
+        assert np.all(np.isinf(band[1:4]))
+        assert np.all(np.isinf(gemm_band(np.array([16.0]), np.array([np.nan, 16.0]), 16, 1.0, dtype)))
 
 
 def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
@@ -763,7 +794,7 @@ def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
             (2.0, (2.0 * y) * c, float(np.float32(2.0 * y) * np.float32(c))),
             (1.0, y * c, float(np.float32(y) * np.float32(c))),
         ):
-            band = f32_gemm_band(np.array([y * y]), np.array([c * c]), 1, scale)[0]
+            band = gemm_band(np.array([y * y]), np.array([c * c]), 1, scale, np.float32)[0]
             if abs(g32 - g64) <= 0.6 * band:
                 continue
             if scale == 2.0:
@@ -789,28 +820,101 @@ def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
 
 def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
     # the criterion-3 shape with center pairs whose GEMM entries tie
-    # exactly (a copy), or sit one float32 or one float64 step apart, either
-    # way: inside the band, so the float32 screen leaves those rows undecided
+    # exactly (a copy), or sit one float32 step apart either way, or one
+    # float64 step apart: inside the float32 band, so the screen leaves
+    # those rows undecided. The float32-step partners are put back on the
+    # sphere: nn's band rule bounds every rival's distance with the
+    # smallest center norm, and a partner a float32 step inside the sphere
+    # would lower that for every row
     d, k = 16, 2981
     centers = sample_uniform_sphere_batch(d, k, rng_for(104))
-    c32 = centers.astype(np.float32)
-    src = centers[0 : 5 * 500 : 5]
-    step32 = np.spacing(c32[0 : 5 * 500 : 5]).astype(np.float64)
-    centers[1 : 5 * 500 : 5] = src
-    centers[2 : 5 * 500 : 5] = src + step32
-    centers[3 : 5 * 500 : 5] = src - step32
-    centers[4 : 5 * 500 : 5] = np.nextafter(src, np.inf)
+    src = centers[0:2000:2]
+    step32 = np.spacing(src.astype(np.float32)).astype(np.float64)
+    partner = np.empty_like(src)
+    partner[0::4] = src[0::4]
+    for j, sign in ((1, 1.0), (2, -1.0)):
+        moved = src[j::4] + sign * step32[j::4]
+        partner[j::4] = moved * (math.sqrt(d) / np.linalg.norm(moved, axis=1, keepdims=True))
+    partner[3::4] = np.nextafter(src[3::4], np.inf)
+    centers[1:2000:2] = partner
     sigma2 = _sigma2(d, k)
-    labels = 5 * rng_for(105).integers(0, 500, size=TRIAL_BLOCK)
+    labels = 2 * rng_for(105).integers(0, 1000, size=TRIAL_BLOCK)
     ys = centers[labels] + 0.05 * rng_for(106).standard_normal((TRIAL_BLOCK, d))
     seen = _tiers(monkeypatch)
     mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.2, 1.45)] + [(1.0, 0.01, 0.02)]
     _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
-    # _top2 screens in float32 only; nn, the first kernel run, left rows
-    # undecided, and the exact rule read them in float64
-    assert set(seen["top2"]) == {np.dtype(np.float32)}
-    assert not np.all(seen["sure"][0])
-    assert seen["exact"] and {g.dtype for g in seen["exact"]} == {np.dtype(np.float64)}
+    # nn, the first kernel run: the screen decides no row, the row tier
+    # every row of a float32-step pair, and the exact rule reads the copy
+    # and float64-step rows, in order, from the float64 GEMM of the whole block
+    assert seen["top2"][:2] == [np.float32, np.float64]
+    screen, row = seen["sure"][:2]
+    assert not np.any(screen)
+    kind = (labels // 2) % 4
+    assert np.array_equal(row, (kind == 1) | (kind == 2))
+    assert np.array_equal(np.concatenate(seen["exact"]), (2.0 * ys @ centers.T)[~row])
+    # left off the sphere, the partners a float32 step inside it lower the
+    # smallest center norm by about 1e-6: nn's row tier then decides none
+    # of the rows, and the exact rule reads them all
+    centers[3:2000:8] = src[1::4] + step32[1::4]
+    centers[5:2000:8] = src[2::4] - step32[2::4]
+    for rows in seen.values():
+        rows.clear()
+    _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
+    assert seen["top2"][:2] == [np.float32, np.float64]
+    assert not np.any(seen["sure"][1])
+
+
+def test_row_tier_leaves_a_row_whose_product_alone_ranks_two_centers_differently(monkeypatch):
+    # +-1 centers, every squared norm exactly d, with center 1 one float64
+    # step from center 0 in a random half of its coordinates. Row i, near
+    # center 0, is the one the screen leaves, and the product of that row
+    # alone, which BLAS rounds differently from the whole block's, puts
+    # the two distances in the other order. The row band covers that, so
+    # the row tier leaves the row to the exact rule; at band 0 it would
+    # decide it from the wrong order
+    d, k, n, i = 128, 256, 64, 32
+    for seed in range(40):
+        rng = rng_for(120, seed)
+        centers = rng.choice([-1.0, 1.0], size=(k, d))
+        step = np.nextafter(centers[0], np.inf * centers[0])
+        centers[1] = np.where(rng.random(d) < 0.5, step, centers[0])
+        labels = rng.integers(2, k, size=n)
+        labels[i] = 0
+        ys = centers[labels] + 0.3 * rng.standard_normal((n, d))
+        whole, alone = sq_dists(ys, centers)[i, :2], sq_dists(ys[[i]], centers)[0, :2]
+        if np.sign(whole[0] - whole[1]) != np.sign(alone[0] - alone[1]):
+            break
+    else:
+        pytest.fail("no one-step perturbation ranks the pair differently alone")
+    seen = _tiers(monkeypatch)
+    spec = DecoderSpec.nn()
+    assert np.array_equal(decode_batch(centers, ys, spec), decode_ref(centers, ys, spec))
+    screen, row = seen["sure"]
+    assert np.array_equal(np.flatnonzero(~screen), [i]) and not row[0]
+    assert np.array_equal(np.concatenate(seen["exact"]), (2.0 * ys @ centers.T)[[i]])
+
+
+def test_decode_batch_refuses_a_center_with_a_non_finite_coordinate(monkeypatch):
+    # a bare center list skips Codebook's checks. A nan center would make
+    # nn decode both rows to it and the threshold decoders erase both, and
+    # an infinite one would warn from the GEMM: every kind refuses the
+    # block instead, naming the first such center, before any GEMM
+    ys = np.array([[1.7, 0.0, 0.0], [0.0, 0.0, 1.7]])
+    specs = [
+        DecoderSpec.nn(),
+        DecoderSpec.mmse(0.5, c=1.45),
+        DecoderSpec.corr(0.3),
+        DecoderSpec(kind="mismatched_mmse", params=asdict(MmseParams.for_noise(0.5, c=1.45))),
+        DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": 0.3}),
+    ]
+    seen = _tiers(monkeypatch)
+    for bad in (np.nan, np.inf, -np.inf):
+        centers = math.sqrt(3.0) * np.eye(3)
+        centers[1, 0] = centers[2, 2] = bad
+        for spec in specs:
+            with pytest.raises(ValueError, match="center 1 has a non-finite"):
+                decode_batch(centers, ys, spec)
+    assert seen["top2"] == seen["exact"] == []
 
 
 def test_kernels_match_refs_on_inputs_that_overflow_float32(monkeypatch):
@@ -893,13 +997,13 @@ def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatc
         for rows in seen.values():
             rows.clear()
         assert np.array_equal(decode_batch(cb, ys, spec), decode_ref(cb, ys, spec))
-        assert seen["top2"] == [np.float32]
-        # the exact rule reads exactly the rows the screen left undecided,
-        # in order, from the float64 GEMM of the whole block
-        a = spec.record.alpha * ys if spec.family == "mmse" else ys
-        sa = a if spec.family == "corr" else 2.0 * a
-        undecided = ~seen["sure"][0]
-        read = np.concatenate(seen["exact"]) if seen["exact"] else np.empty((0, k))
-        assert np.array_equal(read, (sa @ cb.centers.T)[undecided])
+        # the row tier takes the rows the screen left undecided, if any, and
+        # decides every one of them: the exact rule reads none
+        undecided = int(np.count_nonzero(~seen["sure"][0]))
+        row = seen["sure"][1:]
+        assert seen["top2"] == [np.float32] + [np.float64] * len(row)
+        assert [r.size for r in row] == ([undecided] if undecided else [])
+        assert all(np.all(r) for r in row)
+        assert seen["exact"] == []
         if spec.family == "nn":
-            assert np.any(undecided)
+            assert undecided
