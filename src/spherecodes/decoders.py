@@ -29,7 +29,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, gemm_band, is_finite_real, sq_norms
+from .sphere import check_array_bytes, gemm_band, require_number, sq_norms
 
 ERASURE = -1
 
@@ -110,14 +110,12 @@ class MmseParams:
         c and c2 must be finite numbers, not bools."""
         if sigma2 <= 0:
             raise InvalidDecoderParams(f"sigma2 must be > 0, got {sigma2}")
-        if not is_finite_real(c):
-            raise InvalidDecoderParams(f"threshold factor c must be a finite number, got {c!r}")
+        require_number("threshold factor c", c, "a finite number", error=InvalidDecoderParams)
         if c < 1.0:
             raise InvalidDecoderParams(f"threshold factor c must be >= 1, got {c}")
         if c2 is None:
             c2 = c * c
-        if not is_finite_real(c2):
-            raise InvalidDecoderParams(f"threshold factor c2 must be a finite number, got {c2!r}")
+        require_number("threshold factor c2", c2, "a finite number", error=InvalidDecoderParams)
         alpha = 1.0 / (1.0 + sigma2)
         tau = sigma2 * alpha
         return cls(alpha=alpha, tau=tau, tau1=c * tau, tau2=c2 * tau)
@@ -415,9 +413,8 @@ class DecoderSpec:
         if missing:
             raise InvalidDecoderParams(f"{self.kind} decoder is missing fields {missing}")
         for n in names:
-            v = self.params[n]
-            if not is_finite_real(v):
-                raise InvalidDecoderParams(f"{self.kind} decoder field {n} must be a finite number, got {v!r}")
+            field_name = f"{self.kind} decoder field {n}"
+            require_number(field_name, self.params[n], "a finite number", error=InvalidDecoderParams)
         if rtype:
             object.__setattr__(self, "record", rtype(**{n: float(self.params[n]) for n in names}))
 

@@ -22,7 +22,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -49,7 +48,7 @@ from .codebook import noise_for_beta, rate, sample_codebook
 from .decoders import TRIALS_MIN, DecoderSpec, corr_feasibility_bound, estimate_error_prob
 from .learner import NET_KNOBS, LearnerConfig, ScreeningStats, StageTimes, build_step2_decoder, run_learner
 from .seeds import rng_for
-from .sphere import NetInfeasibleError, build_net, is_finite_real, verify_covering
+from .sphere import NetInfeasibleError, build_net, require_number, verify_covering
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,6 +145,24 @@ _LEARNER_KEYS = {
 }
 
 
+# the grid keys, lists whose cartesian product a sweep runs
+_GRID_KEYS = ("d", "k", "beta", "sigma2", "eps_I")
+# each number key's rule, range test and whether it counts something; a
+# grid's rule holds for each of its entries
+_NUMBER_KEYS = {
+    "trials": (f"an integer >= {TRIALS_MIN}", lambda v: v >= TRIALS_MIN, True),
+    "replicates": ("an integer >= 1", lambda v: v >= 1, True),
+    "workers": ("an integer >= 1", lambda v: v >= 1, True),
+    "probes": ("an integer >= 1", lambda v: v >= 1, True),
+    "master_seed": ("an integer", None, True),
+    "d": ("an integer >= 1", lambda v: v >= 1, True),
+    "k": ("an integer >= 2", lambda v: v >= 2, True),
+    "beta": ("a finite number > 0", lambda v: v > 0, False),
+    "sigma2": ("a finite number > 0", lambda v: v > 0, False),
+    "eps_I": ("a number in (0, 1/2)", lambda v: 0 < v < 0.5, False),
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment description.
@@ -173,32 +190,12 @@ class SweepSpec:
     probes: int = 10000
 
     def __post_init__(self):
-        if self.kind not in _KIND_KEYS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        # the integer keys, each with its floor (master_seed has none); an
-        # integer too large for a float is refused, as in the d and k grids
-        floors = {"trials": TRIALS_MIN, "replicates": 1, "workers": 1, "probes": 1, "master_seed": None}
-        for name, floor in floors.items():
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or not is_finite_real(v):
-                raise ConfigError(f"{name} must be an integer that fits a float, got {v!r}")
-            if floor is not None and v < floor:
-                raise ConfigError(f"{name} must be >= {floor}, got {v}")
         if not self.d or not self.k:
             raise ConfigError("d and k grids must be nonempty")
-        # the grid entries: their type (a bool is neither) and range; an
-        # integer too large for a float is out of range
-        grids = (
-            ("d", numbers.Integral, lambda v: is_finite_real(v) and v >= 1, "an integer >= 1"),
-            ("k", numbers.Integral, lambda v: is_finite_real(v) and v >= 2, "an integer >= 2"),
-            ("beta", numbers.Real, lambda v: is_finite_real(v) and v > 0, "a finite number > 0"),
-            ("sigma2", numbers.Real, lambda v: is_finite_real(v) and v > 0, "a finite number > 0"),
-            ("eps_I", numbers.Real, lambda v: 0 < v < 0.5, "a number in (0, 1/2)"),
-        )
-        for name, kind, ok, rule in grids:
-            for v in getattr(self, name):
-                if isinstance(v, bool) or not isinstance(v, kind) or not ok(v):
-                    raise ConfigError(f"{name} must be {rule}, got {v!r}")
+        for name, (rule, ok, integral) in _NUMBER_KEYS.items():
+            v = getattr(self, name)
+            for x in v if name in _GRID_KEYS else (v,):
+                require_number(name, x, rule, ok, integral=integral, error=ConfigError)
         if self.beta and self.sigma2:
             raise ConfigError("give a beta grid or a sigma2 grid, not both")
 
@@ -224,7 +221,7 @@ def parse_spec(obj: dict) -> SweepSpec:
         if bad:
             raise ConfigError(f"unknown learner config keys: {sorted(bad)} ({kind} takes {sorted(allowed)})")
     kw = dict(obj)
-    for key in ("d", "k", "beta", "sigma2", "eps_I"):
+    for key in _GRID_KEYS:
         if key in kw:
             val = kw[key]
             kw[key] = tuple(val) if isinstance(val, (list, tuple)) else (val,)
@@ -445,8 +442,7 @@ def run_bounds_report(inputs: dict) -> list[dict]:
     if unknown:
         raise ConfigError(f"unknown bounds keys: {sorted(unknown)}")
     for key, v in inputs.items():
-        if not is_finite_real(v):
-            raise ConfigError(f"bounds {key} must be a finite number, got {v!r}")
+        require_number(f"bounds {key}", v, "a finite number", error=ConfigError)
     x = {key: type(default)(inputs.get(key, default)) for key, default in _BOUNDS_INPUTS.items()}
     d, k, sigma2, eps, e_delta = x["d"], x["k"], x["sigma2"], x["eps"], x["e_delta"]
 

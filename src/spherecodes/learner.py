@@ -14,7 +14,6 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -29,9 +28,10 @@ from .sphere import (
     Net,
     build_net,
     c_NET_DEFAULT,
-    is_finite_real,
     project_ball,
+    require_number,
     sq_dists,
+    sq_norms,
     verify_covering,
 )
 from .seeds import rng_for
@@ -96,26 +96,19 @@ class LearnerConfig:
     d_max_net: int = D_MAX_NET_DEFAULT
 
     def __post_init__(self):
-        if not 0.0 < self.eps_I < 0.5:
-            raise ValueError(f"eps_I must be in (0, 1/2), got {self.eps_I}")
+        require_number("eps_I", self.eps_I, "in (0, 1/2)", lambda v: 0.0 < v < 0.5)
         for name in ("N", "Nbar", "d_max_net"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or not is_finite_real(v) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1 that fits a float, got {v!r}")
+            require_number(name, getattr(self, name), "an integer >= 1", lambda v: v >= 1, integral=True)
+        for name in ("threshold_const", "C_net", "c_net"):
+            require_number(name, getattr(self, name), "> 0 and finite", lambda v: v > 0)
+        for name in ("corr_eta1", "corr_eta2", "mmse_c"):
+            require_number(name, getattr(self, name), "a finite number")
+        if self.mmse_c2 is not None:
+            require_number("mmse_c2", self.mmse_c2, "a finite number")
         if self.test_kind not in ("zero_rate", "positive_rate", "auto"):
             raise ValueError(f"unknown test_kind {self.test_kind!r}")
         if self.decoder_kind not in ("mismatched_corr", "mismatched_mmse", "auto"):
             raise ValueError(f"unknown decoder_kind {self.decoder_kind!r}")
-        for name in ("threshold_const", "corr_eta1", "corr_eta2", "mmse_c", "mmse_c2", "C_net", "c_net"):
-            v = getattr(self, name)
-            if name == "mmse_c2" and v is None:
-                continue
-            if not is_finite_real(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        for name in ("threshold_const", "C_net", "c_net"):
-            v = getattr(self, name)
-            if v <= 0:
-                raise ValueError(f"{name} must be > 0, got {v!r}")
         if self.net_strategy != "randomized":
             raise ValueError(f"unknown net_strategy {self.net_strategy!r}")
 
@@ -268,7 +261,7 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         thr = math.sqrt(tau + 0.5 * alpha * eps_I) + slack
         thr_sq = thr ** 2 * d
         v = alpha * obs
-        v_sq = np.sum(v * v, axis=1)
+        v_sq = sq_norms(v)
         rhs = (2.0 * v).T
         cut = _least_passing(lambda x: v_sq - x + d <= thr_sq, n)
     # a C-contiguous copy, made once: handed a transposed view, BLAS repacks
@@ -308,8 +301,6 @@ def step1_screen(
     reaches threshold_const * N / k, counts aligned with points. The batch
     is consumed through observations() only.
     """
-    if net.size == 0:
-        raise ValueError("empty net")
     obs = batch.observations()
     if obs.shape[0] != cfg.N:
         raise ValueError(f"screening batch has {obs.shape[0]} samples, config N={cfg.N}")
@@ -433,11 +424,10 @@ def step2_cluster_average(
 
     Returns (estimates, erasure_rate): estimates is (k, d) with row l the
     projected mean of the samples decoded to candidate l; empty clusters
-    and the slots beyond the candidate count are zero.
+    and the slots beyond the candidate count are zero. With no candidates
+    decode_batch erases every row: zero estimates, erasure rate 1.0.
     """
     obs = batch2.observations()
-    if partial_cb.shape[0] == 0:
-        return np.zeros((k, obs.shape[1])), 1.0
     dec = decode_batch(partial_cb, obs, decoder_spec)
     erasure_rate = float(np.mean(dec == ERASURE))
     return _cluster_means(obs, dec, k), erasure_rate

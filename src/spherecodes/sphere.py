@@ -48,15 +48,17 @@ def check_array_bytes(nbytes: int, what: str) -> None:
         raise NetInfeasibleError(f"{what}, over the {ARRAY_BYTES_MAX}-byte budget")
 
 
-def is_finite_real(v) -> bool:
-    """v is a real number, not a bool, with a finite float value: an integer
-    too large for a float, like an infinite value, is not."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
+def require_number(name: str, v, rule: str, ok=None, *, integral: bool = False, error=ValueError) -> None:
+    """The one rule for a config number: raise error("{name} must be {rule},
+    got {v!r}") unless v is a real, not a bool, with a finite float value
+    (a 400-digit integer has none), integral if asked, and ok(v) if given."""
     try:
-        return math.isfinite(v)
+        fits = not isinstance(v, bool) and isinstance(v, numbers.Integral if integral else numbers.Real)
+        fits = fits and math.isfinite(v)
     except OverflowError:
-        return False
+        fits = False
+    if not (fits and (ok is None or ok(v))):
+        raise error(f"{name} must be {rule}, got {v!r}")
 
 
 def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,8 +233,7 @@ def build_net(
     """
     if strategy != "randomized":
         raise ValueError(f"unknown net strategy: {strategy!r}")
-    if not 0.0 < eps_I < 0.5:
-        raise ValueError(f"eps_I must be in (0, 1/2), got {eps_I}")
+    require_number("eps_I", eps_I, "in (0, 1/2)", lambda v: 0.0 < v < 0.5)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if d > d_max_net:
@@ -305,7 +306,7 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
     band[open_[best[open_] >= cut_out]] = True
     chunk = max(1, SCAN_ENTRIES // pts.shape[0])
     starts = np.unique(np.flatnonzero(band) // chunk) * chunk
-    pts_sq = np.sum(pts * pts, axis=1) if starts.size else None
+    pts_sq = sq_norms(pts) if starts.size else None
     for lo in starts:
         min_sq = (d + pts_sq[None, :]) - 2.0 * (q[lo : lo + chunk] @ pts.T)
         covered += int(np.sum(np.min(min_sq[band[lo : lo + chunk]], axis=1) <= target))

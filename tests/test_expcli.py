@@ -1023,7 +1023,8 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
     + [("decode_sweep", "d", [HUGE]), ("learn", "k", [HUGE])]
     + [("decode_sweep", key, HUGE) for key in ("trials", "replicates", "workers", "master_seed")]
     + [("learn", key, HUGE) for key in ("probes", "N", "Nbar")] + [("net_stats", "d_max_net", HUGE)]
-    + [("decode_sweep", "out", "/no/such/dir/x.csv"), ("learn", "out", 5)],
+    + [("decode_sweep", "out", "/no/such/dir/x.csv"), ("learn", "out", 5)]
+    + [("learn", "eps_I", "0.3")],
     ids=huge_id,
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
@@ -1034,7 +1035,9 @@ def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, 
     obj = {"kind": kind, **obj}
     # a decoder entry's fields, each in an entry whose other fields are valid
     entries = {"c": {"kind": "mmse"}, "c2": {"kind": "mmse", "c": 1.4}, "eta1": {"kind": "corr"}}
-    if key in ("N", "Nbar", "threshold_const", "corr_eta1", "mmse_c", "c_net", "d_max_net"):
+    learner_keys = ("N", "Nbar", "threshold_const", "corr_eta1", "mmse_c", "c_net", "d_max_net")
+    # eps_I is a net_stats grid and a learn config's learner-block knob
+    if key in learner_keys or (key, kind) == ("eps_I", "learn"):
         obj["learner"] = {**obj.get("learner", {}), key: value}
     elif key in entries:
         obj["decoders"] = [{**entries[key], key: value}]

@@ -67,6 +67,8 @@ def test_config_validation():
     LearnerConfig()
     with pytest.raises(ValueError):
         LearnerConfig(eps_I=0.5)
+    with pytest.raises(ValueError, match=r"eps_I must be in \(0, 1/2\), got '0.3'"):
+        LearnerConfig(eps_I="0.3")
     with pytest.raises(ValueError):
         LearnerConfig(N=0)
     with pytest.raises(ValueError, match="N must be an integer"):
@@ -557,10 +559,12 @@ def test_step2_empty_candidates():
     d, k = 8, 3
     cb = sample_codebook(d, k, rng_for(118))
     batch2 = sample_gmm(cb, 1.0, 50, rng_for(119))
-    spec = DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": 0.3})
-    est, erasure = step2_cluster_average(np.empty((0, d)), batch2, spec, k)
-    assert erasure == 1.0
-    assert est.shape == (k, d) and np.all(est == 0.0)
+    mismatched_corr = DecoderSpec(kind="mismatched_corr", params={"eta1": 0.3, "eta2": 0.3})
+    mismatched_mmse = DecoderSpec(kind="mismatched_mmse", params=DecoderSpec.mmse(1.0, c=1.4).params)
+    for spec in (mismatched_corr, mismatched_mmse):
+        est, erasure = step2_cluster_average(np.empty((0, d)), batch2, spec, k)
+        assert erasure == 1.0
+        assert est.shape == (k, d) and np.all(est == 0.0)
 
 
 def test_step2_ignores_labels():

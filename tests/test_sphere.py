@@ -116,6 +116,8 @@ def test_build_net_memory_guard_raises_before_allocating():
 def test_build_net_eps_domain():
     with pytest.raises(ValueError):
         build_net(4, 0.6, strategy="randomized", rng=rng_for(11))
+    with pytest.raises(ValueError, match=r"eps_I must be in \(0, 1/2\), got '0.3'"):
+        build_net(6, "0.3", rng=rng_for(0))
 
 
 def test_randomized_net_covering_certificate():
