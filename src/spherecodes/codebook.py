@@ -10,10 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import SCAN_ENTRIES, check_array_bytes, is_on_sphere, sample_uniform_sphere_batch, sq_dists
+from .sphere import check_array_bytes, fixed_dot, is_on_sphere, sample_uniform_sphere_batch, sq_dists
 
 _MAGIC = b"SPHCBK01"
 _VERSION = 1
+# min_distance bounds each row chunk of its distance scan to this many entries
+SCAN_ENTRIES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,11 @@ def min_distance(cb: Codebook) -> float:
 
     Scans the upper triangle of the squared-distance matrix in row chunks
     of about SCAN_ENTRIES entries. Every pair within rounding of the
-    smallest scanned value is then rechecked as sqrt(np.dot(diff, diff))
-    of its difference, so the result is that exact pairwise expression's
-    minimum and does not depend on the chunking.
+    smallest scanned value is then rechecked as the fixed_dot of its
+    difference with itself, so the result is the minimum over every pair
+    of sqrt(fixed_dot(diff, diff)), whatever the chunking or the BLAS.
     """
-    c = cb.centers
-    k = c.shape[0]
+    c, k = cb.centers, cb.k
     # the expansion's rounding error is a few ulps of the squared norms, d
     slack = 1e-9 * cb.d
     rows = max(1, SCAN_ENTRIES // k)
@@ -108,14 +109,10 @@ def min_distance(cb: Codebook) -> float:
         low = float(sq.min())
         if low <= best + slack:
             i, j = np.nonzero(sq <= low + slack)
-            near += [(lo + a, b, v) for a, b, v in zip(i, j, sq[i, j])]
+            near.append((c[lo + i] - c[j], sq[i, j]))
             best = min(best, low)
-    exact = np.inf
-    for i, j, v in near:
-        if v <= best + slack:
-            diff = c[i] - c[j]
-            exact = min(exact, float(np.dot(diff, diff)))
-    return float(np.sqrt(exact))
+    diff, v = (np.concatenate(a) for a in zip(*near))
+    return float(np.sqrt(np.min(fixed_dot(diff, diff)[v <= best + slack])))
 
 
 def save_codebook(cb: Codebook, path: str) -> None:

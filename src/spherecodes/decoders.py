@@ -29,7 +29,7 @@ import numpy as np
 from .channel import sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, gemm_band, require_number, sq_norms
+from .sphere import check_array_bytes, fixed_dot, gemm_band, require_number, sq_norms
 
 ERASURE = -1
 
@@ -45,7 +45,7 @@ TRIALS_MIN = 100
 # _top2 reads 87 float32 rows at k = 2981, and the whole 1,024 x 256
 # float32 block at d = 128; the row tier's _top2 reads the float64 product
 # of the rows the screen leaves, one or two at d = 128, in one slab; the
-# exact rule, if a row gets that far, reads 43 or 512 float64 rows.
+# exact rule, if a row gets that far, forms 43 or 512 fixed-order rows.
 # Smaller slabs pay numpy's per-call cost on more slices: in the
 # criterion-3 sweep 256 KiB ran about 9% slower, while 512 KiB to 2 MiB
 # read within 1% of each other. No outcome depends on the value
@@ -210,32 +210,32 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, top, second
 
 
-# Each family is a band rule and an exact rule on its GEMM output
-# g = sa @ centers.T, where sa = 2 * a for the residual families, whose g
-# is sq_dists's cross term. _decide runs them in three tiers.
+# Each family is a band rule and an exact rule on the fixed-order product
+# g = fixed_dot(sa[:, None, :], centers), where sa = 2 * a for the
+# residual families, whose g is sq_dists's cross term. _decide runs them
+# in three tiers.
 #
 # The screen takes a float32 GEMM, which moves half the bytes of the
 # float64 one, and sphere.gemm_band, a per-row bound on how far each entry
-# may sit from the whole-block float64 GEMM's. The band rule gets the
-# argmax b, its entry, the runner-up entry and that band. Every entry but
-# b is at most runner-up + band, b's is within band of its own, and the
-# entry at the runner-up's index is at least runner-up - band. The
-# residual families read sq_dists(a, centers) = (ya - g) + xb, so every
-# entry but b's is at least (ya - (runner-up + band)) + min(xb): each
-# operation is correctly rounded, and rounding is monotone, so these
-# bounds hold in floating point exactly as on paper. The band rule
-# returns its outcomes and the rows they decide for certain.
+# may sit from the fixed-order one. The band rule gets the argmax b, its
+# entry, the runner-up entry and that band. Every entry but b is at most
+# runner-up + band, b's is within band of its own, and the entry at the
+# runner-up's index is at least runner-up - band. The residual families
+# read the squared distances (ya - g) + xb, in sq_dists's operation
+# order, so every entry but b's is at least (ya - (runner-up + band)) +
+# min(xb): each operation is correctly rounded, and rounding is monotone,
+# so these bounds hold in floating point exactly as on paper. The band
+# rule returns its outcomes and the rows they decide for certain.
 #
-# The row tier takes the float64 product of the rows the screen leaves
-# undecided, alone, and the same band rule with gemm_band at float64: BLAS
-# rounds a product of some rows differently from the whole block's, but
-# both are d-term float64 dot products of the same inputs, so they differ
-# by at most 2 gamma_d of float64 times the norms, plus underflow. Only
-# rows that band cannot decide either (exact ties, centers a float64 step
-# apart), or every row when a screen band is not finite, go to the exact
-# rule: the full-matrix rule on those rows of the whole-block float64 g,
-# taken as sq_dists takes it, in sq_dists's operation order. Every outcome
-# is the one the whole block's float64 bits give.
+# The row tier takes the BLAS float64 product of the rows the screen
+# leaves undecided, alone, and the same band rule with gemm_band at
+# float64: whatever order and kernel BLAS uses, it and the fixed-order
+# product are d-term float64 dot products of the same inputs, so they
+# differ by at most 2 gamma_d of float64 times the norms, plus underflow.
+# Only rows that band cannot decide either (exact ties, centers a float64
+# step apart), or every row when a screen band is not finite, go to the
+# exact rule on their fixed-order products, in slabs of about SLAB_BYTES:
+# every outcome is the fixed-order one, on any BLAS.
 
 
 def _refuse_non_finite(x: np.ndarray, norms: np.ndarray, what: str) -> None:
@@ -253,12 +253,12 @@ def _refuse_non_finite(x: np.ndarray, norms: np.ndarray, what: str) -> None:
 
 
 def _decide(band_rule, exact_rule, centers: np.ndarray, ys: np.ndarray, a: np.ndarray, scale: float) -> np.ndarray:
-    """A family's outcomes on the rows of ys from g = (scale * a) @
-    centers.T, a = ys or a positive multiple of it, scale 1 or 2. Both rules
-    see ya and xb, the squared norms of a's rows and of the centers:
-    band_rule(best, top, second, band, ya, xb) on the float32 screen and on
-    the row tier's float64 product, and exact_rule(g, ya, xb) on a slab of
-    whole-block float64 g rows and their ya."""
+    """A family's outcomes on the rows of ys from g = fixed_dot((scale *
+    a)[:, None, :], centers), a = ys or a positive multiple of it, scale 1
+    or 2. Both rules see ya and xb, the squared norms of a's rows and of the
+    centers: band_rule(best, top, second, band, ya, xb) on the float32
+    screen and on the row tier's float64 product, and exact_rule(g, ya, xb)
+    on a slab of rows of the fixed-order g and their ya."""
     (n, d), k = ys.shape, centers.shape[0]
     ya, xb = sq_norms(a), sq_norms(centers)
     _refuse_non_finite(ys, ya, "observation row")
@@ -278,12 +278,10 @@ def _decide(band_rule, exact_rule, centers: np.ndarray, ys: np.ndarray, a: np.nd
             rows = rows[~sure]
     else:
         out, rows = np.empty(n, dtype=np.int64), np.arange(n)
-    if rows.size:
-        g = sa @ centers.T
-        step = max(1, SLAB_BYTES // (g.itemsize * k))
-        for lo in range(0, rows.size, step):
-            r = rows[lo : lo + step]
-            out[r] = exact_rule(g[r], ya[r], xb)
+    step = max(1, SLAB_BYTES // (8 * k))
+    for lo in range(0, rows.size, step):
+        r = rows[lo : lo + step]
+        out[r] = exact_rule(fixed_dot(sa[r, None, :], centers), ya[r], xb)
     return out
 
 
@@ -482,15 +480,16 @@ def estimate_error_prob(
         seed_path: extra stream-key components (grid index, replicate, ...)
             so sweeps can give every cell an independent stream.
 
-    Raises ValueError, before the first block, when a block's
-    TRIAL_BLOCK x k distance matrix would exceed ARRAY_BYTES_MAX bytes.
+    Raises ValueError, before the first block, when a block's float64
+    product, TRIAL_BLOCK x k if the screen decides no row, would exceed
+    ARRAY_BYTES_MAX bytes.
     """
     if trials < TRIALS_MIN:
         raise ValueError(f"need trials >= {TRIALS_MIN}, got {trials}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     nbytes = TRIAL_BLOCK * cb.k * 8
-    check_array_bytes(nbytes, f"decoding k={cb.k} centers needs a {nbytes}-byte distance matrix per block")
+    check_array_bytes(nbytes, f"decoding k={cb.k} centers needs up to a {nbytes}-byte float64 product per block")
 
     error_count = erasure_count = 0
     noise_s = decode_s = 0.0

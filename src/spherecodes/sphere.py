@@ -16,16 +16,12 @@ import numpy as np
 # in desk-scale memory.
 D_MAX_NET_DEFAULT = 12
 # byte budget for any one large array (a net's (M, d) points, a codebook's
-# (k, d) centers, a decode block's TRIAL_BLOCK x k distances), checked
+# (k, d) centers, a decode block's TRIAL_BLOCK x k float64 product), checked
 # before it is allocated; building a net briefly holds a few of this size
 ARRAY_BYTES_MAX = 1 << 29
-# the distance scans (verify_covering's band recheck, codebook.min_distance's
-# row chunks) bound each distance matrix to this many entries
-SCAN_ENTRIES = 2_000_000
 # verify_covering's slice scan bounds each probe-by-slice product to this
 # many entries (2 MiB). Needing no scipy, the scan saves about 30 MiB of
-# a learner run's peak RSS; a product of SCAN_ENTRIES (16 MiB, with its
-# temporaries more) would spend much of it again
+# a learner run's peak RSS; a 16 MiB product would spend much of it again
 _SLICE_ENTRIES = 1 << 18
 # net_size's constants; C_net = 16 is the value the acceptance configs,
 # demos and benchmark use
@@ -63,7 +59,7 @@ def require_number(name: str, v, rule: str, ok=None, *, integral: bool = False, 
 
 def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d) independent uniform points on sqrt(d) * S^(d-1): standard
-    Gaussian rows, which are rotation invariant, rescaled to norm sqrt(d)."""
+    Gaussian rows, rotation invariant, rescaled in place to norm sqrt(d)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if n < 1:
@@ -75,7 +71,7 @@ def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.
         bad = norms[:, 0] == 0.0
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
-    return g * (np.sqrt(d) / norms)
+    return np.multiply(g, np.sqrt(d) / norms, out=g)
 
 
 def project_ball(x: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -115,6 +111,20 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq_norms(a)[:, None] - 2.0 * a @ b.T + sq_norms(b)[None, :]
 
 
+def fixed_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_j x[..., j] * y[..., j] over the broadcast leading axes, added in
+    index order j = 0, 1, ... by numpy's elementwise multiply and add. Its
+    bits depend on IEEE arithmetic alone, not on the BLAS kernel or on how
+    rows are batched; like a BLAS product, it overflows without a warning."""
+    # coordinate-major copies make each step's operands contiguous
+    x, y = np.moveaxis(x, -1, 0).copy(), np.moveaxis(y, -1, 0).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = x[0] * y[0]
+        for j in range(1, len(x)):
+            acc += x[j] * y[j]
+    return acc
+
+
 # unit roundoff of float64
 _U64 = 2.0**-53
 
@@ -126,22 +136,22 @@ def _gamma(n: int, u: float) -> float:
 
 
 def gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float, dtype) -> np.ndarray:
-    """Per row i, a bound on |g[i, j] - g64[i, j]| over every j, where g64 =
-    (scale * a) @ b.T in float64, g the same product of dtype (float32 or
-    float64) copies of scale * a and b, of any subset of the rows, in any
-    order and by any kernel, scale an exact power of two, and a_sq, b_sq
-    the rows' squared norms as sq_norms computes them.
+    """Per row i, a bound on |g[i, j] - f[i, j]| over every j, where f is
+    the fixed_dot product of scale * a_i and b_j, g the same product of
+    dtype (float32 or float64) copies of scale * a and b, of any subset of
+    the rows, in any order and by any kernel, scale an exact power of two,
+    and a_sq, b_sq the rows' squared norms as sq_norms computes them.
 
     With x = scale * a_i, y = b_j, u dtype's unit roundoff and tiny its
     smallest normal, the bound covers rounding x and y to dtype (2u + u^2;
     float64 copies are exact, so there it is slack), the dtype dot product
-    (gamma_d(u) on the rounded inputs), and g64's own error (gamma_d of
-    float64), all times ||x|| * max ||y||, plus an absolute term for
-    underflow: every input, product or partial sum that underflows, flushed
-    or not, is off by less than tiny. So for dtype float64 it bounds how far
-    a float64 product of some rows alone sits from the whole one's. Rows
-    that could overflow float32 anywhere, and non-finite rows, get an
-    infinite band at either dtype.
+    (gamma_d(u) on the rounded inputs), and f's own error (gamma_d of
+    float64, as for any d-term float64 dot product), all times ||x|| *
+    max ||y||, plus an absolute term for underflow: every input, product or
+    partial sum that underflows, flushed or not, is off by less than tiny.
+    So for dtype float64 it bounds how far a BLAS product of some rows
+    sits from the fixed-order one. Rows that could overflow float32
+    anywhere, and non-finite rows, get an infinite band at either dtype.
     """
     info = np.finfo(dtype)
     u, tiny = float(info.eps) / 2.0, float(info.tiny)
@@ -262,28 +272,24 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
 
     The fraction equals the dense computation's exactly: a probe q counts
     as covered when (d + ||t||^2) - 2 <q, t> <= target for some net point
-    t. Net holds every ||t||^2 within slack = 1e-9 d of d, so that formula
-    and 2d - 2 <q, t> differ by at most slack plus rounding, about
-    d^2 2^-53, which stays below slack for d under about 10^6. A scan
-    keeps each probe's largest <q, t>: it walks the net in slices that
-    double in size from 512 points, with one GEMM per slice of the probes
-    still open, in row chunks of about _SLICE_ENTRIES entries. A probe
-    whose maximum exceeds cut_in = (2d - target + 4 slack) / 2 is
-    certainly covered and leaves the scan; one whose maximum over the
-    whole net stays below cut_out = (2d - target - 4 slack) / 2 is
-    certainly not. The probes in between are rechecked with the dense
-    formula over the whole net, each from the product of its whole chunk
-    of probes (chunks bound that matrix to SCAN_ENTRIES entries, and BLAS
-    rounds a lone row's product differently); only chunks that hold such
-    a probe are formed. The early exit relies on net points being i.i.d.
-    uniform, so that each slice is itself a uniform net: at C_net = 16 the
-    first 7,680 points leave a few of 2,000 probes open. A net in another
-    order is certified as exactly, only more slowly.
+    t, <q, t> taken by fixed_dot. Net holds every ||t||^2 within slack =
+    1e-9 d of d, so that formula and 2d - 2 <q, t> differ by at most slack
+    plus rounding, about d^2 2^-53, which stays below slack for d under
+    about 10^6. A scan keeps each probe's largest <q, t>: it walks the net
+    in slices that double in size from 512 points, with one GEMM per slice
+    of the probes still open, in row chunks of about _SLICE_ENTRIES
+    entries. A probe whose maximum exceeds cut_in = (2d - target + 4
+    slack) / 2 is certainly covered and leaves the scan; one whose maximum
+    over the whole net stays below cut_out = (2d - target - 4 slack) / 2
+    is certainly not. Each probe in between is rechecked alone with the
+    dense formula over the whole net. The early exit relies on net points
+    being i.i.d. uniform, so that each slice is itself a uniform net: at
+    C_net = 16 the first 7,680 points leave a few of 2,000 probes open. A
+    net in another order is certified as exactly, only more slowly.
     """
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    pts = net.points
-    d = net.d
+    pts, d = net.points, net.d
     target = net.covering_radius_sq_target
     slack = 1e-9 * d
     nbytes = probes * d * 8
@@ -302,12 +308,8 @@ def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:
         open_ = open_[best[open_] <= cut_in]
         start, width = start + width, 2 * width
     covered = probes - open_.size
-    band = np.zeros(probes, dtype=bool)
-    band[open_[best[open_] >= cut_out]] = True
-    chunk = max(1, SCAN_ENTRIES // pts.shape[0])
-    starts = np.unique(np.flatnonzero(band) // chunk) * chunk
-    pts_sq = sq_norms(pts) if starts.size else None
-    for lo in starts:
-        min_sq = (d + pts_sq[None, :]) - 2.0 * (q[lo : lo + chunk] @ pts.T)
-        covered += int(np.sum(np.min(min_sq[band[lo : lo + chunk]], axis=1) <= target))
+    band = open_[best[open_] >= cut_out]
+    pts_sq = sq_norms(pts) if band.size else None
+    for i in band:
+        covered += int(np.min((d + pts_sq) - 2.0 * fixed_dot(q[i], pts)) <= target)
     return covered / probes

@@ -6,7 +6,9 @@ formula code so the two paths cannot share a bug. The covering, spacing,
 minimum-distance, cluster-mean, batch-decoder and Step-I pass-count
 references are the package's former implementations, kept as the exact
 definitions its fast paths must reproduce; decode_ref is the one reference
-every decode_batch outcome is checked against.
+every decode_batch outcome is checked against. Every inner product a
+float64 near tie turns on (covering, spacing, minimum distance, decoding)
+is taken by fixed_dot_ref, in coordinate order.
 """
 
 import math
@@ -16,7 +18,38 @@ import numpy as np
 from spherecodes import ERASURE, project_ball, rng_for, sample_gmm, sample_uniform_sphere_batch
 from spherecodes.decoders import TRIAL_BLOCK
 from spherecodes.learner import _SCREEN_BUF_BYTES
-from spherecodes.sphere import sq_dists
+from spherecodes.sphere import sq_norms
+
+
+def fixed_dot_ref(x, y):
+    """sum_j x[..., j] * y[..., j] over the broadcast leading axes, added
+    to a zero total one coordinate at a time, j = 0, 1, ...: the
+    fixed-order product the package settles its float64 near ties by.
+    Coordinate-major copies keep each step's operands contiguous."""
+    xs = np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0))
+    ys = np.ascontiguousarray(np.moveaxis(np.asarray(y, dtype=np.float64), -1, 0))
+    total = np.zeros(np.broadcast_shapes(xs.shape[1:], ys.shape[1:]))
+    term = np.empty_like(total)
+    for xj, yj in zip(xs, ys, strict=True):
+        np.multiply(xj, yj, out=term)
+        total += term
+    return total
+
+
+def pair_dots_ref(a, b):
+    """(n, m) fixed_dot_ref of every row of a with every row of b, formed a
+    slab of rows at a time so that each step's operands stay in cache."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    rows = max(1, 32768 // max(1, b.shape[0]))
+    for lo in range(0, a.shape[0], rows):
+        out[lo : lo + rows] = fixed_dot_ref(a[lo : lo + rows, None, :], b)
+    return out
+
+
+def sq_dists_ref(a, b):
+    """(n, m) squared distances ||a||^2 - 2 <a, b> + ||b||^2 in that order,
+    the cross term the pair_dots_ref of 2 a, as decoders take it."""
+    return sq_norms(a)[:, None] - pair_dots_ref(2.0 * a, b) + sq_norms(b)[None, :]
 
 
 def capacity_ref(sigma2):
@@ -76,7 +109,8 @@ def wilson_ref(successes, trials, z=1.959963984540054):
 
 def covering_min_sq_ref(net, probes, rng):
     """Per-probe minimum of (d + ||t||^2) - 2 <q, t> over the whole net,
-    with probes drawn in the chunks verify_covering draws them in."""
+    <q, t> by fixed_dot_ref, with probes drawn in chunks of about 2e6
+    distances."""
     pts = net.points
     d = net.d
     chunk = max(1, int(2_000_000 // max(pts.shape[0], 1)) or 1)
@@ -85,8 +119,7 @@ def covering_min_sq_ref(net, probes, rng):
     for lo in range(0, probes, chunk):
         m = min(chunk, probes - lo)
         q = sample_uniform_sphere_batch(d, m, rng)
-        dots = q @ pts.T
-        min_sq = (d + pts_sq[None, :]) - 2.0 * dots
+        min_sq = (d + pts_sq[None, :]) - 2.0 * pair_dots_ref(q, pts)
         out.append(np.min(min_sq, axis=1))
     return np.concatenate(out)
 
@@ -105,14 +138,8 @@ def separated_subset_ref(candidates, min_dist, limit=None):
     for i in range(cands.shape[0]):
         if limit is not None and len(kept) >= limit:
             break
-        x = cands[i]
-        ok = True
-        for j in kept:
-            diff = x - cands[j]
-            if float(np.dot(diff, diff)) < md_sq:
-                ok = False
-                break
-        if ok:
+        diff = cands[i] - cands[kept]
+        if not np.any(fixed_dot_ref(diff, diff) < md_sq):
             kept.append(i)
     return np.asarray(kept, dtype=np.int64)
 
@@ -123,11 +150,10 @@ def min_distance_ref(centers):
     k = c.shape[0]
     best = np.inf
     for i in range(k - 1):
-        for j in range(i + 1, k):
-            diff = c[i] - c[j]
-            dist = float(np.sqrt(np.dot(diff, diff)))
-            if dist < best:
-                best = dist
+        diff = c[i] - c[i + 1 :]
+        dist = float(np.sqrt(np.min(fixed_dot_ref(diff, diff))))
+        if dist < best:
+            best = dist
     return best
 
 
@@ -147,15 +173,15 @@ def cluster_means_ref(obs, labels, k):
 
 
 def nn_batch_ref(centers, ys):
-    """Row argmin of the full sq_dists matrix."""
-    return np.argmin(sq_dists(ys, centers), axis=1).astype(np.int64)
+    """Row argmin of the full sq_dists_ref matrix."""
+    return np.argmin(sq_dists_ref(ys, centers), axis=1).astype(np.int64)
 
 
 def corr_batch_ref(centers, ys, eta1, eta2):
     """Accept the argmax when it clears 1 - eta1 and is the only index at
     or above 1 - eta2, counted over the full correlation matrix."""
     d = centers.shape[1]
-    corr = (ys @ centers.T) / d
+    corr = pair_dots_ref(ys, centers) / d
     best = np.argmax(corr, axis=1)
     cmax = corr[np.arange(corr.shape[0]), best]
     n_high = np.sum(corr >= 1.0 - eta2, axis=1)
@@ -168,7 +194,7 @@ def mmse_batch_ref(centers, ys, alpha, tau1, tau2):
     """Accept the argmin when it is at or below tau1 and is the only index
     at or below tau2, counted over the full residual matrix."""
     d = centers.shape[1]
-    sq = sq_dists(alpha * ys, centers) / d
+    sq = sq_dists_ref(alpha * ys, centers) / d
     best = np.argmin(sq, axis=1)
     smin = sq[np.arange(sq.shape[0]), best]
     n_low = np.sum(sq <= tau2, axis=1)

@@ -28,7 +28,16 @@ from spherecodes import decoders
 from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
 from spherecodes.sphere import gemm_band, sq_dists
 
-from .oracles import corr_batch_ref, decode_ref, estimator_blocks, mmse_batch_ref, nn_batch_ref, wilson_ref
+from .oracles import (
+    corr_batch_ref,
+    decode_ref,
+    estimator_blocks,
+    mmse_batch_ref,
+    nn_batch_ref,
+    pair_dots_ref,
+    sq_dists_ref,
+    wilson_ref,
+)
 
 
 def orthogonal_codebook(d: int, k: int) -> Codebook:
@@ -599,7 +608,7 @@ def test_mmse_kernel_at_thresholds_equal_to_row_statistics(d, k):
     sigma2 = _sigma2(d, k)
     ys = _noisy(centers, 300, math.sqrt(sigma2), 86, d, k)
     alpha = 1.0 / (1.0 + sigma2)
-    sq = np.sort(sq_dists(alpha * ys, centers) / d, axis=1)
+    sq = np.sort(sq_dists_ref(alpha * ys, centers) / d, axis=1)
     for i in (0, 7, 299):
         smin, second = sq[i, 0], sq[i, 1]
         # tau2 at the runner-up: the row has a second index at or below
@@ -624,7 +633,7 @@ def test_corr_kernel_at_thresholds_equal_to_row_statistics():
     base = sample_uniform_sphere_batch(d, k, rng_for(87))
     centers = np.vstack([base, base[:3] + 0.05 * rng_for(88).standard_normal((3, d))])
     ys = base[np.arange(300) % 3] + 0.3 * rng_for(89).standard_normal((300, d))
-    corr = np.sort((ys @ centers.T) / d, axis=1)
+    corr = np.sort(pair_dots_ref(ys, centers) / d, axis=1)
     for i in (0, 1, 2, 150):
         cmax, second = corr[i, -1], corr[i, -2]
         assert 0.5 <= second < cmax
@@ -689,7 +698,7 @@ def test_estimator_matches_ref_kernels(kind):
 # sphere.gemm_band, rechecks the rows the screen leaves undecided with a
 # float64 product of those rows alone and gemm_band at float64, and hands
 # the rows that leaves, or every row when a screen band is not finite, to
-# its family's exact rule on the whole-block float64 GEMM
+# its family's exact rule on those rows' fixed-order products
 
 
 def _tiers(monkeypatch):
@@ -697,8 +706,8 @@ def _tiers(monkeypatch):
     dtype of every GEMM output _top2 reads ("top2": float32 in the screen,
     float64 in the row tier), the rows each band rule decides for certain
     ("sure", one entry per _top2 call: the screen's over the block, the row
-    tier's over the rows the screen left), and the GEMM rows each call of
-    an exact rule reads ("exact")."""
+    tier's over the rows the screen left), and the product rows each call
+    of an exact rule reads ("exact")."""
     seen = {"top2": [], "sure": [], "exact": []}
     top2, decide = decoders._top2, decoders._decide
 
@@ -845,13 +854,13 @@ def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
     _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
     # nn, the first kernel run: the screen decides no row, the row tier
     # every row of a float32-step pair, and the exact rule reads the copy
-    # and float64-step rows, in order, from the float64 GEMM of the whole block
+    # and float64-step rows, in order, as their fixed-order products
     assert seen["top2"][:2] == [np.float32, np.float64]
     screen, row = seen["sure"][:2]
     assert not np.any(screen)
     kind = (labels // 2) % 4
     assert np.array_equal(row, (kind == 1) | (kind == 2))
-    assert np.array_equal(np.concatenate(seen["exact"]), (2.0 * ys @ centers.T)[~row])
+    assert np.array_equal(np.concatenate(seen["exact"]), pair_dots_ref(2.0 * ys[~row], centers))
     # left off the sphere, the partners a float32 step inside it lower the
     # smallest center norm by about 1e-6: nn's row tier then decides none
     # of the rows, and the exact rule reads them all
@@ -867,8 +876,8 @@ def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
 def test_row_tier_leaves_a_row_whose_product_alone_ranks_two_centers_differently(monkeypatch):
     # +-1 centers, every squared norm exactly d, with center 1 one float64
     # step from center 0 in a random half of its coordinates. Row i, near
-    # center 0, is the one the screen leaves, and the product of that row
-    # alone, which BLAS rounds differently from the whole block's, puts
+    # center 0, is the one the screen leaves, and the BLAS product of that
+    # row alone, which rounds differently from the fixed-order one, puts
     # the two distances in the other order. The row band covers that, so
     # the row tier leaves the row to the exact rule; at band 0 it would
     # decide it from the wrong order
@@ -881,8 +890,8 @@ def test_row_tier_leaves_a_row_whose_product_alone_ranks_two_centers_differently
         labels = rng.integers(2, k, size=n)
         labels[i] = 0
         ys = centers[labels] + 0.3 * rng.standard_normal((n, d))
-        whole, alone = sq_dists(ys, centers)[i, :2], sq_dists(ys[[i]], centers)[0, :2]
-        if np.sign(whole[0] - whole[1]) != np.sign(alone[0] - alone[1]):
+        fixed, alone = sq_dists_ref(ys[[i]], centers)[0, :2], sq_dists(ys[[i]], centers)[0, :2]
+        if np.sign(fixed[0] - fixed[1]) != np.sign(alone[0] - alone[1]):
             break
     else:
         pytest.fail("no one-step perturbation ranks the pair differently alone")
@@ -891,7 +900,7 @@ def test_row_tier_leaves_a_row_whose_product_alone_ranks_two_centers_differently
     assert np.array_equal(decode_batch(centers, ys, spec), decode_ref(centers, ys, spec))
     screen, row = seen["sure"]
     assert np.array_equal(np.flatnonzero(~screen), [i]) and not row[0]
-    assert np.array_equal(np.concatenate(seen["exact"]), (2.0 * ys @ centers.T)[[i]])
+    assert np.array_equal(np.concatenate(seen["exact"]), pair_dots_ref(2.0 * ys[[i]], centers))
 
 
 def test_decode_batch_refuses_a_center_with_a_non_finite_coordinate(monkeypatch):

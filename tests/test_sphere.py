@@ -12,9 +12,9 @@ from spherecodes import (
     sample_uniform_sphere_batch,
     verify_covering,
 )
-from spherecodes.sphere import _NORM_TOL, ARRAY_BYTES_MAX, net_size
+from spherecodes.sphere import _NORM_TOL, ARRAY_BYTES_MAX, fixed_dot, net_size
 
-from .oracles import covering_min_sq_ref, covering_ref
+from .oracles import covering_min_sq_ref, covering_ref, fixed_dot_ref
 
 
 def test_sample_norm_invariant():
@@ -86,6 +86,38 @@ def test_project_ball_nonexpansive(a, b):
     x, y = np.asarray(a), np.asarray(b)
     px, py = project_ball(x, 4), project_ball(y, 4)
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-9
+
+
+def python_dot(xs: list[float], ys: list[float]) -> float:
+    """sum_j xs[j] * ys[j] over Python floats, added in index order."""
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total += x * y
+    return total
+
+
+# the callers' shapes: a slab of decode rows against the centers, one
+# covering probe against the net, and row-by-row differences (spacing,
+# minimum distance); then one coordinate
+@pytest.mark.parametrize(
+    "x_shape, y_shape", [((3, 1, 128), (5, 128)), ((6,), (9, 6)), ((4, 16), (4, 16)), ((2, 1, 1), (3, 1))]
+)
+# subnormal inputs, whose products underflow, and 1e150-scale ones, whose
+# products sit near 1e300 without overflowing
+@pytest.mark.parametrize("x_scale, y_scale", [(1.0, 1.0), (1e-310, 1.0), (1e-160, 1e-150), (1e150, 1e150)])
+def test_fixed_dot_is_the_index_order_sum_over_python_floats(x_shape, y_shape, x_scale, y_scale):
+    rng = rng_for(34, len(x_shape), x_shape[-1])
+    x, y = x_scale * rng.standard_normal(x_shape), y_scale * rng.standard_normal(y_shape)
+    bx, by = np.broadcast_arrays(x, y)
+    want = np.array([python_dot(bx[i].tolist(), by[i].tolist()) for i in np.ndindex(bx.shape[:-1])])
+    got = fixed_dot(x, y)
+    assert np.shape(got) == bx.shape[:-1]
+    # bit for bit, the sign of a zero included
+    assert np.asarray(got).tobytes() == want.reshape(bx.shape[:-1]).tobytes()
+    # the tests' own fixed-order oracle adds the same products to a zero
+    # total, so it agrees in value
+    assert np.array_equal(fixed_dot_ref(x, y), want.reshape(bx.shape[:-1]))
+    assert x_scale != 1e-310 or np.any((want != 0.0) & (np.abs(want) < np.finfo(np.float64).tiny))
 
 
 def test_build_net_d1_exact():
@@ -169,11 +201,11 @@ def test_verify_covering_refuses_a_probe_array_over_budget_before_drawing():
 
 @pytest.mark.parametrize("d", [3, 6])
 def test_verify_covering_rechecks_band_probes_in_later_chunks(d):
-    # 40,000 net points give chunks of 50 probes, so 230 probes make four
-    # whole chunks and a partial fifth. Each target is one probe's dense
-    # distance in a later chunk, to the last bit; that probe is in the
-    # band, and counts as covered only when its recheck reproduces its
-    # chunk's product
+    # 40,000 net points give the oracle chunks of 50 probes, so 230 probes
+    # make four whole chunks and a partial fifth. Each target is one
+    # probe's dense distance in a later chunk, with fixed-order inner
+    # products, to the last bit; that probe is in the band, and counts as
+    # covered only when its recheck, alone, reproduces that distance
     net = Net(points=sample_uniform_sphere_batch(d, 40_000, rng_for(20, d)), eps_I=0.3)
     probes = 230
     min_sq = covering_min_sq_ref(net, probes, rng_for(21, d))
@@ -233,8 +265,8 @@ def test_verify_covering_target_at_a_probe_nearest_outside_the_head(d):
 def test_verify_covering_with_norms_off_by_most_of_the_tolerance(d):
     # net points scaled to ||t||^2 = d (1 +- 0.9 _NORM_TOL), which Net
     # accepts: there the scan's 2d - 2 <q, t> is furthest from the dense
-    # formula. Each target is one probe's dense distance, to the last bit,
-    # from a point of either sign
+    # formula. Each target is one probe's dense distance, with fixed-order
+    # inner products, to the last bit, from a point of either sign
     pts = sample_uniform_sphere_batch(d, 3_000, rng_for(29, d))
     sign = np.where(np.arange(3_000) % 2 == 0, 1.0, -1.0)
     base = Net(points=pts * np.sqrt(1.0 + 0.9 * _NORM_TOL * sign)[:, None], eps_I=0.3)
