@@ -43,9 +43,8 @@ TRIALS_MIN = 100
 # so each slab's second pass reads cached data. 1 MiB is half a 2 MiB
 # per-core L2, leaving room for the rest of the working set: the screen's
 # _top2 reads 87 float32 rows at k = 2981, and the whole 1,024 x 256
-# float32 block at d = 128; the row tier's _top2 reads the float64 product
-# of the rows the screen leaves, one or two at d = 128, in one slab; the
-# exact rule, if a row gets that far, forms 43 or 512 fixed-order rows.
+# float32 block at d = 128; the exact rule, for the rows the screen
+# leaves, forms 43 or 512 fixed-order rows per slab.
 # Smaller slabs pay numpy's per-call cost on more slices: in the
 # criterion-3 sweep 256 KiB ran about 9% slower, while 512 KiB to 2 MiB
 # read within 1% of each other. No outcome depends on the value
@@ -205,15 +204,15 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = top[lo : lo + rows]
         t[:] = s[r, b]
         s[r, b] = -np.inf
-        np.max(s, axis=1, out=second[lo : lo + rows])
+        second[lo : lo + rows] = s[r, np.argmax(s, axis=1)]
         s[r, b] = t
     return best, top, second
 
 
 # Each family is a band rule and an exact rule on the fixed-order product
-# g = fixed_dot(sa[:, None, :], centers), where sa = 2 * a for the
+# g = fixed_dot(scale * a[:, None, :], centers), where scale = 2 for the
 # residual families, whose g is sq_dists's cross term. _decide runs them
-# in three tiers.
+# in two tiers.
 #
 # The screen takes a float32 GEMM, which moves half the bytes of the
 # float64 one, and sphere.gemm_band, a per-row bound on how far each entry
@@ -227,15 +226,10 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # so these bounds hold in floating point exactly as on paper. The band
 # rule returns its outcomes and the rows they decide for certain.
 #
-# The row tier takes the BLAS float64 product of the rows the screen
-# leaves undecided, alone, and the same band rule with gemm_band at
-# float64: whatever order and kernel BLAS uses, it and the fixed-order
-# product are d-term float64 dot products of the same inputs, so they
-# differ by at most 2 gamma_d of float64 times the norms, plus underflow.
-# Only rows that band cannot decide either (exact ties, centers a float64
-# step apart), or every row when a screen band is not finite, go to the
-# exact rule on their fixed-order products, in slabs of about SLAB_BYTES:
-# every outcome is the fixed-order one, on any BLAS.
+# The rows the screen leaves undecided (near ties, centers a float32 step
+# apart), or every row when a screen band is not finite, go to the exact
+# rule on their fixed-order products, in slabs of about SLAB_BYTES: every
+# outcome is the fixed-order one, on any BLAS.
 
 
 def _refuse_non_finite(x: np.ndarray, norms: np.ndarray, what: str) -> None:
@@ -257,31 +251,25 @@ def _decide(band_rule, exact_rule, centers: np.ndarray, ys: np.ndarray, a: np.nd
     a)[:, None, :], centers), a = ys or a positive multiple of it, scale 1
     or 2. Both rules see ya and xb, the squared norms of a's rows and of the
     centers: band_rule(best, top, second, band, ya, xb) on the float32
-    screen and on the row tier's float64 product, and exact_rule(g, ya, xb)
-    on a slab of rows of the fixed-order g and their ya."""
+    screen, and exact_rule(g, ya, xb) on a slab of rows of the fixed-order
+    g and their ya."""
     (n, d), k = ys.shape, centers.shape[0]
     ya, xb = sq_norms(a), sq_norms(centers)
     _refuse_non_finite(ys, ya, "observation row")
     _refuse_non_finite(centers, xb, "center")
-    sa = a if scale == 1.0 else scale * a
-    band = gemm_band(ya, xb, d, scale, np.float32)
+    band = gemm_band(ya, xb, d, scale)
     if np.all(np.isfinite(band)):
-        g = sa.astype(np.float32) @ centers.astype(np.float32).T
-        out, sure = band_rule(*_top2(g), band, ya, xb)
-        # free the float32 product before a float64 one is allocated
-        del g
+        s32 = a.astype(np.float32)
+        if scale != 1.0:
+            s32 *= scale
+        out, sure = band_rule(*_top2(s32 @ centers.astype(np.float32).T), band, ya, xb)
         rows = np.flatnonzero(~sure)
-        if rows.size:
-            yr = ya[rows]
-            band = gemm_band(yr, xb, d, scale, np.float64)
-            out[rows], sure = band_rule(*_top2(sa[rows] @ centers.T), band, yr, xb)
-            rows = rows[~sure]
     else:
         out, rows = np.empty(n, dtype=np.int64), np.arange(n)
     step = max(1, SLAB_BYTES // (8 * k))
     for lo in range(0, rows.size, step):
         r = rows[lo : lo + step]
-        out[r] = exact_rule(fixed_dot(sa[r, None, :], centers), ya[r], xb)
+        out[r] = exact_rule(fixed_dot(scale * a[r, None, :], centers), ya[r], xb)
     return out
 
 
@@ -480,16 +468,16 @@ def estimate_error_prob(
         seed_path: extra stream-key components (grid index, replicate, ...)
             so sweeps can give every cell an independent stream.
 
-    Raises ValueError, before the first block, when a block's float64
-    product, TRIAL_BLOCK x k if the screen decides no row, would exceed
-    ARRAY_BYTES_MAX bytes.
+    Raises ValueError, before the first block, when a TRIAL_BLOCK x k block
+    at float64 size, twice the float32 screen product that is a block's
+    largest array, would exceed ARRAY_BYTES_MAX bytes.
     """
     if trials < TRIALS_MIN:
         raise ValueError(f"need trials >= {TRIALS_MIN}, got {trials}")
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     nbytes = TRIAL_BLOCK * cb.k * 8
-    check_array_bytes(nbytes, f"decoding k={cb.k} centers needs up to a {nbytes}-byte float64 product per block")
+    check_array_bytes(nbytes, f"decoding k={cb.k} centers is bounded at a {nbytes}-byte float64 block size")
 
     error_count = erasure_count = 0
     noise_s = decode_s = 0.0

@@ -135,25 +135,27 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u) if n * u < 0.5 else math.inf
 
 
-def gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float, dtype) -> np.ndarray:
+def gemm_band(a_sq: np.ndarray, b_sq: np.ndarray, d: int, scale: float) -> np.ndarray:
     """Per row i, a bound on |g[i, j] - f[i, j]| over every j, where f is
-    the fixed_dot product of scale * a_i and b_j, g the same product of
-    dtype (float32 or float64) copies of scale * a and b, of any subset of
-    the rows, in any order and by any kernel, scale an exact power of two,
-    and a_sq, b_sq the rows' squared norms as sq_norms computes them.
+    the fixed_dot product of scale * a_i and b_j, g the float32 product of
+    scale times a float32 copy of a_i and a float32 copy of b_j, of any
+    subset of the rows, in any order and by any kernel, scale an exact
+    power of two, and a_sq, b_sq the rows' squared norms as sq_norms
+    computes them.
 
-    With x = scale * a_i, y = b_j, u dtype's unit roundoff and tiny its
-    smallest normal, the bound covers rounding x and y to dtype (2u + u^2;
-    float64 copies are exact, so there it is slack), the dtype dot product
-    (gamma_d(u) on the rounded inputs), and f's own error (gamma_d of
-    float64, as for any d-term float64 dot product), all times ||x|| *
-    max ||y||, plus an absolute term for underflow: every input, product or
-    partial sum that underflows, flushed or not, is off by less than tiny.
-    So for dtype float64 it bounds how far a BLAS product of some rows
-    sits from the fixed-order one. Rows that could overflow float32
-    anywhere, and non-finite rows, get an infinite band at either dtype.
+    With x = scale * a_i, y = b_j, u float32's unit roundoff and tiny its
+    smallest normal, the bound covers rounding a_i and y to float32 (2u +
+    u^2), the float32 dot product (gamma_d(u) on the rounded inputs), and
+    f's own error (gamma_d of float64, as for any d-term float64 dot
+    product), all times ||x|| * max ||y||, plus an absolute term for
+    underflow: every input, product or partial sum that underflows,
+    flushed or not, is off by less than tiny. Scaling the rounded copy by
+    a power of two is exact; it differs from rounding x itself only where
+    a_i is in float32's subnormal range, by less than tiny, which that
+    term carries. Rows that could overflow float32 anywhere, and non-finite
+    rows, get an infinite band.
     """
-    info = np.finfo(dtype)
+    info = np.finfo(np.float32)
     u, tiny = float(info.eps) / 2.0, float(info.tiny)
     # a_sq, b_sq are within gamma_d of float64 of the exact squared norms
     grow = 1.0 + _gamma(d, _U64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -490,8 +491,13 @@ def test_top2_in_the_dtype_of_its_input_on_slab_edges(monkeypatch, dtype, k):
     for budget in SLAB_BUDGETS:
         monkeypatch.setattr(decoders, "SLAB_BYTES", budget)
         for n in _slab_edges(k, budget):
-            # integer entries from a small range, so rows hold exact ties
+            # integer entries from a small range, so rows hold exact ties;
+            # then a row with -inf entries (all -inf at k = 1), one whose
+            # maximum repeats, and one of signed zeros
             g = rng_for(99, k, n).integers(-20, 20, size=(n, k)).astype(dtype)
+            g[0, : (k + 1) // 2] = -np.inf
+            g[n // 2, -2:] = 25
+            g[n - 1] = np.where(np.arange(k) % 2 == 0, 0.0, -0.0)
             before = g.copy()
             best, top, second = decoders._top2(g)
             assert top.dtype == second.dtype == dtype
@@ -694,20 +700,18 @@ def test_estimator_matches_ref_kernels(kind):
 
 
 # ---------------------------------------------------------------------------
-# the three tiers: each kernel screens a block in float32 with
-# sphere.gemm_band, rechecks the rows the screen leaves undecided with a
-# float64 product of those rows alone and gemm_band at float64, and hands
-# the rows that leaves, or every row when a screen band is not finite, to
-# its family's exact rule on those rows' fixed-order products
+# the two tiers: each kernel screens a block in float32 with
+# sphere.gemm_band, and hands the rows the screen leaves undecided, or
+# every row when a screen band is not finite, to its family's exact rule
+# on those rows' fixed-order products
 
 
 def _tiers(monkeypatch):
     """Record what each tier of decoders._decide reads, in call order: the
-    dtype of every GEMM output _top2 reads ("top2": float32 in the screen,
-    float64 in the row tier), the rows each band rule decides for certain
-    ("sure", one entry per _top2 call: the screen's over the block, the row
-    tier's over the rows the screen left), and the product rows each call
-    of an exact rule reads ("exact")."""
+    dtype of every GEMM output _top2 reads ("top2", the screen's float32),
+    the rows the screen's band rule decides for certain ("sure", one entry
+    per block it screens), and the product rows each call of an exact rule
+    reads ("exact")."""
     seen = {"top2": [], "sure": [], "exact": []}
     top2, decide = decoders._top2, decoders._decide
 
@@ -741,8 +745,11 @@ def test_f32_gemm_band_bounds_the_float32_error(d):
     b = rng.standard_normal((32, d))
     for scale in (1.0, 2.0):
         g64 = (scale * a) @ b.T
-        g32 = (scale * a).astype(np.float32) @ b.astype(np.float32).T
-        band = gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale, np.float32)
+        # as the screen forms it: a float32 copy of a, scaled in float32
+        s32 = a.astype(np.float32)
+        s32 *= scale
+        g32 = s32 @ b.astype(np.float32).T
+        band = gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale)
         ratio = np.max(np.abs(g32 - g64), axis=1) / band
         assert np.all(ratio <= 1.0)
         if d == 1:
@@ -751,41 +758,13 @@ def test_f32_gemm_band_bounds_the_float32_error(d):
             assert np.max(ratio) > 0.5
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 16, 128])
-def test_gemm_band_at_float64_bounds_a_product_of_rows_alone(d):
-    rng = rng_for(121, d)
-    # rows over fourteen orders of magnitude, and rows in float64's subnormal range
-    a = rng.standard_normal((2048, d)) * np.exp(rng.uniform(-16.0, 16.0, size=(2048, 1)))
-    a[:64] = 1e-310 * rng.standard_normal((64, d))
-    b = rng.standard_normal((32, d))
-    # the subnormal rows one at a time (numpy may hand a lone row to gemv),
-    # then the rest in subsets of a few sizes
-    rest = 64 + rng.permutation(2048 - 64)
-    cuts = np.cumsum([1, 1, 2, 3, 5, 8, 64, 257] * 8)
-    subsets = [[i] for i in range(64)] + [r for r in np.split(rest, cuts[cuts < rest.size]) if r.size]
-    moved = 0
-    for scale in (1.0, 2.0):
-        sa = scale * a
-        g64 = sa @ b.T
-        band = gemm_band(np.sum(a * a, axis=1), np.sum(b * b, axis=1), d, scale, np.float64)
-        for rows in subsets:
-            g = sa[rows] @ b.T
-            assert np.all(np.abs(g - g64[rows]) <= band[rows, None])
-            moved += np.count_nonzero(g != g64[rows])
-    if d == 128:
-        # the check is not vacuous: products of rows alone round differently
-        assert moved > 0
-
-
 def test_f32_gemm_band_is_infinite_where_float32_could_overflow_or_a_value_is_not_finite():
-    # at either dtype: the row tier sees only rows with a finite screen band
     b_sq = np.array([16.0, 16.0])
     a_sq = np.array([16.0, 1e78, np.nan, np.inf, 1e-80])
-    for dtype in (np.float32, np.float64):
-        band = gemm_band(a_sq, b_sq, 16, 2.0, dtype)
-        assert np.isfinite(band[0]) and np.isfinite(band[4])
-        assert np.all(np.isinf(band[1:4]))
-        assert np.all(np.isinf(gemm_band(np.array([16.0]), np.array([np.nan, 16.0]), 16, 1.0, dtype)))
+    band = gemm_band(a_sq, b_sq, 16, 2.0)
+    assert np.isfinite(band[0]) and np.isfinite(band[4])
+    assert np.all(np.isinf(band[1:4]))
+    assert np.all(np.isinf(gemm_band(np.array([16.0]), np.array([np.nan, 16.0]), 16, 1.0)))
 
 
 def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
@@ -793,7 +772,7 @@ def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
     # 2 y c is off the float64 one by more than half its band. A threshold
     # set on the float64 statistic, or one float64 step past it on the side
     # the float32 error lies, leaves the row undecided in float32, and the
-    # float64 block decides it; half the band would decide it wrongly
+    # exact rule decides it; half the band would decide it wrongly
     rng = rng_for(101)
     ys, cs = rng.uniform(0.7, 1.4, size=(2, 4000))
     rows = 0
@@ -803,7 +782,7 @@ def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
             (2.0, (2.0 * y) * c, float(np.float32(2.0 * y) * np.float32(c))),
             (1.0, y * c, float(np.float32(y) * np.float32(c))),
         ):
-            band = gemm_band(np.array([y * y]), np.array([c * c]), 1, scale, np.float32)[0]
+            band = gemm_band(np.array([y * y]), np.array([c * c]), 1, scale)[0]
             if abs(g32 - g64) <= 0.6 * band:
                 continue
             if scale == 2.0:
@@ -827,14 +806,15 @@ def test_screen_falls_back_on_rows_a_halved_band_decides_wrongly():
     assert rows > 20
 
 
-def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
-    # the criterion-3 shape with center pairs whose GEMM entries tie
-    # exactly (a copy), or sit one float32 step apart either way, or one
-    # float64 step apart: inside the float32 band, so the screen leaves
-    # those rows undecided. The float32-step partners are put back on the
-    # sphere: nn's band rule bounds every rival's distance with the
-    # smallest center norm, and a partner a float32 step inside the sphere
-    # would lower that for every row
+def _float32_step_pairs():
+    """(centers, ys): the criterion-3 shape with center pairs whose GEMM
+    entries tie exactly (a copy), or sit one float32 step apart either way,
+    or one float64 step apart, and a block of rows near the pairs' first
+    centers. Those entries are inside the float32 band, so the screen
+    leaves the rows undecided. The float32-step partners are put back on
+    the sphere: nn's band rule bounds every rival's distance with the
+    smallest center norm, and a partner a float32 step inside the sphere
+    would lower that for every row."""
     d, k = 16, 2981
     centers = sample_uniform_sphere_batch(d, k, rng_for(104))
     src = centers[0:2000:2]
@@ -846,41 +826,56 @@ def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
         partner[j::4] = moved * (math.sqrt(d) / np.linalg.norm(moved, axis=1, keepdims=True))
     partner[3::4] = np.nextafter(src[3::4], np.inf)
     centers[1:2000:2] = partner
-    sigma2 = _sigma2(d, k)
     labels = 2 * rng_for(105).integers(0, 1000, size=TRIAL_BLOCK)
-    ys = centers[labels] + 0.05 * rng_for(106).standard_normal((TRIAL_BLOCK, d))
-    seen = _tiers(monkeypatch)
+    return centers, centers[labels] + 0.05 * rng_for(106).standard_normal((TRIAL_BLOCK, d))
+
+
+def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
+    centers, ys = _float32_step_pairs()
+    sigma2 = _sigma2(*centers.shape[::-1])
     mmse = [MmseParams.for_noise(sigma2, c=c) for c in (1.2, 1.45)] + [(1.0, 0.01, 0.02)]
     _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
-    # nn, the first kernel run: the screen decides no row, the row tier
-    # every row of a float32-step pair, and the exact rule reads the copy
-    # and float64-step rows, in order, as their fixed-order products
-    assert seen["top2"][:2] == [np.float32, np.float64]
-    screen, row = seen["sure"][:2]
-    assert not np.any(screen)
-    kind = (labels // 2) % 4
-    assert np.array_equal(row, (kind == 1) | (kind == 2))
-    assert np.array_equal(np.concatenate(seen["exact"]), pair_dots_ref(2.0 * ys[~row], centers))
+    # for nn the screen decides no row, and the exact rule reads every row,
+    # in order, as its fixed-order products
+    seen = _tiers(monkeypatch)
+    _nn_batch(centers, ys)
+    assert seen["top2"] == [np.float32] and not np.any(seen["sure"][0])
+    assert np.array_equal(np.concatenate(seen["exact"]), pair_dots_ref(2.0 * ys, centers))
     # left off the sphere, the partners a float32 step inside it lower the
-    # smallest center norm by about 1e-6: nn's row tier then decides none
-    # of the rows, and the exact rule reads them all
+    # smallest center norm by about 1e-6, and every family still decodes
+    # as the reference
+    src = centers[0:2000:2]
+    step32 = np.spacing(src.astype(np.float32)).astype(np.float64)
     centers[3:2000:8] = src[1::4] + step32[1::4]
     centers[5:2000:8] = src[2::4] - step32[2::4]
-    for rows in seen.values():
-        rows.clear()
     _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
-    assert seen["top2"][:2] == [np.float32, np.float64]
-    assert not np.any(seen["sure"][1])
 
 
-def test_row_tier_leaves_a_row_whose_product_alone_ranks_two_centers_differently(monkeypatch):
+def test_a_decode_block_allocates_little_beyond_its_float32_product():
+    # the traced peak of one nn decode_batch call: the screen's float32
+    # product, 1 MiB at d = 128, k = 256 and 11.6 MiB at k = 2,981, is a
+    # block's largest array, and the exact rule, which reads every row of
+    # the float32-step-pairs block, forms its products a slab at a time
+    cb = sample_codebook(128, 256, rng_for(122))
+    blocks = [(cb.centers, _noisy(cb.centers, TRIAL_BLOCK, math.sqrt(_sigma2(128, 256)), 123), 2 << 20)]
+    blocks.append((*_float32_step_pairs(), 16 << 20))
+    for centers, ys, bound in blocks:
+        tracemalloc.start()
+        try:
+            decode_batch(centers, ys, DecoderSpec.nn())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+def test_exact_rule_decides_a_row_whose_blas_product_alone_ranks_two_centers_differently(monkeypatch):
     # +-1 centers, every squared norm exactly d, with center 1 one float64
     # step from center 0 in a random half of its coordinates. Row i, near
     # center 0, is the one the screen leaves, and the BLAS product of that
     # row alone, which rounds differently from the fixed-order one, puts
-    # the two distances in the other order. The row band covers that, so
-    # the row tier leaves the row to the exact rule; at band 0 it would
-    # decide it from the wrong order
+    # the two distances in the other order. The exact rule reads the
+    # row's fixed-order products, so it decodes the row as the reference
     d, k, n, i = 128, 256, 64, 32
     for seed in range(40):
         rng = rng_for(120, seed)
@@ -898,8 +893,8 @@ def test_row_tier_leaves_a_row_whose_product_alone_ranks_two_centers_differently
     seen = _tiers(monkeypatch)
     spec = DecoderSpec.nn()
     assert np.array_equal(decode_batch(centers, ys, spec), decode_ref(centers, ys, spec))
-    screen, row = seen["sure"]
-    assert np.array_equal(np.flatnonzero(~screen), [i]) and not row[0]
+    [screen] = seen["sure"]
+    assert np.array_equal(np.flatnonzero(~screen), [i])
     assert np.array_equal(np.concatenate(seen["exact"]), pair_dots_ref(2.0 * ys[[i]], centers))
 
 
@@ -1002,17 +997,17 @@ def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatc
     sigma2 = noise_for_beta(d, k, 0.5).sigma2
     seen = _tiers(monkeypatch)
     [(ys, _)] = estimator_blocks(cb, sigma2, TRIAL_BLOCK, 103, seed_path=(2,))
-    for spec in (DecoderSpec.nn(), DecoderSpec.mmse(sigma2, c=1.45), DecoderSpec.corr(0.3)):
+    mmse = DecoderSpec.mmse(sigma2, c=1.45)
+    # each family's exact rule reads the fixed-order products of these rows
+    for spec, a in ((DecoderSpec.nn(), 2.0 * ys), (mmse, 2.0 * (mmse.record.alpha * ys)), (DecoderSpec.corr(0.3), ys)):
         for rows in seen.values():
             rows.clear()
         assert np.array_equal(decode_batch(cb, ys, spec), decode_ref(cb, ys, spec))
-        # the row tier takes the rows the screen left undecided, if any, and
-        # decides every one of them: the exact rule reads none
-        undecided = int(np.count_nonzero(~seen["sure"][0]))
-        row = seen["sure"][1:]
-        assert seen["top2"] == [np.float32] + [np.float64] * len(row)
-        assert [r.size for r in row] == ([undecided] if undecided else [])
-        assert all(np.all(r) for r in row)
-        assert seen["exact"] == []
+        # the exact rule reads exactly the rows the screen left undecided,
+        # in order
+        [screen] = seen["sure"]
+        assert seen["top2"] == [np.float32]
+        exact = np.vstack(seen["exact"] or [np.empty((0, k))])
+        assert np.array_equal(exact, pair_dots_ref(a[~screen], cb.centers))
         if spec.family == "nn":
-            assert undecided
+            assert not np.all(screen)
