@@ -50,12 +50,21 @@ class GmmBatch:
         return v
 
 
+def check_batch_bytes(n: int, d: int) -> None:
+    """Refuse a batch of n samples in dimension d, its (n, d) samples plus
+    n labels, over ARRAY_BYTES_MAX before anything is allocated."""
+    nbytes = n * (d + 1) * 8
+    check_array_bytes(nbytes, f"a batch of n={n} samples in dimension {d} needs {nbytes} bytes")
+
+
 def sample_gmm(
     cb: Codebook,
     sigma2: float,
     n: int,
     rng: np.random.Generator,
     stratified: bool = False,
+    *,
+    out: np.ndarray | None = None,
 ) -> GmmBatch:
     """n draws of Y = X_label + sigma * Z.
 
@@ -65,12 +74,13 @@ def sample_gmm(
 
     Args:
         stratified: exact per-label balance, for the genie baseline.
+        out: a C-contiguous float64 (n, d) array the samples are drawn
+            into, with the same bits as a fresh one; the batch holds it,
+            not a copy.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    # the (n, d) samples plus n labels, refused before anything is drawn
-    nbytes = n * (cb.d + 1) * 8
-    check_array_bytes(nbytes, f"a batch of n={n} samples in dimension {cb.d} needs {nbytes} bytes")
+    check_batch_bytes(n, cb.d)
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
     if stratified:
@@ -80,7 +90,7 @@ def sample_gmm(
     else:
         labels = rng.integers(0, cb.k, size=n, dtype=np.int64)
     # in place, the same bits as centers[labels] + sqrt(sigma2) * noise
-    noise = rng.standard_normal((n, cb.d))
+    noise = rng.standard_normal((n, cb.d), out=out)
     noise *= np.sqrt(sigma2)
     noise += cb.centers[labels]
     return GmmBatch(noise, labels, float(sigma2))

@@ -22,11 +22,12 @@ codebooks it is the desired outcome on messages with no surviving center.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .channel import sample_gmm
+from .channel import check_batch_bytes, sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
 from .sphere import check_array_bytes, fixed_dot, gemm_band, require_number, sq_norms
@@ -130,7 +131,9 @@ class ErrorEstimate:
     ci_high: float
     error_count: int = 0
     erasure_count: int = 0
-    # wall time summed over the blocks: drawing the noise, and decoding
+    # wall time summed over the blocks on the decoding thread: waiting for
+    # each block's batch (the whole first draw, and whatever of a later
+    # draw did not overlap the decode before it), and decoding
     noise_ms: float = field(default=0.0, compare=False)
     decode_ms: float = field(default=0.0, compare=False)
 
@@ -462,7 +465,9 @@ def estimate_error_prob(
     Erasures count as errors (matched-decoding convention: a declared error
     is still an error). Trials run in fixed blocks whose seeds derive from
     (master_seed, *seed_path, block), so the counts do not depend on how
-    the blocks are scheduled.
+    the blocks are scheduled: one helper thread draws the next block while
+    the calling thread decodes this one, and is gone when the call returns
+    or raises.
 
     Args:
         seed_path: extra stream-key components (grid index, replicate, ...)
@@ -470,7 +475,9 @@ def estimate_error_prob(
 
     Raises ValueError, before the first block, when a TRIAL_BLOCK x k block
     at float64 size, twice the float32 screen product that is a block's
-    largest array, would exceed ARRAY_BYTES_MAX bytes.
+    largest array, would exceed ARRAY_BYTES_MAX bytes. Raises sample_gmm's
+    NetInfeasibleError, before the sample buffers exist, when a batch of
+    the first block's size would exceed it.
     """
     if trials < TRIALS_MIN:
         raise ValueError(f"need trials >= {TRIALS_MIN}, got {trials}")
@@ -479,20 +486,38 @@ def estimate_error_prob(
     nbytes = TRIAL_BLOCK * cb.k * 8
     check_array_bytes(nbytes, f"decoding k={cb.k} centers is bounded at a {nbytes}-byte float64 block size")
 
-    error_count = erasure_count = 0
-    noise_s = decode_s = 0.0
-    for block in range((trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK):
+    blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
+    rows = min(TRIAL_BLOCK, trials)
+    check_batch_bytes(rows, cb.d)
+    # this thread allocates the two sample buffers, used by block parity: a
+    # batch the helper allocated would stay, once freed, in its own malloc
+    # arena and raise the peak RSS
+    bufs = [np.empty((rows, cb.d)) for _ in range(min(2, blocks))]
+
+    def draw(block: int):
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-        t0 = time.perf_counter()
-        batch = sample_gmm(cb, sigma2, size, rng_for(master_seed, *seed_path, block))
-        t1 = time.perf_counter()
-        ys, labels = batch.observations(), batch.privileged_labels()
-        out = decode_batch(cb, ys, decoder_spec)
-        t2 = time.perf_counter()
-        noise_s += t1 - t0
-        decode_s += t2 - t1
-        error_count += int(np.sum(out != labels))
-        erasure_count += int(np.sum(out == ERASURE))
+        rng = rng_for(master_seed, *seed_path, block)
+        return sample_gmm(cb, sigma2, size, rng, out=bufs[block % 2][:size])
+
+    error_count = erasure_count = 0
+    wait_s = decode_s = 0.0
+    # one helper thread draws block b + 1 while this one decodes block b.
+    # Block b + 1 reuses block b - 1's buffer, whose decode has finished
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, 0)
+        for block in range(blocks):
+            t0 = time.perf_counter()
+            batch = pending.result()
+            if block + 1 < blocks:
+                pending = pool.submit(draw, block + 1)
+            t1 = time.perf_counter()
+            ys, labels = batch.observations(), batch.privileged_labels()
+            out = decode_batch(cb, ys, decoder_spec)
+            t2 = time.perf_counter()
+            wait_s += t1 - t0
+            decode_s += t2 - t1
+            error_count += int(np.sum(out != labels))
+            erasure_count += int(np.sum(out == ERASURE))
     rho = error_count / trials
     lo, hi = wilson_interval(error_count, trials)
     return ErrorEstimate(
@@ -502,6 +527,6 @@ def estimate_error_prob(
         ci_high=hi,
         error_count=error_count,
         erasure_count=erasure_count,
-        noise_ms=noise_s * 1000.0,
+        noise_ms=wait_s * 1000.0,
         decode_ms=decode_s * 1000.0,
     )

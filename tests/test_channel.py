@@ -78,6 +78,12 @@ def test_determinism(cb):
     b = sample_gmm(cb, 0.3, 100, rng_for(39))
     assert np.array_equal(a.observations(), b.observations())
     assert np.array_equal(a.privileged_labels(), b.privileged_labels())
+    # drawn into a caller's buffer: the same bits, held without a copy
+    buf = np.empty((100, cb.d))
+    c = sample_gmm(cb, 0.3, 100, rng_for(39), out=buf)
+    assert np.array_equal(c.observations(), a.observations())
+    assert np.array_equal(c.privileged_labels(), a.privileged_labels())
+    assert np.shares_memory(c.observations(), buf)
 
 
 def test_batch_validation():

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -27,7 +30,7 @@ from spherecodes import (
 
 from spherecodes import decoders
 from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
-from spherecodes.sphere import gemm_band, sq_dists
+from spherecodes.sphere import NetInfeasibleError, gemm_band, sq_dists
 
 from .oracles import (
     corr_batch_ref,
@@ -365,7 +368,7 @@ def test_estimator_trials_floor():
 
 
 def test_estimator_memory_guard_raises_before_the_first_block(monkeypatch):
-    def reached(cb, sigma2, n, rng):
+    def reached(cb, sigma2, n, rng, *, out=None):
         raise RuntimeError(f"drawing a block of {n}")
 
     monkeypatch.setattr(decoders, "sample_gmm", reached)
@@ -379,6 +382,89 @@ def test_estimator_memory_guard_raises_before_the_first_block(monkeypatch):
     fits = Codebook(centers=signs[:65536], d=1, k=65536)
     with pytest.raises(RuntimeError, match="drawing a block of 100"):
         estimate_error_prob(fits, 1.0, DecoderSpec.nn(), 100, 72)
+
+
+def test_estimator_refuses_a_batch_over_budget_before_its_buffers_exist():
+    # 1,024 samples in d = 65,536 fit the budget exactly, and their labels
+    # put the batch 8 KiB over it. The refusal is sample_gmm's, and no
+    # buffer of the batch's size (512 MiB) is allocated before it
+    d, k, trials = 65536, 2, 1024
+    cb = Codebook(centers=np.sqrt(d) * np.eye(k, d), d=d, k=k)
+    nbytes = trials * (d + 1) * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetInfeasibleError, match=f"a batch of n={trials} samples in dimension {d} needs {nbytes} bytes"):
+            estimate_error_prob(cb, 1.0, DecoderSpec.nn(), trials, 79)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes // 64
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", [None, "decode", "draw"])
+def test_estimator_leaves_no_thread_and_passes_errors_through(monkeypatch, fault):
+    # the call returns, decode_batch raises on block 1, or the draw raises:
+    # no thread outlives the call, and the error reaches the caller as raised
+    cb = sample_codebook(16, 12, rng_for(80))
+    calls = {"decode": 0}
+    decode = decoders.decode_batch
+
+    def decode_failing(cb, ys, spec):
+        calls["decode"] += 1
+        if calls["decode"] == 2:
+            raise _Stop("decoding block 1")
+        return decode(cb, ys, spec)
+
+    def sample_failing(cb, sigma2, n, rng, *, out=None):
+        raise _Stop("drawing")
+
+    if fault == "decode":
+        monkeypatch.setattr(decoders, "decode_batch", decode_failing)
+    elif fault == "draw":
+        monkeypatch.setattr(decoders, "sample_gmm", sample_failing)
+    before = threading.enumerate()
+    if fault is None:
+        est = estimate_error_prob(cb, 2.0, DecoderSpec.nn(), 3 * TRIAL_BLOCK, 81)
+        assert est.trials == 3 * TRIAL_BLOCK
+    else:
+        with pytest.raises(_Stop):
+            estimate_error_prob(cb, 2.0, DecoderSpec.nn(), 3 * TRIAL_BLOCK, 81)
+    assert threading.enumerate() == before
+
+
+def test_estimator_counts_hold_under_concurrent_calls_and_fast_switching():
+    # four calls at once, each with its own helper thread, under a short
+    # switch interval: each call counts exactly its blocks drawn one after
+    # the other, so no buffer is written while it is decoded
+    cb = sample_codebook(32, 64, rng_for(82))
+    sigma2 = noise_for_beta(32, 64, 1.0).sigma2
+    trials = 6 * TRIAL_BLOCK + 77
+
+    def counts(path):
+        errors = erasures = 0
+        for ys, labels in estimator_blocks(cb, sigma2, trials, 83, path):
+            out = decode_ref(cb, ys, DecoderSpec.nn())
+            errors += int(np.sum(out != labels))
+            erasures += int(np.sum(out == ERASURE))
+        return errors, erasures
+
+    def estimate(path):
+        est = estimate_error_prob(cb, sigma2, DecoderSpec.nn(), trials, 83, seed_path=path)
+        return est.error_count, est.erasure_count
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(estimate, (p,)) for p in range(4)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [counts((p,)) for p in range(4)]
 
 
 def test_estimator_seed_path_separates_streams():
