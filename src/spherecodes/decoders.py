@@ -40,12 +40,15 @@ TRIAL_BLOCK = 1024
 # the fewest trials an error estimate accepts
 TRIALS_MIN = 100
 
-# the decoders read their GEMM output in row slabs of about this many bytes,
-# so each slab's second pass reads cached data. 1 MiB is half a 2 MiB
-# per-core L2, leaving room for the rest of the working set: the screen's
-# _top2 reads 87 float32 rows at k = 2981, and the whole 1,024 x 256
-# float32 block at d = 128; the exact rule, for the rows the screen
-# leaves, forms 43 or 512 fixed-order rows per slab.
+# the decoders form their products in row slabs of about this many bytes,
+# one slab at a time: the screen's float32 GEMM writes each slab into one
+# buffer and _top2 reads it twice, the second time from cache; the exact
+# rule, for the rows the screen leaves, forms 43 or 512 fixed-order rows
+# per slab. 1 MiB is half a 2 MiB per-core L2, leaving room for the rest
+# of the working set: 87 float32 rows at k = 2981, and the whole 1,024 x
+# 256 float32 block at d = 128. No block-sized product is formed, so a
+# thread that decodes keeps about one slab in its malloc arena, not the
+# 11.6 MiB float32 product of a block at k = 2981.
 # Smaller slabs pay numpy's per-call cost on more slices: in the
 # criterion-3 sweep 256 KiB ran about 9% slower, while 512 KiB to 2 MiB
 # read within 1% of each other. No outcome depends on the value
@@ -131,9 +134,9 @@ class ErrorEstimate:
     ci_high: float
     error_count: int = 0
     erasure_count: int = 0
-    # wall time summed over the blocks on the decoding thread: waiting for
-    # each block's batch (the whole first draw, and whatever of a later
-    # draw did not overlap the decode before it), and decoding
+    # wall time summed over the calling thread's own blocks: drawing each
+    # batch, and decoding it. The helper thread's blocks, and the wait for
+    # them, are in neither
     noise_ms: float = field(default=0.0, compare=False)
     decode_ms: float = field(default=0.0, compare=False)
 
@@ -188,27 +191,33 @@ def corr_feasibility_bound(d: int, k: int, sigma2: float, eta1: float) -> float:
 
 
 def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of g: the argmax (lowest index on ties), the maximum and the
-    largest entry at any other index (-inf when g has one column), in g's
-    dtype. Two read-only passes over row slabs of about SLAB_BYTES, so the
-    second reads the slab from cache. It masks the argmax entry and
-    restores it before the next slab: g is left as it was. Each row's three
-    values are exact, so they do not depend on the slab height."""
-    n, k = g.shape
+    """Per row of g, one slab of about SLAB_BYTES: the argmax (lowest index
+    on ties), the maximum and the largest entry at any other index (-inf
+    when g has one column), in g's dtype. Two passes over g, so the second
+    reads it from cache. It masks the argmax entry and restores it: g is
+    left as it was. Each row's three values are exact, so they do not
+    depend on the slab height."""
+    r = np.arange(g.shape[0])
+    best = np.argmax(g, axis=1)
+    top = g[r, best]
+    g[r, best] = -np.inf
+    second = g[r, np.argmax(g, axis=1)]
+    g[r, best] = top
+    return best, top, second
+
+
+def _screen(a32: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_top2 of the float32 product a32 @ centers.T, formed one row slab of
+    about SLAB_BYTES at a time in one buffer, which is freed on return."""
+    n, k = a32.shape[0], centers.shape[0]
+    c32 = centers.astype(np.float32).T
+    rows = max(1, SLAB_BYTES // (4 * k))
+    g = np.empty((min(rows, n), k), dtype=np.float32)
     best = np.empty(n, dtype=np.int64)
-    top = np.empty(n, dtype=g.dtype)
-    second = np.empty(n, dtype=g.dtype)
-    rows = max(1, SLAB_BYTES // (g.itemsize * k))
-    idx = np.arange(rows)
+    top, second = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
     for lo in range(0, n, rows):
-        s = g[lo : lo + rows]
-        r = idx[: s.shape[0]]
-        b = np.argmax(s, axis=1, out=best[lo : lo + rows])
-        t = top[lo : lo + rows]
-        t[:] = s[r, b]
-        s[r, b] = -np.inf
-        second[lo : lo + rows] = s[r, np.argmax(s, axis=1)]
-        s[r, b] = t
+        hi = min(lo + rows, n)
+        best[lo:hi], top[lo:hi], second[lo:hi] = _top2(np.matmul(a32[lo:hi], c32, out=g[: hi - lo]))
     return best, top, second
 
 
@@ -218,8 +227,9 @@ def _top2(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # in two tiers.
 #
 # The screen takes a float32 GEMM, which moves half the bytes of the
-# float64 one, and sphere.gemm_band, a per-row bound on how far each entry
-# may sit from the fixed-order one. The band rule gets the argmax b, its
+# float64 one, a row slab at a time, and sphere.gemm_band, a per-row bound
+# on how far each entry may sit from the fixed-order one, whatever rows a
+# product is formed of. The band rule gets the argmax b, its
 # entry, the runner-up entry and that band. Every entry but b is at most
 # runner-up + band, b's is within band of its own, and the entry at the
 # runner-up's index is at least runner-up - band. The residual families
@@ -265,14 +275,17 @@ def _decide(band_rule, exact_rule, centers: np.ndarray, ys: np.ndarray, a: np.nd
         s32 = a.astype(np.float32)
         if scale != 1.0:
             s32 *= scale
-        out, sure = band_rule(*_top2(s32 @ centers.astype(np.float32).T), band, ya, xb)
+        out, sure = band_rule(*_screen(s32, centers), band, ya, xb)
         rows = np.flatnonzero(~sure)
     else:
         out, rows = np.empty(n, dtype=np.int64), np.arange(n)
+    if rows.size:
+        # fixed_dot reads the centers coordinate-major: lay them out so once
+        cm = np.ascontiguousarray(centers.T).T
     step = max(1, SLAB_BYTES // (8 * k))
     for lo in range(0, rows.size, step):
         r = rows[lo : lo + step]
-        out[r] = exact_rule(fixed_dot(scale * a[r, None, :], centers), ya[r], xb)
+        out[r] = exact_rule(fixed_dot(scale * a[r, None, :], cm), ya[r], xb)
     return out
 
 
@@ -465,19 +478,19 @@ def estimate_error_prob(
     Erasures count as errors (matched-decoding convention: a declared error
     is still an error). Trials run in fixed blocks whose seeds derive from
     (master_seed, *seed_path, block), so the counts do not depend on how
-    the blocks are scheduled: one helper thread draws the next block while
-    the calling thread decodes this one, and is gone when the call returns
-    or raises.
+    the blocks are scheduled: the blocks run in pairs, the calling thread
+    drawing and decoding block b while one helper thread draws and decodes
+    block b + 1. The helper is gone when the call returns or raises.
 
     Args:
         seed_path: extra stream-key components (grid index, replicate, ...)
             so sweeps can give every cell an independent stream.
 
     Raises ValueError, before the first block, when a TRIAL_BLOCK x k block
-    at float64 size, twice the float32 screen product that is a block's
-    largest array, would exceed ARRAY_BYTES_MAX bytes. Raises sample_gmm's
-    NetInfeasibleError, before the sample buffers exist, when a batch of
-    the first block's size would exceed it.
+    at float64 size would exceed ARRAY_BYTES_MAX bytes, which bounds k at
+    65,536 (the decode itself forms its products in slabs). Raises
+    sample_gmm's NetInfeasibleError, before the sample buffers exist, when
+    a batch of the first block's size would exceed it.
     """
     if trials < TRIALS_MIN:
         raise ValueError(f"need trials >= {TRIALS_MIN}, got {trials}")
@@ -494,30 +507,36 @@ def estimate_error_prob(
     # arena and raise the peak RSS
     bufs = [np.empty((rows, cb.d)) for _ in range(min(2, blocks))]
 
-    def draw(block: int):
+    def run(block: int) -> tuple[int, int, float, float]:
+        """Draw, decode and count one block: its errors and erasures, and
+        the seconds its draw and its decode took."""
+        t0 = time.perf_counter()
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
         rng = rng_for(master_seed, *seed_path, block)
-        return sample_gmm(cb, sigma2, size, rng, out=bufs[block % 2][:size])
+        batch = sample_gmm(cb, sigma2, size, rng, out=bufs[block % 2][:size])
+        t1 = time.perf_counter()
+        out = decode_batch(cb, batch.observations(), decoder_spec)
+        t2 = time.perf_counter()
+        labels = batch.privileged_labels()
+        return int(np.sum(out != labels)), int(np.sum(out == ERASURE)), t1 - t0, t2 - t1
 
     error_count = erasure_count = 0
-    wait_s = decode_s = 0.0
-    # one helper thread draws block b + 1 while this one decodes block b.
-    # Block b + 1 reuses block b - 1's buffer, whose decode has finished
+    draw_s = decode_s = 0.0
+    # the helper thread runs the odd block of each pair in bufs[1] while
+    # this one runs the even block in bufs[0]; the pair's counts are summed
+    # in block order once both are done
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, 0)
-        for block in range(blocks):
-            t0 = time.perf_counter()
-            batch = pending.result()
-            if block + 1 < blocks:
-                pending = pool.submit(draw, block + 1)
-            t1 = time.perf_counter()
-            ys, labels = batch.observations(), batch.privileged_labels()
-            out = decode_batch(cb, ys, decoder_spec)
-            t2 = time.perf_counter()
-            wait_s += t1 - t0
-            decode_s += t2 - t1
-            error_count += int(np.sum(out != labels))
-            erasure_count += int(np.sum(out == ERASURE))
+        for block in range(0, blocks, 2):
+            helper = pool.submit(run, block + 1) if block + 1 < blocks else None
+            errors, erasures, t_draw, t_decode = run(block)
+            error_count += errors
+            erasure_count += erasures
+            draw_s += t_draw
+            decode_s += t_decode
+            if helper is not None:
+                errors, erasures, _, _ = helper.result()
+                error_count += errors
+                erasure_count += erasures
     rho = error_count / trials
     lo, hi = wilson_interval(error_count, trials)
     return ErrorEstimate(
@@ -527,6 +546,6 @@ def estimate_error_prob(
         ci_high=hi,
         error_count=error_count,
         erasure_count=erasure_count,
-        noise_ms=wait_s * 1000.0,
+        noise_ms=draw_s * 1000.0,
         decode_ms=decode_s * 1000.0,
     )

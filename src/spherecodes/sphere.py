@@ -116,8 +116,10 @@ def fixed_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     index order j = 0, 1, ... by numpy's elementwise multiply and add. Its
     bits depend on IEEE arithmetic alone, not on the BLAS kernel or on how
     rows are batched; like a BLAS product, it overflows without a warning."""
-    # coordinate-major copies make each step's operands contiguous
-    x, y = np.moveaxis(x, -1, 0).copy(), np.moveaxis(y, -1, 0).copy()
+    # coordinate-major operands make each step's operands contiguous; an
+    # operand already laid out so, such as y = z.T for a contiguous z, is
+    # not copied
+    x, y = np.ascontiguousarray(np.moveaxis(x, -1, 0)), np.ascontiguousarray(np.moveaxis(y, -1, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         acc = x[0] * y[0]
         for j in range(1, len(x)):

@@ -29,7 +29,7 @@ from spherecodes import (
 )
 
 from spherecodes import decoders
-from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, _corr_batch, _mmse_batch, _nn_batch
+from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, TRIALS_MIN, _corr_batch, _mmse_batch, _nn_batch
 from spherecodes.sphere import NetInfeasibleError, gemm_band, sq_dists
 
 from .oracles import (
@@ -467,6 +467,36 @@ def test_estimator_counts_hold_under_concurrent_calls_and_fast_switching():
     assert got == [counts((p,)) for p in range(4)]
 
 
+@pytest.mark.parametrize("kind", ["nn", "mmse"])
+def test_estimator_pairs_split_the_blocks_over_two_threads(monkeypatch, kind):
+    # the calling thread decodes the first block of each pair and the
+    # helper the second: the counts are the serial ones, and two threads
+    # decode whenever there are two blocks or more
+    cb = sample_codebook(16, 64, rng_for(84))
+    sigma2 = noise_for_beta(16, 64, 1.0).sigma2
+    spec = DecoderSpec.nn() if kind == "nn" else DecoderSpec.mmse(sigma2, c=1.45)
+    decode = decoders.decode_batch
+    threads = []
+
+    def decode_recording(cb, ys, spec):
+        threads.append(threading.get_ident())
+        return decode(cb, ys, spec)
+
+    monkeypatch.setattr(decoders, "decode_batch", decode_recording)
+    for trials in (TRIALS_MIN, TRIAL_BLOCK, 2 * TRIAL_BLOCK, 3 * TRIAL_BLOCK, 3 * TRIAL_BLOCK + 77):
+        errors = erasures = 0
+        for ys, labels in estimator_blocks(cb, sigma2, trials, 85):
+            out = decode_ref(cb, ys, spec)
+            errors += int(np.sum(out != labels))
+            erasures += int(np.sum(out == ERASURE))
+        threads.clear()
+        est = estimate_error_prob(cb, sigma2, spec, trials, 85)
+        assert (est.error_count, est.erasure_count) == (errors, erasures)
+        blocks = -(-trials // TRIAL_BLOCK)
+        assert len(threads) == blocks and len(set(threads)) == min(2, blocks)
+        assert threads.count(threading.get_ident()) == (blocks + 1) // 2
+
+
 def test_estimator_seed_path_separates_streams():
     cb = sample_codebook(16, 12, rng_for(75))
     spec = DecoderSpec.nn()
@@ -794,10 +824,10 @@ def test_estimator_matches_ref_kernels(kind):
 
 def _tiers(monkeypatch):
     """Record what each tier of decoders._decide reads, in call order: the
-    dtype of every GEMM output _top2 reads ("top2", the screen's float32),
-    the rows the screen's band rule decides for certain ("sure", one entry
-    per block it screens), and the product rows each call of an exact rule
-    reads ("exact")."""
+    dtype of every GEMM output slab _top2 reads ("top2", the screen's
+    float32, one entry per slab), the rows the screen's band rule decides
+    for certain ("sure", one entry per block it screens), and the product
+    rows each call of an exact rule reads ("exact")."""
     seen = {"top2": [], "sure": [], "exact": []}
     top2, decide = decoders._top2, decoders._decide
 
@@ -820,6 +850,12 @@ def _tiers(monkeypatch):
     monkeypatch.setattr(decoders, "_top2", top2_recording)
     monkeypatch.setattr(decoders, "_decide", decide_recording)
     return seen
+
+
+def _screen_slabs(n: int, k: int) -> list:
+    """What _tiers records under "top2" for one screen of n rows against k
+    centers: float32, once per slab of about SLAB_BYTES."""
+    return [np.float32] * -(-n // max(1, SLAB_BYTES // (4 * k)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16, 128])
@@ -925,7 +961,7 @@ def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
     # in order, as its fixed-order products
     seen = _tiers(monkeypatch)
     _nn_batch(centers, ys)
-    assert seen["top2"] == [np.float32] and not np.any(seen["sure"][0])
+    assert seen["top2"] == _screen_slabs(len(ys), len(centers)) and not np.any(seen["sure"][0])
     assert np.array_equal(np.concatenate(seen["exact"]), pair_dots_ref(2.0 * ys, centers))
     # left off the sphere, the partners a float32 step inside it lower the
     # smallest center norm by about 1e-6, and every family still decodes
@@ -937,14 +973,18 @@ def test_kernels_match_refs_on_centers_one_float32_step_apart(monkeypatch):
     _assert_kernels_match(centers, ys, mmse, [(0.3, 0.3), (0.01, 0.02)])
 
 
-def test_a_decode_block_allocates_little_beyond_its_float32_product():
-    # the traced peak of one nn decode_batch call: the screen's float32
-    # product, 1 MiB at d = 128, k = 256 and 11.6 MiB at k = 2,981, is a
-    # block's largest array, and the exact rule, which reads every row of
-    # the float32-step-pairs block, forms its products a slab at a time
+def test_a_decode_block_allocates_a_few_slabs_and_no_block_sized_product():
+    # the traced peak of one nn decode_batch call. The screen forms its
+    # float32 product one slab of about 1 MiB at a time in one buffer:
+    # the whole block at d = 128, k = 256, and 87 of its 1,024 rows at
+    # k = 2,981, where the whole product would be 11.6 MiB. The exact rule,
+    # which reads every row of the float32-step-pairs block, forms its
+    # products and their distances a slab at a time
     cb = sample_codebook(128, 256, rng_for(122))
     blocks = [(cb.centers, _noisy(cb.centers, TRIAL_BLOCK, math.sqrt(_sigma2(128, 256)), 123), 2 << 20)]
-    blocks.append((*_float32_step_pairs(), 16 << 20))
+    cb = sample_codebook(16, 2981, rng_for(124))
+    blocks.append((cb.centers, _noisy(cb.centers, TRIAL_BLOCK, math.sqrt(_sigma2(16, 2981)), 125), 3 << 19))
+    blocks.append((*_float32_step_pairs(), 4 << 20))
     for centers, ys, bound in blocks:
         tracemalloc.start()
         try:
@@ -1092,7 +1132,7 @@ def test_kernels_pass_the_exhaustive_scan_where_the_screen_falls_back(monkeypatc
         # the exact rule reads exactly the rows the screen left undecided,
         # in order
         [screen] = seen["sure"]
-        assert seen["top2"] == [np.float32]
+        assert seen["top2"] == _screen_slabs(TRIAL_BLOCK, k)
         exact = np.vstack(seen["exact"] or [np.empty((0, k))])
         assert np.array_equal(exact, pair_dots_ref(a[~screen], cb.centers))
         if spec.family == "nn":
