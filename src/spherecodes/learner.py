@@ -488,34 +488,46 @@ def _cluster_means(obs: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def match_centers(true_cb: Codebook, candidates: np.ndarray, radius_sq: float) -> MatchResult:
-    """Certify candidates against true centers by optimal assignment.
+    """Certify candidates against true centers by a maximum within-radius
+    matching.
 
-    Builds the complete bipartite cost matrix of squared distances, solves
-    the assignment problem, then certifies exactly the matched pairs with
-    squared distance <= radius_sq. Uncertified candidates get matching -1
-    and an infinite recorded distance (absence of a certificate is an
-    outcome, not an error).
+    A candidate and a true center are joined when their squared distance
+    is <= radius_sq; the certified pairs are a largest set of joined pairs
+    that uses no candidate and no center twice. Candidates are matched in
+    input order, each trying its joined centers nearest first (lowest
+    index on ties) and taking one over by an augmenting path when all are
+    held. Uncertified candidates get matching -1 and an infinite recorded
+    distance (absence of a certificate is an outcome, not an error).
     """
     cands = np.asarray(candidates, dtype=np.float64)
     m = cands.shape[0]
-    if m == 0:
-        return MatchResult(
-            matching=np.empty(0, dtype=np.int64),
-            matched_sq_dists=np.empty(0),
-            index_set=np.empty(0, dtype=np.int64),
-            fully_certified=True,
-        )
-    from scipy.optimize import linear_sum_assignment
-
     cost = sq_dists(cands, true_cb.centers)
-    rows, cols = linear_sum_assignment(cost)
-    matching = np.full(m, -1, dtype=np.int64)
-    dists = np.full(m, np.inf)
-    for r, ccol in zip(rows, cols):
-        if cost[r, ccol] <= radius_sq:
-            matching[r] = ccol
-            dists[r] = max(cost[r, ccol], 0.0) / true_cb.d
+    joined = [np.flatnonzero(row <= radius_sq) for row in cost]
+    adj = [j[np.argsort(row[j], kind="stable")].tolist() for row, j in zip(cost, joined)]
+    match, owner = [-1] * m, [-1] * true_cb.k
+    for root in range(m):
+        # depth-first over alternating paths with an explicit stack, since a
+        # path can be min(m, k) long; tries[i] yields path[i]'s untried centers
+        path, tries, seen = [root], [iter(adj[root])], set()
+        while path:
+            c = next((c for c in tries[-1] if c not in seen), -1)
+            if c < 0:
+                path.pop()
+                tries.pop()
+                continue
+            seen.add(c)
+            if owner[c] < 0:
+                # each candidate on the path takes the center it reached
+                for u in reversed(path):
+                    c, match[u] = match[u], c
+                    owner[match[u]] = u
+                break
+            path.append(owner[c])
+            tries.append(iter(adj[owner[c]]))
+    matching = np.array(match, dtype=np.int64)
     certified = matching >= 0
+    dists = np.full(m, np.inf)
+    dists[certified] = np.maximum(cost[certified, matching[certified]], 0.0) / true_cb.d
     return MatchResult(
         matching=matching,
         matched_sq_dists=dists,

@@ -5,12 +5,14 @@ std-lib math only, kept deliberately separate from the package's own
 formula code so the two paths cannot share a bug. The covering, spacing,
 minimum-distance, cluster-mean, batch-decoder and Step-I pass-count
 references are the package's former implementations, kept as the exact
-definitions its fast paths must reproduce; decode_ref is the one reference
+definitions its fast paths must reproduce; max_matching_ref sizes a
+largest within-radius matching by brute force; decode_ref is the one reference
 every decode_batch outcome is checked against. Every inner product a
 float64 near tie turns on (covering, spacing, minimum distance, decoding)
 is taken by fixed_dot_ref, in coordinate order.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -142,6 +144,16 @@ def separated_subset_ref(candidates, min_dist, limit=None):
         if not np.any(fixed_dot_ref(diff, diff) < md_sq):
             kept.append(i)
     return np.asarray(kept, dtype=np.int64)
+
+
+def max_matching_ref(cost, radius_sq):
+    """Size of a largest set of (row, column) pairs with cost <= radius_sq
+    that uses no row and no column twice: the most such pairs over every
+    injective map of the smaller side into the larger (both sides <= 5)."""
+    ok = np.asarray(cost) <= radius_sq
+    if ok.shape[0] > ok.shape[1]:
+        ok = ok.T
+    return max(int(sum(ok[i, j] for i, j in enumerate(p))) for p in itertools.permutations(range(ok.shape[1]), ok.shape[0]))
 
 
 def min_distance_ref(centers):

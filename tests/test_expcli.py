@@ -459,9 +459,8 @@ def test_cli_rejects_a_flag_the_subcommand_ignores(command, flag):
 
 
 def test_learner_path_loads_no_scipy(tmp_path):
-    # the covering certificate runs on numpy alone, so a learn row and a
-    # net-stats row leave scipy unloaded: match_centers, which no row
-    # calls, is its one user
+    # the covering certificate and match_centers run on numpy alone, so a
+    # learn row, a net-stats row and a certification leave scipy unloaded
     src = os.path.dirname(os.path.dirname(spherecodes.__file__))
     learn = {"kind": "learn", "d": [3], "k": [2], "beta": [2.0], "probes": 200, "learner": {"N": 200, "Nbar": 100, "C_net": 2.0}}
     runs = [(learn, "learn"), ({"kind": "net_stats", "d": [3], "eps_I": [0.3], "probes": 200}, "net-stats")]
@@ -475,6 +474,9 @@ def test_learner_path_loads_no_scipy(tmp_path):
         "for args in sys.argv[1:]:\n"
         "    try:\n        main(json.loads(args))\n"
         "    except SystemExit as exc:\n        assert exc.code == 0, exc.code\n"
+        "from spherecodes import match_centers, rng_for, sample_codebook\n"
+        "cb = sample_codebook(3, 2, rng_for(0))\n"
+        "assert match_centers(cb, cb.centers, 1e-9).fully_certified\n"
         "print('scipy' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -37,8 +38,9 @@ from spherecodes.learner import (
     _ranked_blocks,
     build_step2_decoder,
 )
+from spherecodes.sphere import sq_dists
 
-from .oracles import cluster_means_ref, pass_counts_ref, separated_subset_ref
+from .oracles import cluster_means_ref, max_matching_ref, pass_counts_ref, separated_subset_ref
 
 
 def nearby_on_sphere(x: np.ndarray, frac_sq: float) -> np.ndarray:
@@ -809,6 +811,61 @@ def test_match_centers_empty():
     res = match_centers(cb, np.zeros((0, 8)), radius_sq=1.0)
     assert res.fully_certified
     assert res.matching.shape == (0,)
+
+
+def test_match_centers_is_a_maximum_within_radius_matching():
+    for seed in range(200):
+        rng = rng_for(146, seed)
+        d, k, m = int(rng.integers(2, 4)), int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        cb = sample_codebook(d, k, rng)
+        cands = sample_uniform_sphere_batch(d, m, rng)
+        radius_sq = d * float(rng.uniform(0.1, 2.0))
+        cost = sq_dists(cands, cb.centers)
+        res = match_centers(cb, cands, radius_sq)
+        certified = np.flatnonzero(res.matching >= 0)
+        assert len(certified) == max_matching_ref(cost, radius_sq), seed
+        assert np.all(cost[certified, res.matching[certified]] <= radius_sq), seed
+        assert len(set(res.matching[certified].tolist())) == len(certified), seed
+        assert res.index_set.tolist() == sorted(res.matching[certified].tolist())
+        assert np.all(np.isinf(np.delete(res.matched_sq_dists, certified)))
+        assert res.fully_certified == (len(certified) == m)
+
+
+def test_match_centers_moves_a_pair_to_certify_both():
+    # centers a squared chord 0.5 apart; A sits on c0, B at squared
+    # distance 0.60 from c0 and 0.61 from c1, so only A -> c1, B -> c0
+    # certifies both; the cheapest assignment (A -> c0, B -> c1) does not
+    d = 2
+    t = math.acos(1.0 - 0.5 / (2 * d))
+    c0, c1 = math.sqrt(d) * np.array([1.0, 0.0]), math.sqrt(d) * np.array([math.cos(t), math.sin(t)])
+    cb = Codebook(centers=np.stack([c0, c1]), d=d, k=2)
+    u = (c1 - c0) / math.sqrt(0.5)
+    a = (0.60 - 0.61 + 0.5) / (2 * math.sqrt(0.5))
+    b = c0 + a * u + math.sqrt(0.60 - a * a) * np.array([-u[1], u[0]])
+    res = match_centers(cb, np.stack([c0, b]), radius_sq=0.602)
+    assert res.matching.tolist() == [1, 0]
+    assert res.fully_certified
+    assert np.allclose(res.matched_sq_dists, [0.5 / d, 0.60 / d])
+
+
+def test_match_centers_walks_a_path_through_every_candidate():
+    # candidate i sits between centers i and i+1, nearer i+1, and the last
+    # one on center n-1: its augmenting path moves every other candidate
+    # back one center, n deep, past the default recursion limit
+    n, d = 3000, 2
+
+    def on_circle(steps):
+        angle = 2.0 * np.pi * steps / n
+        return math.sqrt(d) * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+    cb = Codebook(centers=on_circle(np.arange(n)), d=d, k=n)
+    cands = on_circle(np.append(np.arange(n - 1) + 0.6, n - 1))
+    radius_sq = 2 * d * (1.0 - math.cos(2.0 * np.pi * 0.8 / n))
+    t0 = time.perf_counter()
+    res = match_centers(cb, cands, radius_sq)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.fully_certified
+    assert res.matching.tolist() == list(range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The README's account of the config schema matches expcli's, and every
-exported name has a caller outside the tests."""
+"""The README's account of the config schema and of the dependencies matches
+the code, and every exported name has a caller outside the tests."""
 
 import ast
 import io
 import re
+import sys
 import tokenize
+import tomllib
 from pathlib import Path
 
 from spherecodes.expcli import _KIND_KEYS, _LEARNER_KEYS
@@ -46,3 +48,22 @@ def test_every_exported_name_has_a_caller_beyond_the_tests():
     prose = "\n".join([README, *(p.read_text() for p in files if p.suffix == ".sh")])
     used = {n for n in exported if n in names or re.search(rf"\b{n}\b", prose)}
     assert sorted(exported - used) == []
+
+
+def test_dependencies_match_the_imports_pyproject_and_readme():
+    # every third-party module the package imports, anywhere in a module
+    # (inside functions too), is a declared dependency and is named on the
+    # README's dependency line, and nothing else is
+    imported = set()
+    for path in (ROOT / "src" / "spherecodes").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names)
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep).group(0) for dep in pyproject["project"]["dependencies"]}
+    line = re.search(r"^Dependencies: ([\w, ]+)\.", README, flags=re.MULTILINE)
+    assert line is not None, "README no longer has a Dependencies: line"
+    assert imported == declared == set(line.group(1).split(", "))
