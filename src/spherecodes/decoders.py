@@ -30,7 +30,7 @@ import numpy as np
 from .channel import check_batch_bytes, sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, fixed_dot, gemm_band, require_number, sq_norms
+from .sphere import check_array_bytes, fixed_dot, gemm_band, one_blas_thread, require_number, sq_norms
 
 ERASURE = -1
 
@@ -480,7 +480,8 @@ def estimate_error_prob(
     (master_seed, *seed_path, block), so the counts do not depend on how
     the blocks are scheduled: the blocks run in pairs, the calling thread
     drawing and decoding block b while one helper thread draws and decodes
-    block b + 1. The helper is gone when the call returns or raises.
+    block b + 1, both inside one_blas_thread. The helper is gone when the
+    call returns or raises.
 
     Args:
         seed_path: extra stream-key components (grid index, replicate, ...)
@@ -525,7 +526,7 @@ def estimate_error_prob(
     # the helper thread runs the odd block of each pair in bufs[1] while
     # this one runs the even block in bufs[0]; the pair's counts are summed
     # in block order once both are done
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         for block in range(0, blocks, 2):
             helper = pool.submit(run, block + 1) if block + 1 < blocks else None
             errors, erasures, t_draw, t_decode = run(block)

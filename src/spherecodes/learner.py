@@ -15,6 +15,7 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .sphere import (
     build_net,
     c_NET_DEFAULT,
     fixed_dot,
+    one_blas_thread,
     project_ball,
     require_number,
     sq_dists,
@@ -140,8 +142,9 @@ class ScreeningStats:
 class StageTimes:
     """Wall time of each stage of one run_learner call, in ms: the net
     build, the covering certificate, Step I (drawing its batch and the
-    screen), candidate selection, Step II (its decoder, batch, decode and
-    averages) and the genie baseline."""
+    screen, wall time over the screen's two threads), candidate selection,
+    Step II (its decoder, batch, decode and averages) and the genie
+    baseline."""
 
     net_ms: float
     covering_ms: float
@@ -237,12 +240,15 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     alpha = 1/(1+sigma2) and tau = sigma2 alpha; the slack makes a point
     near the emitting center pass with probability >= 1/2.
 
-    The M x N GEMM statistic is formed a block of net points at a time in
-    one preallocated buffer of about _SCREEN_BUF_BYTES. Each test is a
-    monotone function of the GEMM entry x, so it equals x >= cut for an
-    exact cutoff found once per call: one for the zero-rate test, one per
-    observation for the positive-rate test. A block is then one GEMM, one
-    compare and one sum of the flag words per 255-word group.
+    The M x N GEMM statistic is formed a block of net points at a time, in
+    a preallocated buffer of about _SCREEN_BUF_BYTES per thread: the calling
+    thread takes the even blocks and one helper thread the odd ones, both
+    inside one_blas_thread. Each test is a monotone function of the GEMM
+    entry x, so it equals x >= cut for an exact cutoff found once per call:
+    one for the zero-rate test, one per observation for the positive-rate
+    test. A block is then one GEMM, one compare and one sum of the flag
+    words per 255-word group. The helper is gone when the call returns or
+    raises.
     """
     M, d = net_points.shape
     n = obs.shape[0]
@@ -276,20 +282,38 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     if M - bounds[-1] == 1 and len(bounds) > 1:
         bounds.pop()
     bounds.append(M)
-    buf = np.empty((rows + 1) * n + 8)
-    buf = buf[-buf.ctypes.data % 64 // 8 :][: (rows + 1) * n].reshape(rows + 1, n)
-    # pass flags, rows padded with zero bytes to whole uint64 words
-    flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
-    words = flags.view(np.uint64)
-    # each row's words added in byte lanes, at most 255 words to a group so
-    # that no lane carries; the lanes are folded into counts once, at the end
-    groups = range(0, words.shape[1], 255)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    # each row's flag words added in byte lanes, at most 255 words to a
+    # group so that no lane carries; the lanes are folded into counts once,
+    # at the end
+    groups = range(0, -(-n // 8), 255)
     lanes = np.empty((len(groups), M), dtype=np.uint64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
-        np.greater_equal(out, cut, out=flags[: hi - lo, :n])
-        for j, g in enumerate(groups):
-            np.add.reduce(words[: hi - lo, g : g + 255], axis=1, out=lanes[j, lo:hi])
+
+    def screen(mine, buf, flags) -> None:
+        """Screen the blocks of mine into their columns of lanes."""
+        words = flags.view(np.uint64)
+        for lo, hi in mine:
+            out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
+            np.greater_equal(out, cut, out=flags[: hi - lo, :n])
+            for j, g in enumerate(groups):
+                np.add.reduce(words[: hi - lo, g : g + 255], axis=1, out=lanes[j, lo:hi])
+
+    # this thread allocates both threads' product buffers and pass flags:
+    # an array the helper allocated would stay, once freed, in its own
+    # malloc arena. Flag rows are padded with zero bytes to whole uint64 words
+    work = []
+    for _ in range(min(2, len(blocks))):
+        buf = np.empty((rows + 1) * n + 8)
+        buf = buf[-buf.ctypes.data % 64 // 8 :][: (rows + 1) * n].reshape(rows + 1, n)
+        work.append((buf, np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)))
+    # the helper thread screens the odd blocks while this one screens the
+    # even ones; a block is the same BLAS call on either thread, one BLAS
+    # thread each, so its product has the same bits
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool.submit(screen, blocks[1::2], *work[1]) if len(blocks) > 1 else None
+        screen(blocks[::2], *work[0])
+        if helper is not None:
+            helper.result()
     return lanes.view(np.uint8).reshape(len(groups), M, 8).sum(axis=(0, 2), dtype=np.int64)
 
 
@@ -540,6 +564,7 @@ def match_centers(true_cb: Codebook, candidates: np.ndarray, radius_sq: float) -
 # the full pipeline
 
 
+@one_blas_thread()
 def run_learner(
     cb: Codebook,
     sigma2: float,
@@ -558,6 +583,8 @@ def run_learner(
     batch, covering probes), so results are reproducible from (master_seed,
     seed_path) alone. A pre-built net can be injected for diagnostics; the
     other three streams are unaffected. No stage after Step I holds the net.
+    The call runs inside one_blas_thread, so no stage's bits depend on the
+    BLAS thread count or on what other threads run meanwhile.
     """
     d, k = cb.d, cb.k
     # one mark before the first stage and one after each, in StageTimes' order

@@ -6,8 +6,13 @@ the finite search nets used by the screening step of the learner, together
 with an empirical covering certificate.
 """
 
+import ctypes
+import functools
 import math
 import numbers
+import pathlib
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +130,56 @@ def fixed_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         for j in range(1, len(x)):
             acc += x[j] * y[j]
     return acc
+
+
+@functools.cache
+def _blas_thread_setter():
+    """openblas_set_num_threads_local from the OpenBLAS bundled with numpy,
+    looked up on first use, or None where numpy bundles none that exports
+    it (another BLAS, or a numpy linked to a system library)."""
+    here = pathlib.Path(np.__file__).parent
+    # where Linux and macOS wheels keep it; opening it again loads nothing
+    for folder in (here.parent / "numpy.libs", here / ".dylibs"):
+        for path in sorted(folder.glob("*openblas*")):
+            fn = getattr(ctypes.CDLL(str(path)), "openblas_set_num_threads_local", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+                return fn
+    return None
+
+
+# one_blas_thread's state: the bodies running inside it, and the thread
+# count the first of them found
+_blas_cap = {"depth": 0, "saved": 0}
+_blas_cap_lock = threading.Lock()
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread for the body, and restore the count it
+    had on exit, also when the body raises; does nothing where
+    _blas_thread_setter finds no OpenBLAS.
+
+    In OpenBLAS's pthreads builds, numpy's among them, the setter's count is
+    the whole process's, whatever its name says. So the count stays 1 while
+    any thread runs a body, and the last body to leave restores the count
+    the first found; meanwhile every BLAS call in the process runs on one
+    thread."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _blas_cap_lock:
+        if _blas_cap["depth"] == 0:
+            _blas_cap["saved"] = setter(1)
+        _blas_cap["depth"] += 1
+    try:
+        yield
+    finally:
+        with _blas_cap_lock:
+            _blas_cap["depth"] -= 1
+            if _blas_cap["depth"] == 0:
+                setter(_blas_cap["saved"])
 
 
 # unit roundoff of float64

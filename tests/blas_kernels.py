@@ -1,4 +1,4 @@
-"""Run code under other OpenBLAS kernels.
+"""Run code under other OpenBLAS kernels and thread counts.
 
 numpy's DYNAMIC_ARCH OpenBLAS picks its compute kernel when it loads, from
 OPENBLAS_CORETYPE when that is set, and the variable acts only on the
@@ -6,6 +6,8 @@ process that is given it. So run_under_kernels runs a snippet in one child
 process per kernel, with one BLAS thread, and first shows in each child
 that the switch is live there. The thread count alone can change a
 product's bits, so the reference is a child with one thread too.
+run_under_threads runs a snippet in one child per OPENBLAS_NUM_THREADS
+value, on the default kernel.
 """
 
 import hashlib
@@ -39,6 +41,24 @@ def _run(code: str, env: dict) -> str:
     return proc.stdout
 
 
+def _env(threads: int) -> dict:
+    """This process's environment with the package importable, the default
+    kernel and the given BLAS thread count."""
+    paths = [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env.pop("OPENBLAS_CORETYPE", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return env
+
+
+def run_under_threads(snippet: str, counts=(1, 2)) -> dict[int, str]:
+    """The standard output of snippet, Python source run from the repository
+    root, in one child process per BLAS thread count of counts, keyed by
+    count."""
+    return {n: _run(snippet, _env(n)) for n in counts}
+
+
 def run_under_kernels(snippet: str) -> dict[str, str]:
     """The standard output of snippet, Python source run from the repository
     root, in one child process per kernel of KERNELS with one BLAS thread,
@@ -46,11 +66,7 @@ def run_under_kernels(snippet: str) -> dict[str, str]:
     child's probe product has the bits of a child given no kernel: the
     switch is not live there, as on a BLAS that is not a DYNAMIC_ARCH
     OpenBLAS."""
-    paths = [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    env.pop("OPENBLAS_CORETYPE", None)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+    env = _env(1)
     probe = "from tests.blas_kernels import probe_bits\nprint(probe_bits())\n"
     here = _run(probe, env).strip()
     out = {}

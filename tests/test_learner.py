@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 import time
 from dataclasses import asdict
 
@@ -38,6 +40,7 @@ from spherecodes.learner import (
     _ranked_blocks,
     build_step2_decoder,
 )
+from spherecodes import sphere
 from spherecodes.sphere import sq_dists
 
 from .oracles import cluster_means_ref, max_matching_ref, pass_counts_ref, separated_subset_ref
@@ -224,16 +227,51 @@ def screen_inputs(d, m, n, seed):
 @pytest.mark.parametrize("test_kind", ["zero_rate", "positive_rate"])
 @pytest.mark.parametrize("n", [1, 7, 8, 2000, 2041, 4100])
 def test_pass_counts_equal_reference(test_kind, n):
-    # M = 3 rows + 1: three full blocks, the last one taking the lone
-    # last row. eps_I = 6 passes most entries, so at N = 4100 (513 words
-    # a row) the byte lanes would wrap without the 255-word groups.
+    # net sizes M: one block, which leaves the helper thread none; an even
+    # and an odd block count; and each of those with a lone last row,
+    # which joins the block before it. eps_I = 6 passes most entries, so at
+    # N = 4100 (513 words a row) the byte lanes would wrap without the
+    # 255-word groups.
     rows = _SCREEN_BUF_BYTES // (8 * n)
-    pts, obs = screen_inputs(6, 3 * rows + 1, n, 160 + n)
-    for eps_I in (0.25, 6.0):
-        counts = _pass_counts(pts, obs, test_kind, eps_I, 0.8)
-        assert np.array_equal(counts, pass_counts_ref(pts, obs, test_kind, eps_I, 0.8))
+    for m in (rows - 1, 2 * rows, 3 * rows + 1, 4 * rows + 1):
+        pts, obs = screen_inputs(6, m, n, 160 + n)
+        for eps_I in (0.25, 6.0):
+            counts = _pass_counts(pts, obs, test_kind, eps_I, 0.8)
+            assert np.array_equal(counts, pass_counts_ref(pts, obs, test_kind, eps_I, 0.8))
     if n == 4100:
         assert counts.max() > 8 * 255
+
+
+@pytest.mark.parametrize("thread", ["caller", "helper"])
+def test_pass_counts_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, thread):
+    # four blocks, two on each thread; the compare fails on the second
+    # block of the chosen thread
+    n = 2000
+    pts, obs = screen_inputs(6, 4 * (_SCREEN_BUF_BYTES // (8 * n)), n, 170)
+    caller, compare, calls = threading.get_ident(), np.greater_equal, itertools.count()
+
+    def failing(*args, **kwargs):
+        if (threading.get_ident() == caller) == (thread == "caller") and next(calls) == 1:
+            raise FloatingPointError(f"compare failed on the {thread} thread")
+        return compare(*args, **kwargs)
+
+    before = threading.active_count()
+    monkeypatch.setattr(np, "greater_equal", failing)
+    with pytest.raises(FloatingPointError, match=thread):
+        _pass_counts(pts, obs, "zero_rate", 0.25, 0.8)
+    monkeypatch.undo()
+    assert threading.active_count() == before
+    assert np.array_equal(_pass_counts(pts, obs, "zero_rate", 0.25, 0.8), pass_counts_ref(pts, obs, "zero_rate", 0.25, 0.8))
+
+
+def test_pass_counts_without_the_blas_thread_setter(monkeypatch):
+    # where numpy's BLAS exports no setter, one_blas_thread does nothing
+    monkeypatch.setattr(sphere, "_blas_thread_setter", lambda: None)
+    n = 2041
+    pts, obs = screen_inputs(6, 3 * (_SCREEN_BUF_BYTES // (8 * n)) + 1, n, 175)
+    for test_kind in ("zero_rate", "positive_rate"):
+        counts = _pass_counts(pts, obs, test_kind, 0.25, 0.8)
+        assert np.array_equal(counts, pass_counts_ref(pts, obs, test_kind, 0.25, 0.8))
 
 
 def least_passing_walk(passes, x):

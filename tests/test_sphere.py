@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from spherecodes import (
     sample_uniform_sphere_batch,
     verify_covering,
 )
-from spherecodes.sphere import _NORM_TOL, ARRAY_BYTES_MAX, fixed_dot, net_size
+from spherecodes.sphere import _NORM_TOL, ARRAY_BYTES_MAX, _blas_thread_setter, fixed_dot, net_size, one_blas_thread
 
 from .oracles import covering_min_sq_ref, covering_ref, fixed_dot_ref
 
@@ -286,3 +289,65 @@ def test_verify_covering_tiny_nets(pts):
     # one- and two-point nets: the first slice is the whole net
     net = Net(points=np.array(pts), eps_I=0.3)
     assert verify_covering(net, 500, rng_for(28)) == covering_ref(net, 500, rng_for(28))
+
+
+def test_one_blas_thread_restores_the_count_after_the_body_and_on_raise():
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no openblas_set_num_threads_local in numpy's BLAS")
+    # the setter returns the count it replaces, so setting the count a
+    # check expects reads it
+    start = setter(2)
+    try:
+        with one_blas_thread():
+            assert setter(1) == 1
+        assert setter(2) == 2
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                with one_blas_thread():
+                    assert setter(1) == 1
+                assert setter(1) == 1
+                raise KeyError
+        assert setter(2) == 2
+        # bodies left in another order than entered, as two threads leave
+        # them: the count stays 1 until the last has left
+        first, second = one_blas_thread(), one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert setter(1) == 1
+        second.__exit__(None, None, None)
+        assert setter(2) == 2
+    finally:
+        setter(start)
+
+
+def test_one_blas_thread_from_many_threads_holds_one_until_the_last_leaves():
+    # more threads than cores enter and leave overlapping bodies; a body
+    # that reads any count but 1, or a count left changed after all have
+    # left, is a lost update of the shared depth
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no openblas_set_num_threads_local in numpy's BLAS")
+    seen = []
+
+    def churn():
+        for _ in range(300):
+            with one_blas_thread():
+                seen.append(setter(1))
+
+    start = setter(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 300 and set(seen) == {1}
+        assert setter(2) == 2
+    finally:
+        sys.setswitchinterval(interval)
+        setter(start)
