@@ -20,8 +20,11 @@ qualifies. Erasure counts as an error for matched decoding; for partial
 codebooks it is the desired outcome on messages with no surviving center.
 """
 
+import itertools
 import math
+import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -134,9 +137,12 @@ class ErrorEstimate:
     ci_high: float
     error_count: int = 0
     erasure_count: int = 0
-    # wall time summed over the calling thread's own blocks: drawing each
-    # batch, and decoding it. The helper thread's blocks, and the wait for
-    # them, are in neither
+    # wall times, in ms, of a row whose blocks may run on several threads
+    # at once: wall_ms spans the start of its first block, before its
+    # codebook is made, to the end of its last, on whichever threads ran
+    # them; noise_ms and decode_ms sum each block's draw and decode over
+    # every thread, so with T threads their sum is at most T * wall_ms
+    wall_ms: float = field(default=0.0, compare=False)
     noise_ms: float = field(default=0.0, compare=False)
     decode_ms: float = field(default=0.0, compare=False)
 
@@ -464,6 +470,28 @@ class DecoderSpec:
 # Monte Carlo estimation
 
 
+@dataclass(frozen=True)
+class ErrorRow:
+    """One row of estimate_error_rows: a codebook of k centers in
+    dimension d, made by codebook() when the first of the row's blocks is
+    taken, decoded at noise sigma2 under spec; each block's stream is keyed
+    by (master_seed, *seed_path, block). d and k, which must be the
+    codebook's, size the byte checks and the sample buffers before any
+    codebook exists.
+
+    Args:
+        seed_path: extra stream-key components (grid index, replicate, ...)
+            so sweeps can give every cell an independent stream.
+    """
+
+    codebook: Callable[[], Codebook]
+    d: int
+    k: int
+    sigma2: float
+    spec: DecoderSpec
+    seed_path: tuple[int, ...] = ()
+
+
 def estimate_error_prob(
     cb: Codebook,
     sigma2: float,
@@ -473,80 +501,121 @@ def estimate_error_prob(
     *,
     seed_path: tuple[int, ...] = (),
 ) -> ErrorEstimate:
-    """Average decoding error over uniform messages, with a Wilson 95% CI.
+    """Average decoding error of cb over uniform messages, with a Wilson
+    95% CI: estimate_error_rows on one row."""
+    row = ErrorRow(lambda: cb, cb.d, cb.k, sigma2, decoder_spec, seed_path)
+    return estimate_error_rows([row], trials, master_seed)[0]
+
+
+def estimate_error_rows(
+    rows: list[ErrorRow], trials: int, master_seed: int, *, helpers: int = 1
+) -> list[ErrorEstimate]:
+    """Each row's average decoding error over uniform messages, with a
+    Wilson 95% CI, in row order.
 
     Erasures count as errors (matched-decoding convention: a declared error
-    is still an error). Trials run in fixed blocks whose seeds derive from
-    (master_seed, *seed_path, block), so the counts do not depend on how
-    the blocks are scheduled: the blocks run in pairs, the calling thread
-    drawing and decoding block b while one helper thread draws and decodes
-    block b + 1, both inside one_blas_thread. The helper is gone when the
-    call returns or raises.
+    is still an error). Each row runs trials in fixed blocks whose seeds
+    derive from (master_seed, *seed_path, block), so the counts do not
+    depend on how the blocks are scheduled: every row's blocks, in row
+    order, form one queue, and the calling thread and helpers helper
+    threads each take the next block from it until it runs out, all inside
+    one_blas_thread. A row's codebook is made when its first block is
+    taken and dropped after its last block. An error in any thread reaches
+    the caller as raised, and no thread takes a block after it; the helpers
+    are gone when the call returns or raises.
 
-    Args:
-        seed_path: extra stream-key components (grid index, replicate, ...)
-            so sweeps can give every cell an independent stream.
-
-    Raises ValueError, before the first block, when a TRIAL_BLOCK x k block
-    at float64 size would exceed ARRAY_BYTES_MAX bytes, which bounds k at
-    65,536 (the decode itself forms its products in slabs). Raises
-    sample_gmm's NetInfeasibleError, before the sample buffers exist, when
-    a batch of the first block's size would exceed it.
+    Raises ValueError, before any buffer exists, when trials is below
+    TRIALS_MIN, when a row's sigma2 is not positive, or when a row's
+    TRIAL_BLOCK x k block at float64 size would exceed ARRAY_BYTES_MAX
+    bytes, which bounds k at 65,536 (the decode itself forms its products
+    in slabs); and sample_gmm's NetInfeasibleError when a row's batch of
+    the first block's size would exceed it.
     """
     if trials < TRIALS_MIN:
         raise ValueError(f"need trials >= {TRIALS_MIN}, got {trials}")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    nbytes = TRIAL_BLOCK * cb.k * 8
-    check_array_bytes(nbytes, f"decoding k={cb.k} centers is bounded at a {nbytes}-byte float64 block size")
+    size = min(TRIAL_BLOCK, trials)
+    for row in rows:
+        if row.sigma2 <= 0:
+            raise ValueError(f"sigma2 must be > 0, got {row.sigma2}")
+        nbytes = TRIAL_BLOCK * row.k * 8
+        check_array_bytes(nbytes, f"decoding k={row.k} centers is bounded at a {nbytes}-byte float64 block size")
+        check_batch_bytes(size, row.d)
+    per_row = -(-trials // TRIAL_BLOCK)
+    total = per_row * len(rows)
+    if not total:
+        return []
+    # this thread allocates every thread's sample buffer, sized for the
+    # largest d: a batch a helper allocated would stay, once freed, in its
+    # own malloc arena and raise the peak RSS
+    bufs = [np.empty(size * max(row.d for row in rows)) for _ in range(min(1 + helpers, total))]
+    # a row's codebook, made under its lock by the first thread that needs
+    # it, and its blocks not yet counted
+    cbs, left, locks = [None] * len(rows), [per_row] * len(rows), [threading.Lock() for _ in rows]
+    # count's __next__ is atomic under the GIL, so taking a block needs no lock
+    take = itertools.count().__next__
+    failed = threading.Event()
 
-    blocks = (trials + TRIAL_BLOCK - 1) // TRIAL_BLOCK
-    rows = min(TRIAL_BLOCK, trials)
-    check_batch_bytes(rows, cb.d)
-    # this thread allocates the two sample buffers, used by block parity: a
-    # batch the helper allocated would stay, once freed, in its own malloc
-    # arena and raise the peak RSS
-    bufs = [np.empty((rows, cb.d)) for _ in range(min(2, blocks))]
-
-    def run(block: int) -> tuple[int, int, float, float]:
-        """Draw, decode and count one block: its errors and erasures, and
-        the seconds its draw and its decode took."""
+    def run(r: int, block: int, buf: np.ndarray) -> tuple[int, int, float, float]:
+        """Draw, decode and count block block of row r: its errors and
+        erasures, and the seconds its draw and its decode took."""
+        row = rows[r]
+        with locks[r]:
+            if cbs[r] is None:
+                cbs[r] = row.codebook()
+            cb = cbs[r]
+        n = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
         t0 = time.perf_counter()
-        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-        rng = rng_for(master_seed, *seed_path, block)
-        batch = sample_gmm(cb, sigma2, size, rng, out=bufs[block % 2][:size])
+        rng = rng_for(master_seed, *row.seed_path, block)
+        batch = sample_gmm(cb, row.sigma2, n, rng, out=buf[: n * row.d].reshape(n, row.d))
         t1 = time.perf_counter()
-        out = decode_batch(cb, batch.observations(), decoder_spec)
+        out = decode_batch(cb, batch.observations(), row.spec)
         t2 = time.perf_counter()
         labels = batch.privileged_labels()
+        with locks[r]:
+            left[r] -= 1
+            if not left[r]:
+                cbs[r] = None
         return int(np.sum(out != labels)), int(np.sum(out == ERASURE)), t1 - t0, t2 - t1
 
-    error_count = erasure_count = 0
-    draw_s = decode_s = 0.0
-    # the helper thread runs the odd block of each pair in bufs[1] while
-    # this one runs the even block in bufs[0]; the pair's counts are summed
-    # in block order once both are done
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        for block in range(0, blocks, 2):
-            helper = pool.submit(run, block + 1) if block + 1 < blocks else None
-            errors, erasures, t_draw, t_decode = run(block)
-            error_count += errors
-            erasure_count += erasures
-            draw_s += t_draw
-            decode_s += t_decode
-            if helper is not None:
-                errors, erasures, _, _ = helper.result()
-                error_count += errors
-                erasure_count += erasures
-    rho = error_count / trials
-    lo, hi = wilson_interval(error_count, trials)
-    return ErrorEstimate(
-        rho_hat=rho,
-        trials=trials,
-        ci_low=lo,
-        ci_high=hi,
-        error_count=error_count,
-        erasure_count=erasure_count,
-        noise_ms=draw_s * 1000.0,
-        decode_ms=decode_s * 1000.0,
-    )
+    def work(buf: np.ndarray) -> list[list]:
+        """Run blocks off the queue until it is empty or a thread failed;
+        per row, this thread's errors, erasures, draw and decode seconds,
+        and the start of its first block and the end of its last."""
+        tally = [[0, 0, 0.0, 0.0, math.inf, -math.inf] for _ in rows]
+        try:
+            while not failed.is_set():
+                i = take()
+                if i >= total:
+                    break
+                r, block = divmod(i, per_row)
+                t = tally[r]
+                start = time.perf_counter()
+                for j, v in enumerate(run(r, block, buf)):
+                    t[j] += v
+                t[4], t[5] = min(t[4], start), time.perf_counter()
+        except BaseException:
+            failed.set()
+            raise
+        return tally
+
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, len(bufs) - 1)) as pool:
+        futures = [pool.submit(work, buf) for buf in bufs[1:]]
+        tallies = [work(bufs[0])] + [f.result() for f in futures]
+    estimates = []
+    for r in range(len(rows)):
+        errors, erasures, draw_s, decode_s = (sum(t[r][j] for t in tallies) for j in range(4))
+        lo, hi = wilson_interval(errors, trials)
+        estimates.append(
+            ErrorEstimate(
+                rho_hat=errors / trials,
+                trials=trials,
+                ci_low=lo,
+                ci_high=hi,
+                error_count=errors,
+                erasure_count=erasures,
+                wall_ms=(max(t[r][5] for t in tallies) - min(t[r][4] for t in tallies)) * 1000.0,
+                noise_ms=draw_s * 1000.0,
+                decode_ms=decode_s * 1000.0,
+            )
+        )
+    return estimates

@@ -45,10 +45,10 @@ from .bounds import (
     single_sample_mi_upper,
 )
 from .codebook import noise_for_beta, rate, sample_codebook
-from .decoders import TRIALS_MIN, DecoderSpec, corr_feasibility_bound, estimate_error_prob
+from .decoders import TRIALS_MIN, DecoderSpec, ErrorRow, corr_feasibility_bound, estimate_error_rows
 from .learner import NET_KNOBS, LearnerConfig, ScreeningStats, StageTimes, build_step2_decoder, run_learner
 from .seeds import rng_for
-from .sphere import NetInfeasibleError, build_net, require_number, verify_covering
+from .sphere import NetInfeasibleError, build_net, one_blas_thread, require_number, verify_covering
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -239,8 +239,10 @@ def parse_spec(obj: dict) -> SweepSpec:
 
 
 def _config_hash(spec: SweepSpec) -> str:
+    """Hash of the settings a row can depend on: out and workers cannot
+    change a row, so they are left out."""
     blob = json.dumps(
-        {k: v for k, v in spec.__dict__.items() if k != "out"},
+        {k: v for k, v in spec.__dict__.items() if k not in ("out", "workers")},
         sort_keys=True,
         default=str,
     )
@@ -294,9 +296,10 @@ def _grid(spec: SweepSpec) -> list[dict]:
 # ---------------------------------------------------------------------------
 # experiment runners
 #
-# A sweep is a job list plus one row function. Every job carries its row's
-# experiment_id and every random stream is keyed by the job alone, so a row
-# can be recomputed without its neighbours (see _replay).
+# A sweep is a job list plus one function that computes the rows of any
+# list of its jobs. Every job carries its row's experiment_id and every
+# random stream is keyed by the job alone, so a row can be recomputed
+# without its neighbours (see _replay).
 
 
 def _cell_jobs(spec: SweepSpec, prefix: str) -> list[dict]:
@@ -320,46 +323,48 @@ def _cell_decoder(cell: dict) -> DecoderSpec | str:
     return dec
 
 
-def _decode_row(spec: SweepSpec, job: dict) -> dict:
-    t0 = time.perf_counter()
-    d, k, sigma2 = job["d"], job["k"], job["sigma2"]
-    dec = job["decoder"]
-    seed_key = (job["gidx"], job["rep"])
-    row = {
-        **{f: job[f] for f in _CELL_FIELDS},
-        "decoder": _decoder_label(job["decoder_entry"]),
-        "trials": spec.trials,
-        "seed": spec.master_seed,
-        "status": "ok",
-    }
-    if isinstance(dec, str):
-        row.update(
-            error_count=0,
-            erasure_count=0,
-            rho_hat=float("nan"),
-            ci_low=float("nan"),
-            ci_high=float("nan"),
-            status=dec,
-            wall_ms=0.0,
-            noise_ms=0.0,
-            decode_ms=0.0,
+def _cell_codebook(spec: SweepSpec, job: dict):
+    """The codebook of a job's grid cell and replicate."""
+    rng = rng_for(spec.master_seed, job["gidx"], job["rep"], _STREAM_CODEBOOK)
+    return sample_codebook(job["d"], job["k"], rng)
+
+
+def _decode_rows(spec: SweepSpec, jobs: list[dict]) -> list[dict]:
+    """The rows of jobs, in order. The feasible jobs' estimates come from
+    one estimate_error_rows call, whose blocks run on this thread and
+    spec.workers helper threads; an infeasible job's row carries its
+    status."""
+    feasible = [
+        ErrorRow(
+            partial(_cell_codebook, spec, job),
+            job["d"],
+            job["k"],
+            job["sigma2"],
+            job["decoder"],
+            (job["gidx"], job["rep"], _STREAM_TRIALS),
         )
-        return row
-    cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
-    est = estimate_error_prob(
-        cb, sigma2, dec, spec.trials, spec.master_seed, seed_path=(*seed_key, _STREAM_TRIALS)
-    )
-    row.update(
-        error_count=est.error_count,
-        erasure_count=est.erasure_count,
-        rho_hat=est.rho_hat,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        noise_ms=est.noise_ms,
-        decode_ms=est.decode_ms,
-    )
-    return row
+        for job in jobs
+        if not isinstance(job["decoder"], str)
+    ]
+    estimates = iter(estimate_error_rows(feasible, spec.trials, spec.master_seed, helpers=spec.workers))
+    rows = []
+    for job in jobs:
+        row = {
+            **{f: job[f] for f in _CELL_FIELDS},
+            "decoder": _decoder_label(job["decoder_entry"]),
+            "trials": spec.trials,
+            "seed": spec.master_seed,
+            "status": "ok",
+        }
+        if isinstance(job["decoder"], str):
+            nan = float("nan")
+            row.update(error_count=0, erasure_count=0, rho_hat=nan, ci_low=nan, ci_high=nan, status=job["decoder"])
+            row.update(wall_ms=0.0, noise_ms=0.0, decode_ms=0.0)
+        else:
+            # every ErrorEstimate field is a decode column
+            row.update(asdict(next(estimates)))
+        rows.append(row)
+    return rows
 
 
 def _decode_plan(spec: SweepSpec):
@@ -369,7 +374,7 @@ def _decode_plan(spec: SweepSpec):
     if decoders and all(isinstance(dec, str) for dec in decoders.values()):
         raise ConfigError(f"all grid points have infeasible decoder thresholds; first violation: {decoders[0]}")
     jobs = [{**job, "decoder": decoders[job["gidx"]]} for job in _cell_jobs(spec, "dsweep")]
-    return jobs, partial(_decode_row, spec)
+    return jobs, partial(_decode_rows, spec)
 
 
 def run_decode_sweep(spec: SweepSpec) -> list[dict]:
@@ -380,16 +385,19 @@ def run_decode_sweep(spec: SweepSpec) -> list[dict]:
     thresholds become status=infeasible rows; if every cell is infeasible
     the sweep raises instead (nothing would run).
     """
-    return _run_jobs(*_decode_plan(spec), spec.workers)
+    jobs, run = _decode_plan(spec)
+    return run(jobs)
 
 
 def _learn_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
     t0 = time.perf_counter()
-    d, k, sigma2 = job["d"], job["k"], job["sigma2"]
-    seed_key = (job["gidx"], job["rep"])
-    cb = sample_codebook(d, k, rng_for(spec.master_seed, *seed_key, _STREAM_CODEBOOK))
     res = run_learner(
-        cb, sigma2, cfg, spec.master_seed, seed_path=(*seed_key, _STREAM_LEARNER), probes=spec.probes
+        _cell_codebook(spec, job),
+        job["sigma2"],
+        cfg,
+        spec.master_seed,
+        seed_path=(job["gidx"], job["rep"], _STREAM_LEARNER),
+        probes=spec.probes,
     )
     return {
         **{f: job[f] for f in _CELL_FIELDS},
@@ -409,12 +417,13 @@ def _learn_plan(spec: SweepSpec):
     # Step II's thresholds are checked at every grid point before any row runs
     for job in jobs:
         _checked(build_step2_decoder, cfg, job["d"], job["k"], job["sigma2"])
-    return jobs, partial(_learn_row, spec, cfg)
+    return jobs, partial(_run_jobs, fn=partial(_learn_row, spec, cfg), workers=spec.workers)
 
 
 def run_learn_experiment(spec: SweepSpec) -> list[dict]:
     """One row per (grid cell, seed replicate) of the full learner."""
-    return _run_jobs(*_learn_plan(spec), spec.workers)
+    jobs, run = _learn_plan(spec)
+    return run(jobs)
 
 
 # run_bounds_report's inputs, each with its default; a given value is cast
@@ -469,8 +478,9 @@ def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
     t0 = time.perf_counter()
     gidx = job["gidx"]
     rng = rng_for(spec.master_seed, gidx, _STREAM_CODEBOOK)
-    net = build_net(job["d"], job["eps_I"], rng=rng, **cfg.net_kwargs())
-    frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
+    with one_blas_thread():
+        net = build_net(job["d"], job["eps_I"], rng=rng, **cfg.net_kwargs())
+        frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
     return {
         "experiment_id": job["experiment_id"],
         "d": job["d"],
@@ -487,15 +497,19 @@ def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
 def _net_plan(spec: SweepSpec):
     cells = [(d, eps_I) for d in spec.d for eps_I in spec.eps_I or (0.25,)]
     jobs = [{"gidx": g, "d": d, "eps_I": e, "experiment_id": f"net-{g}"} for g, (d, e) in enumerate(cells)]
-    return jobs, partial(_net_row, spec, _checked(LearnerConfig, **spec.learner))
+    fn = partial(_net_row, spec, _checked(LearnerConfig, **spec.learner))
+    return jobs, partial(_run_jobs, fn=fn, workers=spec.workers)
 
 
 def run_net_stats(spec: SweepSpec) -> list[dict]:
     """Net size and empirical covering fraction per (d, eps_I)."""
-    return _run_jobs(*_net_plan(spec), spec.workers)
+    jobs, run = _net_plan(spec)
+    return run(jobs)
 
 
 def _run_jobs(jobs, fn, workers: int) -> list[dict]:
+    """fn of each job, in order, on up to workers threads."""
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
@@ -621,7 +635,7 @@ def _replay(spec: SweepSpec, row_id: str, plan, fields) -> int:
     """Recompute one row from its id and compare against the CSV on disk.
 
     Only the job with that id runs: plan(spec) gives the sweep's job list
-    and row function.
+    and the function that computes the rows of a list of its jobs.
     """
     if not spec.out:
         raise ConfigError("--replay needs --out (or config out) pointing at the original CSV")
@@ -629,11 +643,11 @@ def _replay(spec: SweepSpec, row_id: str, plan, fields) -> int:
     old = next((r for r in old_rows if r["experiment_id"] == row_id), None)
     if old is None:
         raise ConfigError(f"row {row_id!r} not found in {spec.out}")
-    jobs, row_fn = plan(spec)
+    jobs, run = plan(spec)
     job = next((j for j in jobs if j["experiment_id"] == row_id), None)
     if job is None:
         raise ConfigError(f"row {row_id!r} not produced by this config")
-    new = row_fn(job)
+    [new] = run([job])
     mismatches = []
     for f in fields:
         if f in _TIMING_FIELDS:
@@ -672,7 +686,7 @@ _OPTIONS = {
     "seed": click.option("--seed", type=int, default=None, help="Master seed override."),
     "out": click.option("--out", type=click.Path(), default=None, help="Output CSV path."),
     "workers": click.option(
-        "--workers", type=int, default=None, help="Worker threads (results identical for any value)."
+        "--workers", type=int, default=None, help="Worker, or decode helper, threads (results identical for any value)."
     ),
     "replay": click.option(
         "--replay", "replay_id", default=None, help="Recompute one row id and verify it matches the CSV."

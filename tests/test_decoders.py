@@ -1,7 +1,9 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
@@ -29,7 +31,16 @@ from spherecodes import (
 )
 
 from spherecodes import decoders
-from spherecodes.decoders import SLAB_BYTES, TRIAL_BLOCK, TRIALS_MIN, _corr_batch, _mmse_batch, _nn_batch
+from spherecodes.decoders import (
+    SLAB_BYTES,
+    TRIAL_BLOCK,
+    TRIALS_MIN,
+    ErrorRow,
+    _corr_batch,
+    _mmse_batch,
+    _nn_batch,
+    estimate_error_rows,
+)
 from spherecodes.sphere import NetInfeasibleError, gemm_band, sq_dists
 
 from .oracles import (
@@ -467,34 +478,122 @@ def test_estimator_counts_hold_under_concurrent_calls_and_fast_switching():
     assert got == [counts((p,)) for p in range(4)]
 
 
-@pytest.mark.parametrize("kind", ["nn", "mmse"])
-def test_estimator_pairs_split_the_blocks_over_two_threads(monkeypatch, kind):
-    # the calling thread decodes the first block of each pair and the
-    # helper the second: the counts are the serial ones, and two threads
-    # decode whenever there are two blocks or more
-    cb = sample_codebook(16, 64, rng_for(84))
-    sigma2 = noise_for_beta(16, 64, 1.0).sigma2
-    spec = DecoderSpec.nn() if kind == "nn" else DecoderSpec.mmse(sigma2, c=1.45)
+def _codebook_maker(d: int, k: int, seed: int, made: list):
+    """A row's codebook factory: the codebook of sample_codebook(d, k,
+    rng_for(seed)), fresh on each call, with a weak reference to it
+    appended to made, so a test sees when it is made and when freed."""
+
+    def make():
+        cb = sample_codebook(d, k, rng_for(seed))
+        made.append(weakref.ref(cb))
+        return cb
+
+    return make
+
+
+def _decoding_threads(monkeypatch, wait: bool) -> list:
+    """Wrap decode_batch to record the ident of the thread of each call,
+    in call order. With wait, each thread's first call waits, up to 30 s,
+    until a second thread has made its first."""
     decode = decoders.decode_batch
-    threads = []
+    barrier = threading.Barrier(2, timeout=30)
+    calls = []
 
     def decode_recording(cb, ys, spec):
-        threads.append(threading.get_ident())
+        me = threading.get_ident()
+        first = me not in calls
+        calls.append(me)
+        if wait and first:
+            barrier.wait()
         return decode(cb, ys, spec)
 
     monkeypatch.setattr(decoders, "decode_batch", decode_recording)
-    for trials in (TRIALS_MIN, TRIAL_BLOCK, 2 * TRIAL_BLOCK, 3 * TRIAL_BLOCK, 3 * TRIAL_BLOCK + 77):
+    return calls
+
+
+# rows of 1-3 (d, k, decoder kind, beta), mixing d, k and decoder
+ROW_LISTS = [
+    [(16, 64, "mmse", 1.0)],
+    [(16, 64, "nn", 1.0), (8, 12, "corr", 2.0)],
+    [(8, 12, "mmse", 2.0), (32, 40, "nn", 1.0), (16, 64, "corr", 0.5)],
+]
+
+
+@pytest.mark.parametrize("trials", [TRIALS_MIN, TRIAL_BLOCK, 2 * TRIAL_BLOCK + 77])
+@pytest.mark.parametrize("n_rows", [1, 2, 3])
+def test_estimator_queue_counts_are_serial_and_both_threads_decode(monkeypatch, n_rows, trials):
+    # every row's blocks form one queue: each row counts what the serial
+    # oracle counts, and two threads decode whenever the list has two
+    # blocks or more, which the waiting decode_batch forces: were the
+    # blocks taken by one thread, its first call would time out
+    rows, oracle = [], []
+    for i, (d, k, kind, beta) in enumerate(ROW_LISTS[n_rows - 1]):
+        sigma2 = noise_for_beta(d, k, beta).sigma2
+        spec = {"nn": DecoderSpec.nn(), "mmse": DecoderSpec.mmse(sigma2, c=1.45), "corr": DecoderSpec.corr(0.3)}[kind]
+        rows.append(ErrorRow(_codebook_maker(d, k, 86 + i, []), d, k, sigma2, spec, (i,)))
+        cb = sample_codebook(d, k, rng_for(86 + i))
         errors = erasures = 0
-        for ys, labels in estimator_blocks(cb, sigma2, trials, 85):
+        for ys, labels in estimator_blocks(cb, sigma2, trials, 87, (i,)):
             out = decode_ref(cb, ys, spec)
             errors += int(np.sum(out != labels))
             erasures += int(np.sum(out == ERASURE))
-        threads.clear()
-        est = estimate_error_prob(cb, sigma2, spec, trials, 85)
-        assert (est.error_count, est.erasure_count) == (errors, erasures)
-        blocks = -(-trials // TRIAL_BLOCK)
-        assert len(threads) == blocks and len(set(threads)) == min(2, blocks)
-        assert threads.count(threading.get_ident()) == (blocks + 1) // 2
+        oracle.append((errors, erasures))
+    blocks = n_rows * -(-trials // TRIAL_BLOCK)
+    calls = _decoding_threads(monkeypatch, wait=blocks >= 2)
+    ests = estimate_error_rows(rows, trials, 87)
+    assert [(e.error_count, e.erasure_count) for e in ests] == oracle
+    assert [e.trials for e in ests] == [trials] * n_rows
+    assert len(calls) == blocks and len(set(calls)) == min(2, blocks)
+
+
+@pytest.mark.parametrize("failing", ["calling", "helper"])
+def test_estimator_error_on_either_thread_stops_the_queue(monkeypatch, failing):
+    # both threads decode their first block at once; one raises. The error
+    # reaches the caller, the other thread finishes its block and takes no
+    # further one of the eight, and no thread outlives the call
+    cb = sample_codebook(8, 12, rng_for(88))
+    calls = _decoding_threads(monkeypatch, wait=True)
+    decode = decoders.decode_batch
+    caller = threading.get_ident()
+    raised = threading.Event()
+
+    def decode_failing(cb, ys, spec):
+        out = decode(cb, ys, spec)
+        if (threading.get_ident() == caller) == (failing == "calling"):
+            raised.set()
+            raise _Stop(f"decoding on the {failing} thread")
+        assert raised.wait(30)
+        # the failing thread stops the queue as its error leaves the block,
+        # a few frames after raised is set
+        time.sleep(0.2)
+        return out
+
+    monkeypatch.setattr(decoders, "decode_batch", decode_failing)
+    before = threading.active_count()
+    with pytest.raises(_Stop, match=failing):
+        estimate_error_prob(cb, 2.0, DecoderSpec.nn(), 8 * TRIAL_BLOCK, 89)
+    assert len(calls) == 2 and len(set(calls)) == 2
+    assert threading.active_count() == before
+
+
+def test_estimator_makes_each_codebook_once_and_drops_it_after_its_last_block(monkeypatch):
+    # four rows of three blocks on two threads: a codebook is alive only
+    # while a thread runs one of its row's blocks, so no decode sees more
+    # than two, and none outlives the call
+    made = []
+    rows = [ErrorRow(_codebook_maker(8, 12, 90 + i, made), 8, 12, 2.0, DecoderSpec.nn(), (i,)) for i in range(4)]
+    decode = decoders.decode_batch
+    alive = []
+
+    def decode_counting(cb, ys, spec):
+        alive.append(sum(ref() is not None for ref in made))
+        return decode(cb, ys, spec)
+
+    monkeypatch.setattr(decoders, "decode_batch", decode_counting)
+    estimate_error_rows(rows, 2 * TRIAL_BLOCK + 77, 91)
+    assert len(made) == 4 and len(alive) == 12
+    assert max(alive) <= 2
+    assert all(ref() is None for ref in made)
 
 
 def test_estimator_seed_path_separates_streams():

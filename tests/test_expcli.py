@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 import spherecodes
 from spherecodes import expcli
-from spherecodes.decoders import DecoderSpec
+from spherecodes.decoders import TRIAL_BLOCK, DecoderSpec
 from spherecodes.expcli import (
     DECODE_FIELDS,
     LEARN_FIELDS,
@@ -33,6 +34,7 @@ from spherecodes.expcli import (
     write_csv,
 )
 from spherecodes.learner import LearnerConfig, ScreeningStats, StageTimes
+from spherecodes.sphere import _blas_thread_setter
 
 from .oracles import sigma2_for_beta_ref
 
@@ -327,6 +329,28 @@ def test_net_stats_rows():
     assert 0.0 <= rows[0]["covering_fraction"] <= 1.0
 
 
+def test_net_stats_rows_hold_blas_at_one_thread(monkeypatch):
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no openblas_set_num_threads_local in numpy's BLAS")
+    # the setter returns the count it replaces, so setting 1 reads it
+    seen = []
+    covering = expcli.verify_covering
+
+    def covering_reading(*args):
+        seen.append(setter(1))
+        return covering(*args)
+
+    monkeypatch.setattr(expcli, "verify_covering", covering_reading)
+    start = setter(2)
+    try:
+        run_net_stats(parse_spec({"kind": "net_stats", "d": [3, 4], "eps_I": [0.3], "probes": 200, "workers": 2}))
+        assert seen == [1, 1]
+        assert setter(2) == 2
+    finally:
+        setter(start)
+
+
 def test_net_stats_worker_invariance():
     def sweep(workers):
         spec = parse_spec(
@@ -368,6 +392,21 @@ def test_write_csv_layout(tmp_path):
     assert back[0]["experiment_id"] == rows[0]["experiment_id"]
 
 
+def _header(text: str) -> dict:
+    """The key=value items of a CSV's metadata line."""
+    return dict(item.partition("=")[::2] for item in text.split("\r\n")[0][1:].split())
+
+
+def test_csvs_of_one_experiment_at_any_workers_share_a_config_hash():
+    def config_hash(**over):
+        buf = io.StringIO()
+        write_csv(buf, [], DECODE_FIELDS, small_sweep(**over), {})
+        return _header(buf.getvalue())["config_hash"]
+
+    assert config_hash(workers=1) == config_hash(workers=4) == config_hash(out="x.csv")
+    assert config_hash() != config_hash(master_seed=12)
+
+
 def test_determinism_hash_ignores_timing_only():
     rows = [dict(r) for r in run_decode_sweep(small_sweep())]
     h0 = determinism_hash(rows, DECODE_FIELDS)
@@ -378,11 +417,16 @@ def test_determinism_hash_ignores_timing_only():
 
 
 def test_decode_rows_time_the_noise_and_the_decode_outside_the_hash():
-    rows = run_decode_sweep(small_sweep(replicates=2))
+    # a row's blocks may run on all the sweep's threads at once: wall_ms is
+    # the row's span, and noise_ms and decode_ms sum its blocks' draws and
+    # decodes over every thread, so with workers helper threads their sum
+    # stays under (workers + 1) * wall_ms
     assert {"wall_ms", "noise_ms", "decode_ms"} <= set(DECODE_FIELDS)
-    for r in rows:
-        assert r["noise_ms"] > 0 and r["decode_ms"] > 0
-        assert r["noise_ms"] + r["decode_ms"] < r["wall_ms"]
+    for workers in (1, 2):
+        rows = run_decode_sweep(small_sweep(replicates=2, trials=3 * TRIAL_BLOCK, workers=workers))
+        for r in rows:
+            assert r["noise_ms"] > 0 and r["decode_ms"] > 0
+            assert r["noise_ms"] + r["decode_ms"] < (workers + 1) * r["wall_ms"]
     bare = [{f: v for f, v in r.items() if f not in ("noise_ms", "decode_ms")} for r in rows]
     fields = [f for f in DECODE_FIELDS if f not in ("noise_ms", "decode_ms")]
     assert determinism_hash(rows, DECODE_FIELDS) == determinism_hash(bare, fields)
@@ -566,7 +610,7 @@ def test_cli_bounds_rejects_a_grid(flag):
 def test_cli_a_zero_or_empty_flag_is_refused_not_ignored(monkeypatch, command, args, message):
     # only an absent flag leaves the config's value, or the default, in place
     rows = []
-    for row_fn in ("_decode_row", "_learn_row", "_net_row"):
+    for row_fn in ("_decode_rows", "_learn_row", "_net_row"):
         monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
     res = cli(command, *args)
     assert res.exit_code == 2, res.output
@@ -649,6 +693,42 @@ def test_cli_sweep_hash_is_pinned(tmp_path, name):
     assert f"determinism_hash={dhash}" in header.split()
 
 
+# d in {8, 16}, two k, nn and mmse beside a corr entry infeasible at every
+# cell, two replicates and three blocks a row, the last one partial: one
+# sweep's block queue holds rows of mixed geometry and decoder. The hash
+# was recorded when each row ran its own blocks, in pairs
+MIXED_SWEEP = {
+    "kind": "decode_sweep",
+    "d": [8, 16],
+    "k": [4, 32],
+    "beta": [2.0],
+    "decoders": [{"kind": "nn"}, {"kind": "mmse", "c": 1.4}, {"kind": "corr", "eta1": 0.5, "eta2": 0.9}],
+    "trials": 2 * TRIAL_BLOCK + 77,
+    "replicates": 2,
+    "master_seed": 11,
+}
+
+
+def test_cli_mixed_geometry_sweep_hash_is_pinned_at_every_worker_count_and_every_row_replays(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(MIXED_SWEEP))
+    headers = []
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"sweep-{workers}.csv"
+        res = cli("decode-sweep", "--config", str(cfg), "--out", str(out), "--workers", workers)
+        assert res.exit_code == 0, res.output
+        headers.append(_header(out.read_text()))
+    assert {h["determinism_hash"] for h in headers} == {"0571d6f9a9c973c1dd18d61d513fc134"}
+    assert len({h["config_hash"] for h in headers}) == 1
+    out = str(tmp_path / "sweep-1.csv")
+    rows = read_csv_rows(out)
+    # each cell's two replicates, nn, mmse and the infeasible corr entry
+    assert [r["status"].startswith("infeasible") for r in rows] == ([False] * 4 + [True] * 2) * 4
+    for r in rows:
+        res = cli("decode-sweep", "--config", str(cfg), "--out", out, "--replay", r["experiment_id"])
+        assert res.exit_code == 0, res.output
+
+
 def test_cli_decode_sweep_and_replay(tmp_path):
     cfg = tmp_path / "sweep.json"
     out = tmp_path / "sweep.csv"
@@ -703,11 +783,12 @@ def test_cli_replay_detects_tampering(tmp_path):
     assert "replay mismatch" in res.stderr
 
 
-# per sweep kind: its command, its row function, its row count and a config
+# per sweep kind: its command, the function that computes its rows (of one
+# job, or of a list of jobs for a decode sweep), its row count and a config
 REPLAY_CASES = {
     "decode": (
         "decode-sweep",
-        "_decode_row",
+        "_decode_rows",
         8,
         {
             "kind": "decode_sweep",
@@ -742,7 +823,7 @@ REPLAY_CASES = {
     ),
     "phase-transition": (
         "phase-transition",
-        "_decode_row",
+        "_decode_rows",
         1,
         {"kind": "phase_transition", "d": [16], "k": [8], "beta": [2.0], "trials": 200},
     ),
@@ -764,7 +845,8 @@ def test_cli_replay_recomputes_only_the_named_row(case, tmp_path, monkeypatch):
     real = getattr(expcli, row_fn)
 
     def counted(*args):
-        calls.append(args)
+        jobs = args[-1] if isinstance(args[-1], list) else [args[-1]]
+        calls.append([job["experiment_id"] for job in jobs])
         return real(*args)
 
     monkeypatch.setattr(expcli, row_fn, counted)
@@ -773,7 +855,7 @@ def test_cli_replay_recomputes_only_the_named_row(case, tmp_path, monkeypatch):
         res = cli(command, "--config", str(cfg), "--out", str(out), "--replay", row_id)
         assert res.exit_code == 0, res.output
         assert "matches the recorded row" in res.output
-        assert len(calls) == 1, row_id
+        assert calls == [[row_id]]
 
 
 def test_cli_replay_of_a_row_outside_the_grid(tmp_path):
@@ -950,13 +1032,13 @@ def test_cli_bad_decoder_entry_is_a_config_error_naming_the_field(tmp_path, entr
 
 def test_cli_bad_second_decoder_entry_fails_before_any_row_decodes(tmp_path, monkeypatch):
     calls = []
-    real = expcli.estimate_error_prob
+    real = expcli.estimate_error_rows
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["seed_path"])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(expcli, "estimate_error_prob", counted)
+    monkeypatch.setattr(expcli, "estimate_error_rows", counted)
     cfg = tmp_path / "cfg.json"
     obj = {"kind": "decode_sweep", "d": [8], "k": [4], "beta": [0.5, 2.0], "trials": 200, "replicates": 2}
     cfg.write_text(json.dumps({**obj, "decoders": [{"kind": "nn"}, {"kind": "mmse"}]}))
@@ -978,10 +1060,10 @@ def test_cli_stray_key_error_is_a_runtime_error(monkeypatch):
 
 def test_cli_stray_value_error_is_a_runtime_error(monkeypatch):
     # a program fault that numpy reports as a ValueError is not a config error
-    def fault(spec, job):
+    def fault(spec, jobs):
         raise ValueError("operands could not be broadcast together")
 
-    monkeypatch.setattr(expcli, "_decode_row", fault)
+    monkeypatch.setattr(expcli, "_decode_rows", fault)
     res = cli("decode-sweep", "--d", "8", "--k", "4", "--beta", "2.0")
     assert res.exit_code == 3, res.output
     assert "runtime error: ValueError: operands could not be broadcast together (test_expcli.py:" in res.stderr
@@ -1031,7 +1113,7 @@ def test_cli_learn_batch_over_the_byte_budget_is_a_config_error(tmp_path):
 )
 def test_cli_bad_typed_value_exits_2_before_any_row_runs(tmp_path, monkeypatch, kind, key, value):
     rows = []
-    for row_fn in ("_decode_row", "_learn_row", "_net_row"):
+    for row_fn in ("_decode_rows", "_learn_row", "_net_row"):
         monkeypatch.setattr(expcli, row_fn, lambda *args: rows.append(args))
     command, obj = KIND_CASES[kind]
     obj = {"kind": kind, **obj}
