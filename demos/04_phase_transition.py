@@ -20,7 +20,6 @@ spec = parse_spec(
         "trials": 4000,
         "replicates": 2,
         "master_seed": 0,
-        "workers": 2,
     }
 )
 rows = run_decode_sweep(spec)

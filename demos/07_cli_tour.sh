@@ -23,8 +23,7 @@ cat > "$WORK/sweep.json" <<'EOF'
   "decoders": [{"kind": "nn"}, {"kind": "mmse", "c": 1.2, "c2": 1.2}],
   "trials": 2000,
   "replicates": 2,
-  "master_seed": 7,
-  "workers": 2
+  "master_seed": 7
 }
 EOF
 spherecodes decode-sweep --config "$WORK/sweep.json" --out "$WORK/sweep.csv"

@@ -58,22 +58,14 @@ def check_batch_bytes(n: int, d: int) -> None:
 
 
 def sample_gmm(
-    cb: Codebook,
-    sigma2: float,
-    n: int,
-    rng: np.random.Generator,
-    stratified: bool = False,
-    *,
-    out: np.ndarray | None = None,
+    cb: Codebook, sigma2: float, n: int, rng: np.random.Generator, *, out: np.ndarray | None = None
 ) -> GmmBatch:
     """n draws of Y = X_label + sigma * Z.
 
-    Labels uniform on [k] (or exactly n/k each in stratified mode), noise
-    standard Gaussian, independent of the labels. Deterministic given the
-    rng state.
+    Labels uniform on [k], noise standard Gaussian, independent of the
+    labels. Deterministic given the rng state.
 
     Args:
-        stratified: exact per-label balance, for the genie baseline.
         out: a C-contiguous float64 (n, d) array the samples are drawn
             into, with the same bits as a fresh one; the batch holds it,
             not a copy.
@@ -83,12 +75,7 @@ def sample_gmm(
     check_batch_bytes(n, cb.d)
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be > 0, got {sigma2}")
-    if stratified:
-        if n % cb.k != 0:
-            raise ValueError(f"stratified batch needs k | n, got n={n}, k={cb.k}")
-        labels = np.repeat(np.arange(cb.k, dtype=np.int64), n // cb.k)
-    else:
-        labels = rng.integers(0, cb.k, size=n, dtype=np.int64)
+    labels = rng.integers(0, cb.k, size=n, dtype=np.int64)
     # in place, the same bits as centers[labels] + sqrt(sigma2) * noise
     noise = rng.standard_normal((n, cb.d), out=out)
     noise *= np.sqrt(sigma2)

@@ -20,12 +20,10 @@ qualifies. Erasure counts as an error for matched decoding; for partial
 codebooks it is the desired outcome on messages with no surviving center.
 """
 
-import itertools
 import math
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -33,7 +31,7 @@ import numpy as np
 from .channel import check_batch_bytes, sample_gmm
 from .codebook import Codebook
 from .seeds import rng_for
-from .sphere import check_array_bytes, fixed_dot, gemm_band, one_blas_thread, require_number, sq_norms
+from .sphere import check_array_bytes, fixed_dot, gemm_band, require_number, share_out, sq_norms
 
 ERASURE = -1
 
@@ -517,12 +515,9 @@ def estimate_error_rows(
     is still an error). Each row runs trials in fixed blocks whose seeds
     derive from (master_seed, *seed_path, block), so the counts do not
     depend on how the blocks are scheduled: every row's blocks, in row
-    order, form one queue, and the calling thread and helpers helper
-    threads each take the next block from it until it runs out, all inside
-    one_blas_thread. A row's codebook is made when its first block is
-    taken and dropped after its last block. An error in any thread reaches
-    the caller as raised, and no thread takes a block after it; the helpers
-    are gone when the call returns or raises.
+    order, form one sphere.share_out queue over the calling thread and
+    helpers helper threads. A row's codebook is made when its first block
+    is taken and dropped after its last block.
 
     Raises ValueError, before any buffer exists, when trials is below
     TRIALS_MIN, when a row's sigma2 is not positive, or when a row's
@@ -544,21 +539,22 @@ def estimate_error_rows(
     total = per_row * len(rows)
     if not total:
         return []
-    # this thread allocates every thread's sample buffer, sized for the
-    # largest d: a batch a helper allocated would stay, once freed, in its
-    # own malloc arena and raise the peak RSS
-    bufs = [np.empty(size * max(row.d for row in rows)) for _ in range(min(1 + helpers, total))]
+    # each thread's state, allocated by this one: a sample buffer for the
+    # largest d and, per row, its errors, erasures, draw and decode seconds,
+    # and the start of its first block and the end of its last
+    states = [
+        (np.empty(size * max(row.d for row in rows)), [[0, 0, 0.0, 0.0, math.inf, -math.inf] for _ in rows])
+        for _ in range(min(1 + helpers, total))
+    ]
     # a row's codebook, made under its lock by the first thread that needs
     # it, and its blocks not yet counted
     cbs, left, locks = [None] * len(rows), [per_row] * len(rows), [threading.Lock() for _ in rows]
-    # count's __next__ is atomic under the GIL, so taking a block needs no lock
-    take = itertools.count().__next__
-    failed = threading.Event()
 
-    def run(r: int, block: int, buf: np.ndarray) -> tuple[int, int, float, float]:
-        """Draw, decode and count block block of row r: its errors and
-        erasures, and the seconds its draw and its decode took."""
-        row = rows[r]
+    def work(i: int, state: tuple) -> None:
+        """Draw, decode and count block i into this thread's tally."""
+        start = time.perf_counter()
+        r, block = divmod(i, per_row)
+        row, (buf, tally) = rows[r], state
         with locks[r]:
             if cbs[r] is None:
                 cbs[r] = row.codebook()
@@ -575,32 +571,13 @@ def estimate_error_rows(
             left[r] -= 1
             if not left[r]:
                 cbs[r] = None
-        return int(np.sum(out != labels)), int(np.sum(out == ERASURE)), t1 - t0, t2 - t1
+        t = tally[r]
+        for j, v in enumerate((int(np.sum(out != labels)), int(np.sum(out == ERASURE)), t1 - t0, t2 - t1)):
+            t[j] += v
+        t[4], t[5] = min(t[4], start), time.perf_counter()
 
-    def work(buf: np.ndarray) -> list[list]:
-        """Run blocks off the queue until it is empty or a thread failed;
-        per row, this thread's errors, erasures, draw and decode seconds,
-        and the start of its first block and the end of its last."""
-        tally = [[0, 0, 0.0, 0.0, math.inf, -math.inf] for _ in rows]
-        try:
-            while not failed.is_set():
-                i = take()
-                if i >= total:
-                    break
-                r, block = divmod(i, per_row)
-                t = tally[r]
-                start = time.perf_counter()
-                for j, v in enumerate(run(r, block, buf)):
-                    t[j] += v
-                t[4], t[5] = min(t[4], start), time.perf_counter()
-        except BaseException:
-            failed.set()
-            raise
-        return tally
-
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=max(1, len(bufs) - 1)) as pool:
-        futures = [pool.submit(work, buf) for buf in bufs[1:]]
-        tallies = [work(bufs[0])] + [f.result() for f in futures]
+    share_out(total, work, states)
+    tallies = [tally for _, tally in states]
     estimates = []
     for r in range(len(rows)):
         errors, erasures, draw_s, decode_s = (sum(t[r][j] for t in tallies) for j in range(4))

@@ -26,7 +26,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -48,7 +47,7 @@ from .codebook import noise_for_beta, rate, sample_codebook
 from .decoders import TRIALS_MIN, DecoderSpec, ErrorRow, corr_feasibility_bound, estimate_error_rows
 from .learner import NET_KNOBS, LearnerConfig, ScreeningStats, StageTimes, build_step2_decoder, run_learner
 from .seeds import rng_for
-from .sphere import NetInfeasibleError, build_net, one_blas_thread, require_number, verify_covering
+from .sphere import NetInfeasibleError, build_net, require_number, share_out, verify_covering
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -478,9 +477,8 @@ def _net_row(spec: SweepSpec, cfg: LearnerConfig, job: dict) -> dict:
     t0 = time.perf_counter()
     gidx = job["gidx"]
     rng = rng_for(spec.master_seed, gidx, _STREAM_CODEBOOK)
-    with one_blas_thread():
-        net = build_net(job["d"], job["eps_I"], rng=rng, **cfg.net_kwargs())
-        frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
+    net = build_net(job["d"], job["eps_I"], rng=rng, **cfg.net_kwargs())
+    frac = verify_covering(net, spec.probes, rng_for(spec.master_seed, gidx, _STREAM_TRIALS))
     return {
         "experiment_id": job["experiment_id"],
         "d": job["d"],
@@ -508,12 +506,15 @@ def run_net_stats(spec: SweepSpec) -> list[dict]:
 
 
 def _run_jobs(jobs, fn, workers: int) -> list[dict]:
-    """fn of each job, in order, on up to workers threads."""
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
+    """fn of each job, in order, on up to workers threads, this one among
+    them (sphere.share_out)."""
+    rows = [None] * len(jobs)
+
+    def work(i: int, _state) -> None:
+        rows[i] = fn(jobs[i])
+
+    share_out(len(jobs), work, [None] * min(workers, len(jobs)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +687,8 @@ _OPTIONS = {
     "seed": click.option("--seed", type=int, default=None, help="Master seed override."),
     "out": click.option("--out", type=click.Path(), default=None, help="Output CSV path."),
     "workers": click.option(
-        "--workers", type=int, default=None, help="Worker, or decode helper, threads (results identical for any value)."
+        "--workers", type=int, default=None, help="Decode helper threads beside the main one, or learn and net-stats"
+        " row threads counting the main one (results identical for any value)."
     ),
     "replay": click.option(
         "--replay", "replay_id", default=None, help="Recompute one row id and verify it matches the CSV."

@@ -15,7 +15,6 @@ Losses and the genie baseline are the evaluation surface and do use labels.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .sphere import (
     one_blas_thread,
     project_ball,
     require_number,
+    share_out,
     sq_dists,
     sq_norms,
     verify_covering,
@@ -241,14 +241,12 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     near the emitting center pass with probability >= 1/2.
 
     The M x N GEMM statistic is formed a block of net points at a time, in
-    a preallocated buffer of about _SCREEN_BUF_BYTES per thread: the calling
-    thread takes the even blocks and one helper thread the odd ones, both
-    inside one_blas_thread. Each test is a monotone function of the GEMM
-    entry x, so it equals x >= cut for an exact cutoff found once per call:
-    one for the zero-rate test, one per observation for the positive-rate
-    test. A block is then one GEMM, one compare and one sum of the flag
-    words per 255-word group. The helper is gone when the call returns or
-    raises.
+    a preallocated buffer of about _SCREEN_BUF_BYTES per thread, the blocks
+    shared out over the calling thread and one helper by sphere.share_out.
+    Each test is a monotone function of the GEMM entry x, so it equals
+    x >= cut for an exact cutoff found once per call: one for the zero-rate
+    test, one per observation for the positive-rate test. A block is then
+    one GEMM, one compare and one sum of the flag words per 255-word group.
     """
     M, d = net_points.shape
     n = obs.shape[0]
@@ -289,31 +287,26 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     groups = range(0, -(-n // 8), 255)
     lanes = np.empty((len(groups), M), dtype=np.uint64)
 
-    def screen(mine, buf, flags) -> None:
-        """Screen the blocks of mine into their columns of lanes."""
-        words = flags.view(np.uint64)
-        for lo, hi in mine:
-            out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
-            np.greater_equal(out, cut, out=flags[: hi - lo, :n])
-            for j, g in enumerate(groups):
-                np.add.reduce(words[: hi - lo, g : g + 255], axis=1, out=lanes[j, lo:hi])
+    def screen(i: int, state: tuple) -> None:
+        """Screen block i into its columns of lanes."""
+        (lo, hi), (buf, flags, words) = blocks[i], state
+        out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
+        np.greater_equal(out, cut, out=flags[: hi - lo, :n])
+        for j, g in enumerate(groups):
+            np.add.reduce(words[: hi - lo, g : g + 255], axis=1, out=lanes[j, lo:hi])
 
     # this thread allocates both threads' product buffers and pass flags:
     # an array the helper allocated would stay, once freed, in its own
     # malloc arena. Flag rows are padded with zero bytes to whole uint64 words
-    work = []
+    states = []
     for _ in range(min(2, len(blocks))):
         buf = np.empty((rows + 1) * n + 8)
         buf = buf[-buf.ctypes.data % 64 // 8 :][: (rows + 1) * n].reshape(rows + 1, n)
-        work.append((buf, np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)))
-    # the helper thread screens the odd blocks while this one screens the
-    # even ones; a block is the same BLAS call on either thread, one BLAS
-    # thread each, so its product has the same bits
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool.submit(screen, blocks[1::2], *work[1]) if len(blocks) > 1 else None
-        screen(blocks[::2], *work[0])
-        if helper is not None:
-            helper.result()
+        flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
+        states.append((buf, flags, flags.view(np.uint64)))
+    # a block is the same one-thread BLAS call on either thread and writes
+    # only its own columns of lanes, so which thread takes it moves no count
+    share_out(len(blocks), screen, states)
     return lanes.view(np.uint8).reshape(len(groups), M, 8).sum(axis=(0, 2), dtype=np.int64)
 
 

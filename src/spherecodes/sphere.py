@@ -8,6 +8,7 @@ with an empirical covering certificate.
 
 import ctypes
 import functools
+import itertools
 import math
 import numbers
 import pathlib
@@ -180,6 +181,43 @@ def one_blas_thread():
             _blas_cap["depth"] -= 1
             if _blas_cap["depth"] == 0:
                 setter(_blas_cap["saved"])
+
+
+def share_out(n: int, work, states: list) -> None:
+    """Call work(i, state) once for each i in range(n). The calling thread,
+    with states[0], and a helper thread per further state, up to n threads
+    in all, each take the next i until none is left, inside one_blas_thread;
+    no other function of the package starts a thread. The caller allocates
+    the states, so no buffer stays in a helper's malloc arena once freed.
+    An error on any thread stops every thread from taking another i and is
+    raised here, after every helper has ended. n = 0 starts nothing."""
+    if n < 1:
+        return
+    # count's __next__ is atomic under the GIL, so taking an i needs no lock
+    take, stop, errors = itertools.count().__next__, threading.Event(), []
+
+    def run(state) -> None:
+        try:
+            while not stop.is_set() and (i := take()) < n:
+                work(i, state)
+        except BaseException as exc:  # noqa: BLE001 - raised in the caller
+            stop.set()
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(state,)) for state in states[1:n]]
+    with one_blas_thread():
+        try:
+            for t in helpers:
+                t.start()
+            run(states[0])
+        finally:
+            # also when a helper cannot start: the others take no more
+            stop.set()
+            for t in helpers:
+                if t.is_alive():
+                    t.join()
+    if errors:
+        raise errors[0]
 
 
 # unit roundoff of float64

@@ -20,6 +20,7 @@ from spherecodes import (
     ERASURE,
     Codebook,
     DecoderSpec,
+    GmmBatch,
     capacity,
     capacity_inv,
     decode_batch,
@@ -170,7 +171,10 @@ def test_criterion_04_genie_baseline():
     losses = []
     for s in range(50):
         cb = sample_codebook(d, k, rng_for(0, 4, s, 0))
-        batch = sample_gmm(cb, sigma2, n, rng_for(0, 4, s, 1), stratified=True)
+        # n / k samples of each label
+        labels = np.repeat(np.arange(k), n // k)
+        noise = rng_for(0, 4, s, 1).standard_normal((n, d))
+        batch = GmmBatch(cb.centers[labels] + math.sqrt(sigma2) * noise, labels, sigma2)
         losses.append(loss_avg(cb, genie_estimator(batch, k)))
     mean = float(np.mean(losses))
     target = sigma2 * k / n

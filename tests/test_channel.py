@@ -49,17 +49,6 @@ def test_labels_uniform(cb):
     assert np.all(np.abs(counts - n / 4) <= 5 * np.sqrt(n * 0.25 * 0.75))
 
 
-def test_stratified_exact_balance(cb):
-    batch = sample_gmm(cb, 1.0, 48, rng_for(35), stratified=True)
-    counts = np.bincount(batch.privileged_labels(), minlength=4)
-    assert np.all(counts == 12)
-
-
-def test_stratified_divisibility_guard(cb):
-    with pytest.raises(ValueError, match="stratified"):
-        sample_gmm(cb, 1.0, 47, rng_for(36), stratified=True)
-
-
 def test_sigma2_domain(cb):
     with pytest.raises(ValueError, match="sigma2"):
         sample_gmm(cb, 0.0, 10, rng_for(38))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -358,9 +359,10 @@ def test_net_stats_worker_invariance():
         )
         return run_net_stats(spec)
 
-    a, b = sweep(1), sweep(4)
+    a = sweep(1)
     assert [r["experiment_id"] for r in a] == ["net-0", "net-1", "net-2", "net-3"]
-    assert determinism_hash(a, NET_FIELDS) == determinism_hash(b, NET_FIELDS)
+    for workers in (2, 4):
+        assert determinism_hash(sweep(workers), NET_FIELDS) == determinism_hash(a, NET_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +693,47 @@ def test_cli_sweep_hash_is_pinned(tmp_path, name):
     assert res.exit_code == 0, res.output
     header = out.read_text().splitlines()[0]
     assert f"determinism_hash={dhash}" in header.split()
+
+
+@pytest.mark.parametrize("name", ["learn", "learn-positive-rate"])
+def test_cli_learn_sweep_hash_is_pinned_at_every_worker_count(tmp_path, name):
+    # four rows: at workers 2 and 4 the rows run on two and four threads,
+    # this one among them, each with its own Step-I helper
+    obj, dhash = PINNED_SWEEPS[name]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(obj))
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"sweep-{workers}.csv"
+        res = cli("learn", "--config", str(cfg), "--seed", "0", "--out", str(out), "--workers", workers)
+        assert res.exit_code == 0, res.output
+        assert f"determinism_hash={dhash}" in out.read_text().splitlines()[0].split()
+
+
+def test_cli_learn_row_error_on_a_helper_thread_exits_3_and_leaves_no_thread(tmp_path, monkeypatch):
+    # workers 2 is the calling thread and one helper; each thread's first
+    # row waits, up to 30 s, until the other has taken one too, and the
+    # helper's row then raises
+    caller, learner = threading.get_ident(), expcli.run_learner
+    barrier, seen = threading.Barrier(2, timeout=30), []
+
+    def learner_failing(*args, **kwargs):
+        me = threading.get_ident()
+        if me not in seen:
+            seen.append(me)
+            barrier.wait()
+        if me != caller:
+            raise FloatingPointError("learner failed on the helper thread")
+        return learner(*args, **kwargs)
+
+    monkeypatch.setattr(expcli, "run_learner", learner_failing)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(PINNED_SWEEPS["learn"][0]))
+    before = threading.active_count()
+    res = cli("learn", "--config", str(cfg), "--out", str(tmp_path / "sweep.csv"), "--workers", "2")
+    assert res.exit_code == 3, res.output
+    assert "runtime error: FloatingPointError: learner failed on the helper thread (test_expcli.py:" in res.stderr
+    assert len(seen) == 2 and caller in seen and threading.active_count() == before
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 # d in {8, 16}, two k, nn and mmse beside a corr entry infeasible at every

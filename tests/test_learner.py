@@ -1,4 +1,3 @@
-import itertools
 import math
 import threading
 import time
@@ -227,7 +226,7 @@ def screen_inputs(d, m, n, seed):
 @pytest.mark.parametrize("test_kind", ["zero_rate", "positive_rate"])
 @pytest.mark.parametrize("n", [1, 7, 8, 2000, 2041, 4100])
 def test_pass_counts_equal_reference(test_kind, n):
-    # net sizes M: one block, which leaves the helper thread none; an even
+    # net sizes M: one block, for which no helper thread starts; an even
     # and an odd block count; and each of those with a lone last row,
     # which joins the block before it. eps_I = 6 passes most entries, so at
     # N = 4100 (513 words a row) the byte lanes would wrap without the
@@ -244,15 +243,27 @@ def test_pass_counts_equal_reference(test_kind, n):
 
 @pytest.mark.parametrize("thread", ["caller", "helper"])
 def test_pass_counts_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, thread):
-    # four blocks, two on each thread; the compare fails on the second
-    # block of the chosen thread
+    # eight blocks; each thread's first compare waits, up to 30 s, until the
+    # other has taken a block too, then the compare fails on the chosen
+    # thread. The error reaches the caller, the other thread finishes its
+    # block and takes no further one, and no thread outlives the call
     n = 2000
-    pts, obs = screen_inputs(6, 4 * (_SCREEN_BUF_BYTES // (8 * n)), n, 170)
-    caller, compare, calls = threading.get_ident(), np.greater_equal, itertools.count()
+    pts, obs = screen_inputs(6, 8 * (_SCREEN_BUF_BYTES // (8 * n)), n, 170)
+    caller, compare = threading.get_ident(), np.greater_equal
+    barrier, raised, calls = threading.Barrier(2, timeout=30), threading.Event(), []
 
     def failing(*args, **kwargs):
-        if (threading.get_ident() == caller) == (thread == "caller") and next(calls) == 1:
+        me = threading.get_ident()
+        if me not in calls:
+            barrier.wait()
+        calls.append(me)
+        if (me == caller) == (thread == "caller"):
+            raised.set()
             raise FloatingPointError(f"compare failed on the {thread} thread")
+        assert raised.wait(30)
+        # the failing thread stops the queue as its error leaves the block,
+        # a few frames after raised is set
+        time.sleep(0.2)
         return compare(*args, **kwargs)
 
     before = threading.active_count()
@@ -260,6 +271,7 @@ def test_pass_counts_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, 
     with pytest.raises(FloatingPointError, match=thread):
         _pass_counts(pts, obs, "zero_rate", 0.25, 0.8)
     monkeypatch.undo()
+    assert len(calls) == 2 and len(set(calls)) == 2
     assert threading.active_count() == before
     assert np.array_equal(_pass_counts(pts, obs, "zero_rate", 0.25, 0.8), pass_counts_ref(pts, obs, "zero_rate", 0.25, 0.8))
 
@@ -758,7 +770,8 @@ def test_genie_noiseless_stratified_exact():
 def test_genie_rate_matches_theory():
     d, k, sigma2, n = 32, 8, 1.0, 8000
     cb = sample_codebook(d, k, rng_for(139))
-    batch = sample_gmm(cb, sigma2, n, rng_for(140), stratified=True)
+    labels = np.repeat(np.arange(k), n // k)
+    batch = GmmBatch(cb.centers[labels] + math.sqrt(sigma2) * rng_for(140).standard_normal((n, d)), labels, sigma2)
     est = genie_estimator(batch, k)
     assert loss_avg(cb, est) == pytest.approx(sigma2 * k / n, rel=0.2)
 
@@ -766,7 +779,8 @@ def test_genie_rate_matches_theory():
 def test_genie_single_sample_per_label():
     d, k, sigma2 = 32, 8, 0.5
     cb = sample_codebook(d, k, rng_for(141))
-    batch = sample_gmm(cb, sigma2, k, rng_for(142), stratified=True)
+    labels = np.arange(k)
+    batch = GmmBatch(cb.centers[labels] + math.sqrt(sigma2) * rng_for(142).standard_normal((k, d)), labels, sigma2)
     est = genie_estimator(batch, k)
     assert loss_avg(cb, est) <= 1.5 * sigma2
 

@@ -1,5 +1,6 @@
 """The README's account of the config schema and of the dependencies matches
-the code, and every exported name has a caller outside the tests."""
+the code, every exported name has a caller outside the tests, and only
+sphere.share_out starts threads."""
 
 import ast
 import io
@@ -67,3 +68,27 @@ def test_dependencies_match_the_imports_pyproject_and_readme():
     line = re.search(r"^Dependencies: ([\w, ]+)\.", README, flags=re.MULTILINE)
     assert line is not None, "README no longer has a Dependencies: line"
     assert imported == declared == set(line.group(1).split(", "))
+
+
+def test_only_sphere_names_a_thread_or_a_thread_pool():
+    # sphere.share_out is the one owner of the cores: no other module of
+    # the package names concurrent.futures, ThreadPoolExecutor, _thread or
+    # threading.Thread, however it is imported or spelled
+    found = {}
+    for path in sorted((ROOT / "src" / "spherecodes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top in ("concurrent", "_thread") or "ThreadPoolExecutor" in name or name == "threading.Thread":
+                    found.setdefault(path.name, set()).add(name)
+    assert found == {"sphere.py": {"threading.Thread"}}

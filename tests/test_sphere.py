@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from spherecodes import (
     sample_uniform_sphere_batch,
     verify_covering,
 )
-from spherecodes.sphere import _NORM_TOL, ARRAY_BYTES_MAX, _blas_thread_setter, fixed_dot, net_size, one_blas_thread
+from spherecodes.sphere import (
+    _NORM_TOL,
+    ARRAY_BYTES_MAX,
+    _blas_thread_setter,
+    fixed_dot,
+    net_size,
+    one_blas_thread,
+    share_out,
+)
 
 from .oracles import covering_min_sq_ref, covering_ref, fixed_dot_ref
 
@@ -351,3 +360,99 @@ def test_one_blas_thread_from_many_threads_holds_one_until_the_last_leaves():
     finally:
         sys.setswitchinterval(interval)
         setter(start)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, threads", [(40, 3), (400, 8), (2, 4), (1, 2), (5, 1)])
+def test_share_out_runs_each_i_once_with_each_state_on_one_thread(n, threads):
+    # the states are the caller's; a thread that took a state keeps it, the
+    # caller keeps states[0], and no more than len(states) threads, nor
+    # more than n, ever run work. With more threads than cores and a short
+    # switch interval, a lost update of the queue would run an i twice or
+    # not at all
+    states = [object() for _ in range(threads)]
+    before = threading.active_count()
+    taken = []
+
+    def work(i, state):
+        taken.append((i, threading.get_ident(), states.index(state)))
+        # lets the other threads take their turns
+        time.sleep(0.001)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        share_out(n, work, states)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(i for i, _, _ in taken) == list(range(n))
+    owners = {}
+    for _, ident, state in taken:
+        owners.setdefault(state, set()).add(ident)
+    assert all(len(idents) == 1 for idents in owners.values())
+    assert len({next(iter(idents)) for idents in owners.values()}) == len(owners) <= min(n, threads)
+    assert owners.get(0, {threading.get_ident()}) == {threading.get_ident()}
+    assert threading.active_count() == before
+
+
+def test_share_out_holds_blas_at_one_thread_on_every_thread():
+    setter = _blas_thread_setter()
+    if setter is None:
+        pytest.skip("no openblas_set_num_threads_local in numpy's BLAS")
+    # the setter returns the count it replaces, so setting 1 reads it
+    seen = []
+
+    def work(i, state):
+        seen.append((threading.get_ident(), setter(1)))
+        time.sleep(0.001)
+
+    start = setter(2)
+    try:
+        share_out(20, work, [None, None])
+        assert len(seen) == 20 and {count for _, count in seen} == {1}
+        assert setter(2) == 2
+    finally:
+        setter(start)
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_share_out_error_on_either_thread_stops_the_queue(failing):
+    # both threads take their first i at once; one raises. The error
+    # reaches the caller, the other thread finishes its i and takes no
+    # further one of the fifty, and no thread outlives the call
+    caller = threading.get_ident()
+    barrier, raised, taken = threading.Barrier(2, timeout=30), threading.Event(), []
+
+    def work(i, state):
+        me = threading.get_ident()
+        if me not in taken:
+            barrier.wait()
+        taken.append(me)
+        if (me == caller) == (failing == "caller"):
+            raised.set()
+            raise _Stop(f"work failed on the {failing} thread")
+        assert raised.wait(30)
+        # the failing thread stops the queue as its error leaves work, a
+        # few frames after raised is set
+        time.sleep(0.2)
+
+    before = threading.active_count()
+    with pytest.raises(_Stop, match=failing):
+        share_out(50, work, [None, None])
+    assert len(taken) == 2 and len(set(taken)) == 2
+    assert threading.active_count() == before
+
+
+def test_share_out_of_nothing_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    share_out(0, lambda i, state: pytest.fail("work ran"), [None, None, None])
+    # one i runs on the calling thread alone
+    taken = []
+    share_out(1, lambda i, state: taken.append((i, threading.get_ident())), [None, None])
+    assert taken == [(0, threading.get_ident())]
