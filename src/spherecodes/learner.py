@@ -26,9 +26,11 @@ from .sphere import (
     C_NET_DEFAULT,
     D_MAX_NET_DEFAULT,
     Net,
+    Watermark,
     build_net,
     c_NET_DEFAULT,
     fixed_dot,
+    net_rows,
     one_blas_thread,
     project_ball,
     require_number,
@@ -47,6 +49,9 @@ R_SWITCH_DEFAULT = 0.2
 # (65 rows at N = 2000), small enough to stay in cache between the GEMM and
 # the compare. It starts on a 64-byte line; off one, the loop ran 40% slower
 _SCREEN_BUF_BYTES = 1 << 20
+# Step-I blocks to a queue item: a run of blocks adds its pass flags in one
+# sum, so a thread holds the GIL fewer, longer times between BLAS calls
+_ITEM_BLOCKS = 8
 
 # the first block of candidate selection's scan; each later block doubles,
 # and a block is ordered only when the scan reaches it. At the criterion-6
@@ -140,11 +145,14 @@ class ScreeningStats:
 
 @dataclass(frozen=True)
 class StageTimes:
-    """Wall time of each stage of one run_learner call, in ms: the net
-    build, the covering certificate, Step I (drawing its batch and the
-    screen, wall time over the screen's two threads), candidate selection,
-    Step II (its decoder, batch, decode and averages) and the genie
-    baseline."""
+    """Wall time of each stage of one run_learner call, in ms. Step I
+    (drawing its batch and the screen, wall time over the screen's two
+    threads) contains the net build and the covering certificate: the
+    calling thread makes both inside the screen's queue while the helper
+    screens the net's rows as they are drawn, so net_ms and covering_ms
+    are the calling thread's time in each, and the stages add up to more
+    than the call. Then candidate selection, Step II (its decoder, batch,
+    decode and averages) and the genie baseline."""
 
     net_ms: float
     covering_ms: float
@@ -205,7 +213,13 @@ def _ordered(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & _NEG_FLIP)
 
 
-def _least_passing(passes, n: int) -> np.ndarray:
+# -inf and +inf in that integer order, the ends of _least_passing's search;
+# a seeded search starts within this many doubles of its guess
+_ORD_LO, _ORD_HI = _ordered(np.array([-np.inf, np.inf]).view(np.int64))
+_SEED_STEPS = 1 << 20
+
+
+def _least_passing(passes, n: int, guess=None) -> np.ndarray:
     """For each j < n, the least double x with passes(x)[j], where passes
     maps an (n,) float64 array to an (n,) bool array and is monotone (once
     true at x, true at every larger x). The entry is -inf when -inf passes
@@ -213,9 +227,18 @@ def _least_passing(passes, n: int) -> np.ndarray:
     every double x.
 
     Bisection over the doubles in integer order, about 64 vectorised steps.
+    A guess, a scalar or an (n,) array, starts entry j from the doubles
+    within _SEED_STEPS of guess[j] where passes shows that they bracket the
+    cutoff, which takes about 21 steps, and from the whole range elsewhere;
+    the result is the same.
     """
-    lo = np.full(n, _ordered(np.array(-np.inf).view(np.int64)))
-    hi = np.full(n, _ordered(np.array(np.inf).view(np.int64)))
+    lo = np.full(n, _ORD_LO)
+    hi = np.full(n, _ORD_HI)
+    if guess is not None:
+        mid = np.clip(_ordered(np.full(n, guess, dtype=np.float64).view(np.int64)), _ORD_LO, _ORD_HI)
+        b_lo, b_hi = np.maximum(mid - _SEED_STEPS, _ORD_LO), np.minimum(mid + _SEED_STEPS, _ORD_HI)
+        ok = passes(_ordered(b_hi).view(np.float64)) & ~passes(_ordered(b_lo).view(np.float64))
+        lo, hi = np.where(ok, b_lo, lo), np.where(ok, b_hi, hi)
     while True:
         # the unsigned gap cannot overflow across the whole double range
         gap = hi.view(np.uint64) - lo.view(np.uint64)
@@ -231,7 +254,15 @@ def _least_passing(passes, n: int) -> np.ndarray:
     return cut
 
 
-def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I: float, sigma2: float) -> np.ndarray:
+def _pass_counts(
+    net_points: np.ndarray,
+    obs: np.ndarray,
+    test_kind: str,
+    eps_I: float,
+    sigma2: float,
+    lead=None,
+    mark: Watermark | None = None,
+) -> np.ndarray:
     """Per-net-point counts of local-test passes over all observations.
 
     A point p passes the zero-rate test on y when <p, y> / d >= 1 - eps_I/4,
@@ -241,12 +272,18 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     near the emitting center pass with probability >= 1/2.
 
     The M x N GEMM statistic is formed a block of net points at a time, in
-    a preallocated buffer of about _SCREEN_BUF_BYTES per thread, the blocks
-    shared out over the calling thread and one helper by sphere.share_out.
-    Each test is a monotone function of the GEMM entry x, so it equals
-    x >= cut for an exact cutoff found once per call: one for the zero-rate
-    test, one per observation for the positive-rate test. A block is then
-    one GEMM, one compare and one sum of the flag words per 255-word group.
+    a preallocated buffer of about _SCREEN_BUF_BYTES per thread, runs of
+    _ITEM_BLOCKS blocks shared out over the calling thread and one helper
+    by sphere.share_out. Each test is a monotone function of the GEMM
+    entry x, so it equals x >= cut for an exact cutoff found once per
+    call: one for the zero-rate test, one per observation for the
+    positive-rate test. A block is then one GEMM and one compare, and a
+    run adds its blocks' flag words, 255 to a group, in one sum.
+
+    lead and mark let the net be made while it is screened: lead runs on
+    the calling thread first (share_out's lead), and a block waits until
+    mark says its rows of net_points are final; a block whose rows never
+    come is skipped. Without mark every row is taken as final.
     """
     M, d = net_points.shape
     n = obs.shape[0]
@@ -255,7 +292,7 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         # rounded division by d > 0 is monotone in x
         thr = 1.0 - 0.25 * eps_I
         rhs = obs.T
-        cut = _least_passing(lambda x: x / d >= thr, 1)[0]
+        cut = _least_passing(lambda x: x / d >= thr, 1, thr * d)[0]
     else:
         # squared residual fl(fl(||v||^2 - x) + d) <= thr_sq, x = <p, 2 v>,
         # v = alpha y; both roundings are monotone in x. Doubling is exact,
@@ -268,7 +305,7 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         v = alpha * obs
         v_sq = sq_norms(v)
         rhs = (2.0 * v).T
-        cut = _least_passing(lambda x: v_sq - x + d <= thr_sq, n)
+        cut = _least_passing(lambda x: v_sq - x + d <= thr_sq, n, v_sq + d - thr_sq)
     # a C-contiguous copy, made once: handed a transposed view, BLAS repacks
     # the whole operand on every block's call. Packing writes the same
     # panels either way, so the products keep their bits
@@ -281,6 +318,8 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
         bounds.pop()
     bounds.append(M)
     blocks = list(zip(bounds[:-1], bounds[1:]))
+    runs = [blocks[i : i + _ITEM_BLOCKS] for i in range(0, len(blocks), _ITEM_BLOCKS)]
+    mark = Watermark(M) if mark is None else mark
     # each row's flag words added in byte lanes, at most 255 words to a
     # group so that no lane carries; the lanes are folded into counts once,
     # at the end
@@ -288,25 +327,29 @@ def _pass_counts(net_points: np.ndarray, obs: np.ndarray, test_kind: str, eps_I:
     lanes = np.empty((len(groups), M), dtype=np.uint64)
 
     def screen(i: int, state: tuple) -> None:
-        """Screen block i into its columns of lanes."""
-        (lo, hi), (buf, flags, words) = blocks[i], state
-        out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
-        np.greater_equal(out, cut, out=flags[: hi - lo, :n])
+        """Screen run i into its columns of lanes."""
+        (buf, flags, words), first, last = state, runs[i][0][0], runs[i][-1][1]
+        for lo, hi in runs[i]:
+            if not mark.wait(hi):
+                return
+            out = np.matmul(net_points[lo:hi], rhs, out=buf[: hi - lo])
+            np.greater_equal(out, cut, out=flags[lo - first : hi - first, :n])
         for j, g in enumerate(groups):
-            np.add.reduce(words[: hi - lo, g : g + 255], axis=1, out=lanes[j, lo:hi])
+            np.add.reduce(words[: last - first, g : g + 255], axis=1, out=lanes[j, first:last])
 
     # this thread allocates both threads' product buffers and pass flags:
     # an array the helper allocated would stay, once freed, in its own
     # malloc arena. Flag rows are padded with zero bytes to whole uint64 words
     states = []
-    for _ in range(min(2, len(blocks))):
+    for _ in range(min(2, len(runs))):
         buf = np.empty((rows + 1) * n + 8)
         buf = buf[-buf.ctypes.data % 64 // 8 :][: (rows + 1) * n].reshape(rows + 1, n)
-        flags = np.zeros((rows + 1, -(-n // 8) * 8), dtype=bool)
+        flags = np.zeros((_ITEM_BLOCKS * rows + 1, -(-n // 8) * 8), dtype=bool)
         states.append((buf, flags, flags.view(np.uint64)))
-    # a block is the same one-thread BLAS call on either thread and writes
-    # only its own columns of lanes, so which thread takes it moves no count
-    share_out(len(blocks), screen, states)
+    # a block is the same one-thread BLAS call on either thread and a run
+    # writes only its own columns of lanes, so which thread takes it moves
+    # no count
+    share_out(len(runs), screen, states, lead)
     return lanes.view(np.uint8).reshape(len(groups), M, 8).sum(axis=(0, 2), dtype=np.int64)
 
 
@@ -319,13 +362,19 @@ def step1_screen(
     reaches threshold_const * N / k, counts aligned with points. The batch
     is consumed through observations() only.
     """
+    return _screen(net.points, batch, cfg, k)
+
+
+def _screen(points: np.ndarray, batch: GmmBatch, cfg: LearnerConfig, k: int, lead=None, mark=None):
+    """step1_screen on the rows of points, made meanwhile by lead as
+    _pass_counts describes."""
     obs = batch.observations()
     if obs.shape[0] != cfg.N:
         raise ValueError(f"screening batch has {obs.shape[0]} samples, config N={cfg.N}")
-    test_kind = cfg.resolve_test_kind(net.d, k)
-    counts = _pass_counts(net.points, obs, test_kind, cfg.eps_I, batch.sigma2)
+    test_kind = cfg.resolve_test_kind(points.shape[1], k)
+    counts = _pass_counts(points, obs, test_kind, cfg.eps_I, batch.sigma2, lead, mark)
     keep = counts >= cfg.threshold_const * cfg.N / k
-    return net.points[keep], counts[keep]
+    return points[keep], counts[keep]
 
 
 def _close(rows: np.ndarray, p: np.ndarray, md_sq: float, slack: float) -> np.ndarray:
@@ -575,24 +624,44 @@ def run_learner(
     Randomness comes from four derived streams (net, Step-I batch, Step-II
     batch, covering probes), so results are reproducible from (master_seed,
     seed_path) alone. A pre-built net can be injected for diagnostics; the
-    other three streams are unaffected. No stage after Step I holds the net.
-    The call runs inside one_blas_thread, so no stage's bits depend on the
+    other three streams are unaffected. The net is drawn and certified on
+    the calling thread inside Step I's queue, while the helper screens its
+    rows as they are drawn; the result equals that of the stages run one
+    after another. No stage after Step I holds the net. The call runs inside one_blas_thread, so no stage's bits depend on the
     BLAS thread count or on what other threads run meanwhile.
     """
     d, k = cb.d, cb.k
-    # one mark before the first stage and one after each, in StageTimes' order
-    marks = [time.perf_counter()]
+    start = time.perf_counter()
+    if net is None and d == 1:
+        # the exact two-point net: nothing to draw
+        net = build_net(1, cfg.eps_I, **cfg.net_kwargs())
     if net is None:
-        net = build_net(d, cfg.eps_I, rng=rng_for(master_seed, *seed_path, 0), **cfg.net_kwargs())
-    marks.append(time.perf_counter())
-    covering = verify_covering(net, probes, rng_for(master_seed, *seed_path, 3))
-    marks.append(time.perf_counter())
+        # build_net's checks, before any buffer or thread exists
+        points, mark = np.empty((net_rows(d, cfg.eps_I, **cfg.net_kwargs()), d)), Watermark()
+    else:
+        points, mark = net.points, Watermark(net.size)
+    made = {"net": net}
+
+    def lead() -> None:
+        """Draw the net into points, releasing its rows to the screen, and
+        certify its covering; on this thread, inside Step I's queue."""
+        try:
+            t0 = time.perf_counter()
+            if made["net"] is None:
+                rng = rng_for(master_seed, *seed_path, 0)
+                made["net"] = build_net(d, cfg.eps_I, rng=rng, out=points, release=mark.rise, **cfg.net_kwargs())
+            t1 = time.perf_counter()
+            made["covering"] = verify_covering(made["net"], probes, rng_for(master_seed, *seed_path, 3))
+            made["ms"] = 1000.0 * (t1 - t0), 1000.0 * (time.perf_counter() - t1)
+        finally:
+            mark.close()
 
     batch1 = sample_gmm(cb, sigma2, cfg.N, rng_for(master_seed, *seed_path, 1))
-    points, counts = step1_screen(net, batch1, cfg, k)
-    net_size, net = net.size, None
-    marks.append(time.perf_counter())
-    candidates = select_candidates(points, counts, cfg.eps_I, k)
+    kept, counts = _screen(points, batch1, cfg, k, lead, mark)
+    net_size, net, points = made.pop("net").size, None, None
+    # one mark after each later stage, in StageTimes' order
+    marks = [time.perf_counter()]
+    candidates = select_candidates(kept, counts, cfg.eps_I, k)
     m = candidates.shape[0]
     marks.append(time.perf_counter())
 
@@ -611,8 +680,8 @@ def run_learner(
 
     stats = ScreeningStats(
         net_size=net_size,
-        t_close_size=points.shape[0],
-        covering_fraction=covering,
+        t_close_size=kept.shape[0],
+        covering_fraction=made["covering"],
         erasure_rate_step2=erasure_rate,
     )
     return LearnerResult(
@@ -622,5 +691,7 @@ def run_learner(
         loss_max=loss_max(cb, estimates),
         genie_loss=loss_avg(cb, genie),
         screening_stats=stats,
-        stage_times=StageTimes(*(1000.0 * (b - a) for a, b in zip(marks, marks[1:]))),
+        stage_times=StageTimes(
+            *made["ms"], 1000.0 * (marks[0] - start), *(1000.0 * (b - a) for a, b in zip(marks, marks[1:]))
+        ),
     )

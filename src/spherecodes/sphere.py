@@ -35,6 +35,9 @@ C_NET_DEFAULT = 16.0
 c_NET_DEFAULT = 1.0
 
 _NORM_TOL = 1e-9
+# sample_uniform_sphere_batch's chunk: a net's rows are released for
+# screening this many at a time
+_DRAW_ROWS = 8192
 
 
 class NetInfeasibleError(ValueError):
@@ -63,21 +66,45 @@ def require_number(name: str, v, rule: str, ok=None, *, integral: bool = False, 
         raise error(f"{name} must be {rule}, got {v!r}")
 
 
-def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_uniform_sphere_batch(d: int, n: int, rng: np.random.Generator, out=None, release=None) -> np.ndarray:
     """(n, d) independent uniform points on sqrt(d) * S^(d-1): standard
-    Gaussian rows, rotation invariant, rescaled in place to norm sqrt(d)."""
+    Gaussian rows, rotation invariant, rescaled in place to norm sqrt(d).
+
+    The rows are drawn and rescaled _DRAW_ROWS at a time, into out if
+    given, a C-contiguous (n, d) float64 array; release(r), if given, is
+    called each time rows [0, r) are final, last with r = n. The points
+    have the bits of one (n, d) draw rescaled at once: the generator fills
+    a chunk as it fills those rows of the whole, and each row is rescaled
+    alone. A zero row, of probability 0, is drawn again after the whole
+    draw, as such a draw would; no row from its chunk on is released
+    before then."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    # a zero Gaussian vector has probability 0; regenerate defensively
-    while np.any(norms == 0.0):
-        bad = norms[:, 0] == 0.0
-        g[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-    return np.multiply(g, np.sqrt(d) / norms, out=g)
+    g = np.empty((n, d)) if out is None else out
+    done = 0
+    for lo in range(0, n, _DRAW_ROWS):
+        part = rng.standard_normal(out=g[lo : lo + _DRAW_ROWS])
+        if done == lo:
+            # np.linalg.norm's bits, without its copy of the rows
+            norms = np.sqrt(sq_norms(part))[:, None]
+            if np.all(norms != 0.0):
+                np.multiply(part, np.sqrt(d) / norms, out=part)
+                done = lo + part.shape[0]
+                if release is not None:
+                    release(done)
+    if done < n:
+        rest = g[done:]
+        norms = np.sqrt(sq_norms(rest))[:, None]
+        while np.any(norms == 0.0):
+            bad = norms[:, 0] == 0.0
+            rest[bad] = rng.standard_normal((int(bad.sum()), d))
+            norms = np.sqrt(sq_norms(rest))[:, None]
+        np.multiply(rest, np.sqrt(d) / norms, out=rest)
+        if release is not None:
+            release(n)
+    return g
 
 
 def project_ball(x: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -183,21 +210,55 @@ def one_blas_thread():
                 setter(_blas_cap["saved"])
 
 
-def share_out(n: int, work, states: list) -> None:
+class Watermark:
+    """How many leading rows of an array one thread has made final, for
+    other threads to wait on: the level only rises, and close() releases
+    every waiter, whether the rows were all made or their maker failed."""
+
+    def __init__(self, level: int = 0):
+        self.level, self.closed = level, False
+        self._cond = threading.Condition()
+
+    def rise(self, level: int) -> None:
+        with self._cond:
+            self.level = level
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        with self._cond:
+            self.closed = True
+            self._cond.notify_all()
+
+    def wait(self, level: int) -> bool:
+        """Block until rows [0, level) are final, and say whether they are:
+        False when the watermark was closed short of level."""
+        if self.level < level:
+            with self._cond:
+                self._cond.wait_for(lambda: self.level >= level or self.closed)
+        return self.level >= level
+
+
+def share_out(n: int, work, states: list, lead=None) -> None:
     """Call work(i, state) once for each i in range(n). The calling thread,
     with states[0], and a helper thread per further state, up to n threads
     in all, each take the next i until none is left, inside one_blas_thread;
-    no other function of the package starts a thread. The caller allocates
-    the states, so no buffer stays in a helper's malloc arena once freed.
-    An error on any thread stops every thread from taking another i and is
-    raised here, after every helper has ended. n = 0 starts nothing."""
+    no other function of the package starts a thread. lead, if given, is
+    called first on the calling thread while the helpers already take i's;
+    a work item that needs what lead makes waits for it, say on a
+    Watermark that lead closes however it ends. The caller allocates the
+    states, so no buffer stays in a helper's malloc arena once freed.
+    An error on any thread, lead's among them, stops every thread from
+    taking another i and is raised here, after every helper has ended.
+    n = 0 starts nothing and calls nothing, lead neither."""
     if n < 1:
         return
     # count's __next__ is atomic under the GIL, so taking an i needs no lock
     take, stop, errors = itertools.count().__next__, threading.Event(), []
 
-    def run(state) -> None:
+    def run(state, first=None) -> None:
         try:
+            if first is not None:
+                first()
             while not stop.is_set() and (i := take()) < n:
                 work(i, state)
         except BaseException as exc:  # noqa: BLE001 - raised in the caller
@@ -209,7 +270,7 @@ def share_out(n: int, work, states: list) -> None:
         try:
             for t in helpers:
                 t.start()
-            run(states[0])
+            run(states[0], lead)
         finally:
             # also when a helper cannot start: the others take no more
             stop.set()
@@ -313,6 +374,34 @@ def net_size(d: int, eps_I: float, C_net: float = C_NET_DEFAULT, c_net: float = 
     return int(np.ceil(C_net * np.exp(c_net * d * np.log(1.0 / eps_I))))
 
 
+def net_rows(
+    d: int,
+    eps_I: float,
+    strategy: str = "randomized",
+    *,
+    C_net: float = C_NET_DEFAULT,
+    c_net: float = c_NET_DEFAULT,
+    d_max_net: int = D_MAX_NET_DEFAULT,
+) -> int:
+    """The point count of build_net's net for these arguments, after every
+    check build_net makes before it allocates; 2 for d = 1."""
+    if strategy != "randomized":
+        raise ValueError(f"unknown net strategy: {strategy!r}")
+    require_number("eps_I", eps_I, "in (0, 1/2)", lambda v: 0.0 < v < 0.5)
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if d > d_max_net:
+        raise NetInfeasibleError(
+            f"net in dimension {d} exceeds d_max_net={d_max_net} (exponential size)"
+        )
+    if d == 1:
+        return 2
+    M = net_size(d, eps_I, C_net, c_net)
+    nbytes = M * d * 8
+    check_array_bytes(nbytes, f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB")
+    return M
+
+
 def build_net(
     d: int,
     eps_I: float,
@@ -322,6 +411,8 @@ def build_net(
     C_net: float = C_NET_DEFAULT,
     c_net: float = c_NET_DEFAULT,
     d_max_net: int = D_MAX_NET_DEFAULT,
+    out: np.ndarray | None = None,
+    release=None,
 ) -> Net:
     """Construct a candidate net on sqrt(d) * S^(d-1).
 
@@ -334,29 +425,20 @@ def build_net(
         eps_I: target precision in (0, 1/2).
         strategy: "randomized", the one construction.
         rng: the stream the points are drawn from.
+        out, release: for d >= 2, sample_uniform_sphere_batch's: an
+            (M, d) array to draw the points into, and a callback told
+            each time a leading run of them is final.
 
     Raises NetInfeasibleError, before allocating, when d exceeds d_max_net
     or the (M, d) point array would exceed ARRAY_BYTES_MAX bytes.
     """
-    if strategy != "randomized":
-        raise ValueError(f"unknown net strategy: {strategy!r}")
-    require_number("eps_I", eps_I, "in (0, 1/2)", lambda v: 0.0 < v < 0.5)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > d_max_net:
-        raise NetInfeasibleError(
-            f"net in dimension {d} exceeds d_max_net={d_max_net} (exponential size)"
-        )
+    M = net_rows(d, eps_I, strategy, C_net=C_net, c_net=c_net, d_max_net=d_max_net)
     if d == 1:
         # the 1-D sphere is two points; that net is exact for any eps_I
-        pts = np.array([[1.0], [-1.0]])
-        return Net(points=pts, eps_I=eps_I)
-    M = net_size(d, eps_I, C_net, c_net)
-    nbytes = M * d * 8
-    check_array_bytes(nbytes, f"net of M={M} points in dimension {d} needs {nbytes / 2**30:.2f} GiB")
+        return Net(points=np.array([[1.0], [-1.0]]), eps_I=eps_I)
     if rng is None:
         raise ValueError("randomized net needs an rng")
-    return Net(points=sample_uniform_sphere_batch(d, M, rng), eps_I=eps_I)
+    return Net(points=sample_uniform_sphere_batch(d, M, rng, out, release), eps_I=eps_I)
 
 
 def verify_covering(net: Net, probes: int, rng: np.random.Generator) -> float:

@@ -3,8 +3,8 @@
 The closed-form references are written as literal term-by-term arithmetic,
 std-lib math only, kept deliberately separate from the package's own
 formula code so the two paths cannot share a bug. The covering, spacing,
-minimum-distance, cluster-mean, batch-decoder and Step-I pass-count
-references are the package's former implementations, kept as the exact
+minimum-distance, cluster-mean, batch-decoder, Step-I pass-count and
+uniform sphere draw references are the package's former implementations, kept as the exact
 definitions its fast paths must reproduce; max_matching_ref sizes a
 largest within-radius matching by brute force; decode_ref is the one reference
 every decode_batch outcome is checked against. Every inner product a
@@ -107,6 +107,19 @@ def wilson_ref(successes, trials, z=1.959963984540054):
     center = (p + z * z / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
     return center - half, center + half
+
+
+def sphere_batch_ref(d, n, rng):
+    """(n, d) uniform points on sqrt(d) * S^(d-1) from one (n, d) Gaussian
+    draw, each row rescaled by its np.linalg.norm; zero rows are drawn
+    again, in row order, after the whole draw."""
+    g = rng.standard_normal((n, d))
+    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    while np.any(norms == 0.0):
+        bad = norms[:, 0] == 0.0
+        g[bad] = rng.standard_normal((int(bad.sum()), d))
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+    return np.multiply(g, np.sqrt(d) / norms, out=g)
 
 
 def covering_min_sq_ref(net, probes, rng):

@@ -15,6 +15,7 @@ from spherecodes import (
     LearnerResult,
     MmseParams,
     Net,
+    build_net,
     decode_batch,
     genie_estimator,
     loss_avg,
@@ -29,8 +30,10 @@ from spherecodes import (
     select_candidates,
     step1_screen,
     step2_cluster_average,
+    verify_covering,
 )
 from spherecodes.learner import (
+    _ITEM_BLOCKS,
     _SCREEN_BUF_BYTES,
     ScreeningStats,
     _greedy_spaced,
@@ -39,7 +42,7 @@ from spherecodes.learner import (
     _ranked_blocks,
     build_step2_decoder,
 )
-from spherecodes import sphere
+from spherecodes import learner, sphere
 from spherecodes.sphere import sq_dists
 
 from .oracles import cluster_means_ref, max_matching_ref, pass_counts_ref, separated_subset_ref
@@ -243,27 +246,30 @@ def test_pass_counts_equal_reference(test_kind, n):
 
 @pytest.mark.parametrize("thread", ["caller", "helper"])
 def test_pass_counts_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, thread):
-    # eight blocks; each thread's first compare waits, up to 30 s, until the
-    # other has taken a block too, then the compare fails on the chosen
-    # thread. The error reaches the caller, the other thread finishes its
-    # block and takes no further one, and no thread outlives the call
+    # three queue items of _ITEM_BLOCKS blocks; each thread's first compare
+    # waits, up to 30 s, until the other has taken an item too, then the
+    # compare fails on the chosen thread. The error reaches the caller, the
+    # other thread finishes its item and takes no further one, and no
+    # thread outlives the call
     n = 2000
-    pts, obs = screen_inputs(6, 8 * (_SCREEN_BUF_BYTES // (8 * n)), n, 170)
+    pts, obs = screen_inputs(6, 3 * _ITEM_BLOCKS * (_SCREEN_BUF_BYTES // (8 * n)), n, 170)
     caller, compare = threading.get_ident(), np.greater_equal
     barrier, raised, calls = threading.Barrier(2, timeout=30), threading.Event(), []
 
     def failing(*args, **kwargs):
         me = threading.get_ident()
-        if me not in calls:
+        first = me not in calls
+        if first:
             barrier.wait()
         calls.append(me)
         if (me == caller) == (thread == "caller"):
             raised.set()
             raise FloatingPointError(f"compare failed on the {thread} thread")
         assert raised.wait(30)
-        # the failing thread stops the queue as its error leaves the block,
-        # a few frames after raised is set
-        time.sleep(0.2)
+        if first:
+            # the failing thread stops the queue as its error leaves the
+            # item, a few frames after raised is set
+            time.sleep(0.2)
         return compare(*args, **kwargs)
 
     before = threading.active_count()
@@ -271,7 +277,7 @@ def test_pass_counts_error_reaches_the_caller_and_leaves_no_thread(monkeypatch, 
     with pytest.raises(FloatingPointError, match=thread):
         _pass_counts(pts, obs, "zero_rate", 0.25, 0.8)
     monkeypatch.undo()
-    assert len(calls) == 2 and len(set(calls)) == 2
+    assert sorted(calls.count(t) for t in set(calls)) == [1, _ITEM_BLOCKS]
     assert threading.active_count() == before
     assert np.array_equal(_pass_counts(pts, obs, "zero_rate", 0.25, 0.8), pass_counts_ref(pts, obs, "zero_rate", 0.25, 0.8))
 
@@ -340,6 +346,43 @@ def test_least_passing_is_the_exact_threshold():
     assert zero[0] == 0.0 and math.copysign(1.0, zero[0]) < 0
     assert _least_passing(lambda x: x >= -np.inf, 1)[0] == -np.inf
     assert np.isnan(_least_passing(lambda x: x > np.inf, 1)[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_least_passing_from_a_guess_equals_the_unseeded_search(seed):
+    # random monotone tests x >= t, x > t and fl(x / c) >= thr, with
+    # cutoffs of every size and ones that pass everywhere or nowhere; the
+    # guesses are right, a few doubles off, far off, infinite or nan
+    rng = rng_for(191, seed)
+    n = 64
+    t = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 1020, n))
+    t[rng.integers(0, n, 6)] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324], 6)
+    c = np.exp2(rng.integers(0, 4, n)) * rng.uniform(1.0, 2.0, n)
+    thr = rng.standard_normal(n)
+    tests = [
+        lambda x: x >= t,
+        lambda x: x > t,
+        lambda x: x / c >= thr,
+        lambda x: np.ones(x.shape, bool),
+        lambda x: np.zeros(x.shape, bool),
+    ]
+    near = np.nextafter(np.nextafter(t, np.inf), np.inf)
+    guesses = [t, near, thr * c, -t, t / 1e3, np.full(n, np.nan), np.full(n, np.inf), -np.inf, 0.0]
+    for passes in tests:
+        cut = _least_passing(passes, n)
+        for guess in guesses:
+            assert np.array_equal(_least_passing(passes, n, guess), cut, equal_nan=True)
+    # a right guess brackets every finite cutoff: the search asks the test
+    # 25 times (the bracket, 21 halvings of its 2^21 doubles, the two ends
+    # of the range), not 66
+    finite, calls = t[np.isfinite(t)], []
+
+    def counted(x):
+        calls.append(x)
+        return x >= finite
+
+    assert np.array_equal(_least_passing(counted, finite.size, finite), finite)
+    assert len(calls) == 25
 
 
 def test_step1_ignores_labels():
@@ -963,6 +1006,75 @@ def test_run_learner_result_invariants():
     assert isinstance(res.screening_stats, ScreeningStats)
     assert 0.0 <= res.screening_stats.covering_fraction <= 1.0
     assert 0.0 <= res.screening_stats.erasure_rate_step2 <= 1.0
+
+
+def serial_learner(cb, sigma2, cfg, seed, probes, net=None):
+    """run_learner's result fields as the public stages give them, one
+    after another: build_net, verify_covering, step1_screen,
+    select_candidates, step2_cluster_average."""
+    d, k = cb.d, cb.k
+    if net is None:
+        net = build_net(d, cfg.eps_I, rng=rng_for(seed, 0), **cfg.net_kwargs())
+    covering = verify_covering(net, probes, rng_for(seed, 3))
+    batch1 = sample_gmm(cb, sigma2, cfg.N, rng_for(seed, 1))
+    points, counts = step1_screen(net, batch1, cfg, k)
+    candidates = select_candidates(points, counts, cfg.eps_I, k)
+    batch2 = sample_gmm(cb, sigma2, cfg.Nbar, rng_for(seed, 2))
+    estimates, erasure_rate = step2_cluster_average(candidates, batch2, build_step2_decoder(cfg, d, k, sigma2), k)
+    stats = ScreeningStats(net.size, points.shape[0], covering, erasure_rate)
+    return estimates, candidates.shape[0], loss_avg(cb, estimates), stats
+
+
+@pytest.mark.parametrize("test_kind", ["zero_rate", "positive_rate"])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, "injected"])
+def test_run_learner_equals_the_serial_stages(d, test_kind):
+    # the net drawn on the calling thread while the helper screens its
+    # rows, and the covering certificate made meanwhile, give the serial
+    # stages' bits: at d = 6 the net is eight draw chunks and about 1,000
+    # blocks; an injected net, like d = 1, exists before the queue starts
+    net = None
+    if d == "injected":
+        d = 6
+        net = Net(points=sample_uniform_sphere_batch(d, 3_000, rng_for(153)), eps_I=0.25)
+    k = 4
+    cb = sample_codebook(d, k, rng_for(154, d))
+    sigma2 = noise_for_beta(d, k, 2.0).sigma2
+    cfg = LearnerConfig(N=1000, Nbar=500, test_kind=test_kind)
+    res = run_learner(cb, sigma2, cfg, 155, probes=500, net=net)
+    estimates, m, loss, stats = serial_learner(cb, sigma2, cfg, 155, 500, net)
+    assert np.array_equal(res.estimates, estimates) and res.m == m and res.loss_avg == loss
+    assert res.screening_stats == stats
+
+
+@pytest.mark.parametrize("failing", ["draw", "covering"])
+def test_run_learner_error_in_the_lead_task_reaches_the_caller(monkeypatch, failing):
+    # the net draw fails after its first chunk, while the helper waits for
+    # later rows, or the covering certificate fails while the helper
+    # screens: the waiting blocks are released, the error reaches the
+    # caller, and no thread outlives the call
+    draw = sphere.sample_uniform_sphere_batch
+
+    def draw_failing(d, n, rng, out=None, release=None):
+        def release_once(r):
+            release(r)
+            raise FloatingPointError("draw failed")
+
+        return draw(d, n, rng, out, release_once)
+
+    def covering_failing(*args):
+        raise FloatingPointError("covering failed")
+
+    if failing == "draw":
+        monkeypatch.setattr(sphere, "sample_uniform_sphere_batch", draw_failing)
+    else:
+        monkeypatch.setattr(learner, "verify_covering", covering_failing)
+    d, k = 6, 4
+    cb = sample_codebook(d, k, rng_for(156))
+    cfg = LearnerConfig(N=1000, Nbar=500)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=failing):
+        run_learner(cb, noise_for_beta(d, k, 2.0).sigma2, cfg, 157, probes=500)
+    assert threading.active_count() == before
 
 
 def test_learner_result_rejects_out_of_ball():

@@ -17,8 +17,10 @@ from spherecodes import (
     verify_covering,
 )
 from spherecodes.sphere import (
+    _DRAW_ROWS,
     _NORM_TOL,
     ARRAY_BYTES_MAX,
+    Watermark,
     _blas_thread_setter,
     fixed_dot,
     net_size,
@@ -26,7 +28,7 @@ from spherecodes.sphere import (
     share_out,
 )
 
-from .oracles import covering_min_sq_ref, covering_ref, fixed_dot_ref
+from .oracles import covering_min_sq_ref, covering_ref, fixed_dot_ref, sphere_batch_ref
 
 
 def test_sample_norm_invariant():
@@ -49,6 +51,45 @@ def test_sample_mean_coordinate_clt():
     d, n = 64, 50_000
     pts = sample_uniform_sphere_batch(d, n, rng)
     assert np.all(np.abs(pts.mean(axis=0)) <= 4.5 / np.sqrt(n))
+
+
+class ZeroRowRng:
+    """A generator whose standard normals are another's, except that the
+    draw's row `row` of d values comes out zero the first time it is
+    drawn: a zero Gaussian vector, which has probability 0."""
+
+    def __init__(self, rng, d, row):
+        self.rng, self.d, self.at, self.drawn = rng, d, row * d, 0
+
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size, out=out)
+        flat, at = x.reshape(-1), self.at - self.drawn
+        if 0 <= at < flat.size:
+            flat[at : at + self.d] = 0.0
+        self.drawn += flat.size
+        return x
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, _DRAW_ROWS - 1, _DRAW_ROWS, 2 * _DRAW_ROWS + 5])
+@pytest.mark.parametrize("zero_row", [None, 0, "middle", "last"])
+def test_chunked_draw_equals_the_one_shot_draw(d, n, zero_row):
+    # the chunks have the bits of one (n, d) draw, also when n is not a
+    # whole number of chunks and when a zero row is drawn again; each
+    # released prefix is final, and nothing from a zero row's chunk on is
+    # released before the rows are drawn again
+    row = {None: None, "middle": n // 2, "last": n - 1}.get(zero_row, zero_row)
+    rng_ref, rng = rng_for(31, d, n), rng_for(31, d, n)
+    if row is not None:
+        rng_ref, rng = ZeroRowRng(rng_ref, d, row), ZeroRowRng(rng, d, row)
+    ref = sphere_batch_ref(d, n, rng_ref)
+    out, released = np.empty((n, d)), []
+    pts = sample_uniform_sphere_batch(d, n, rng, out, lambda r: released.append((r, out[:r].copy())))
+    assert pts is out and np.array_equal(pts, ref)
+    assert [r for r, _ in released] == sorted({min(hi, n) for hi in range(_DRAW_ROWS, n + _DRAW_ROWS, _DRAW_ROWS) if row is None or hi <= row} | {n})
+    assert all(np.array_equal(prefix, ref[:r]) for r, prefix in released)
+    # both generators are left at the same place in the stream
+    assert np.array_equal(rng.standard_normal(3), rng_ref.standard_normal(3))
 
 
 def test_sample_rejects_zero_dimension():
@@ -456,3 +497,61 @@ def test_share_out_of_nothing_starts_no_thread(monkeypatch):
     taken = []
     share_out(1, lambda i, state: taken.append((i, threading.get_ident())), [None, None])
     assert taken == [(0, threading.get_ident())]
+
+
+@pytest.mark.parametrize("failing", [None, "lead", "work"])
+def test_share_out_lead_runs_on_the_caller_while_the_helper_takes_items(failing):
+    # lead makes the rows one at a time on the calling thread and closes
+    # the watermark however it ends; item i needs row i. The helper works
+    # while lead runs. A failing lead releases the waiting item uncomputed
+    # and its error reaches the caller; a failing item stops the queue,
+    # lead still runs to its end, and the error reaches the caller
+    n, caller, mark = 12, threading.get_ident(), Watermark()
+    done, skipped, lead_ran = [], [], []
+
+    def lead():
+        try:
+            for r in range(n):
+                time.sleep(0.005)
+                if failing == "lead" and r == 4:
+                    raise _Stop("lead failed")
+                mark.rise(r + 1)
+            lead_ran.append(threading.get_ident())
+        finally:
+            mark.close()
+
+    def work(i, state):
+        if not mark.wait(i + 1):
+            skipped.append(i)
+            return
+        if failing == "work" and i == 2:
+            raise _Stop("work failed")
+        done.append((i, threading.get_ident(), len(lead_ran)))
+
+    before = threading.active_count()
+    if failing is None:
+        share_out(n, work, [None, None], lead)
+        assert sorted(i for i, _, _ in done) == list(range(n))
+        assert lead_ran == [caller]
+        assert any(ident != caller and not ended for _, ident, ended in done)
+    else:
+        with pytest.raises(_Stop, match=failing):
+            share_out(n, work, [None, None], lead)
+        if failing == "lead":
+            assert max(i for i, _, _ in done) < 4 and skipped and lead_ran == []
+        else:
+            assert lead_ran == [caller] and all(ident != caller for _, ident, _ in done)
+    assert threading.active_count() == before
+
+
+def test_watermark_wait_returns_once_the_rows_exist_or_it_is_closed():
+    mark, seen = Watermark(3), []
+    assert mark.wait(3)
+    t = threading.Thread(target=lambda: seen.append(mark.wait(5)))
+    t.start()
+    mark.rise(4)
+    t.join(0.05)
+    assert t.is_alive() and seen == []
+    mark.close()
+    t.join(30)
+    assert seen == [False] and mark.wait(4) and not mark.wait(5)
